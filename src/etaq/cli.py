@@ -23,6 +23,13 @@ EXIT_PRECISION = 3
 
 _MIN_ORDER = 16
 
+# Largest --order any subcommand accepts: 2.5 times the largest order the
+# verifiers are benchmarked at (8000).  A window is a dense list of big
+# integers whose sizes grow with the order, and a verify run keeps dozens
+# of them, so an enormous order would run out of memory, or for hours,
+# instead of failing.  main() rejects it with exit 2 before any expansion.
+MAX_ORDER = 20_000
+
 _STATUS_WORD = {PASS: "PASS", FAIL: "FAIL", INSUFFICIENT: "INSUFFICIENT"}
 
 
@@ -215,6 +222,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    order = getattr(args, "order", None)
+    if order is not None and order > MAX_ORDER:
+        return _usage_error(f"--order must be <= {MAX_ORDER}, got {order}")
     handlers = {
         "expand": _cmd_expand,
         "dissect": _cmd_dissect,

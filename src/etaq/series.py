@@ -7,11 +7,23 @@ is the coefficient of ``q**(offset + i)``; every coefficient below
 integers, so results are exact, and every operation propagates the window
 conservatively: a result never claims a coefficient it cannot actually
 know from its inputs.
+
+Products use one Kronecker-substitution kernel.  Both operands are cut to
+the common length n; each coefficient becomes one signed base-2**(8w)
+digit of a single Python int, the two ints are multiplied once (CPython's
+Karatsuba, in C), and the low n digits of the product are read back.
+Every product coefficient is a sum of at most n terms a_i * b_j, so
+|c_k| <= n * max|a| * max|b|.  The digit width w is the smallest whole
+number of bytes whose top bit is clear of that bound, so no digit ever
+overflows into its neighbour and the result is the exact Cauchy product.
+Packing and unpacking go through ``int.to_bytes``/``int.from_bytes``
+(binary, linear time), never through decimal strings.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -78,6 +90,11 @@ class LaurentSeries:
         for i, c in enumerate(self.coeffs):
             yield self.offset + i, c
 
+    def _span(self, lo: int, hi: int) -> tuple[int, ...]:
+        """Coefficients on [lo, hi), zero-padded below the window; hi <= prec."""
+        zeros = min(max(self.offset - lo, 0), hi - lo)
+        return (0,) * zeros + self.coeffs[max(lo - self.offset, 0):max(hi - self.offset, 0)]
+
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -118,7 +135,8 @@ class LaurentSeries:
                 f"sum of windows [{self.offset}, {self.prec}) and "
                 f"[{other.offset}, {other.prec}) is empty"
             )
-        return LaurentSeries(lo, tuple(self[e] + other[e] for e in range(lo, hi)))
+        return LaurentSeries(
+            lo, tuple(map(operator.add, self._span(lo, hi), other._span(lo, hi))))
 
     def __neg__(self) -> LaurentSeries:
         return LaurentSeries(self.offset, tuple(-c for c in self.coeffs))
@@ -137,16 +155,23 @@ class LaurentSeries:
         # pollutes exponent prec_a + offset_b (resp. prec_b + offset_a), so
         # the result window has length min(len(a), len(b)).
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if sum(1 for x in a[:n] if x) > sum(1 for x in b[:n] if x):
-            a, b = b, a
-        out = [0] * n
-        for i, ai in enumerate(a[:n]):
-            if not ai:
-                continue
-            end = i + min(n - i, len(b))
-            out[i:end] = [u + ai * v for u, v in zip(out[i:end], b)]
-        return LaurentSeries(self.offset + other.offset, tuple(out))
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        max_a, max_b = max(map(abs, a)), max(map(abs, b))
+        # |c_k| <= n*max_a*max_b; the operands' own digits must fit too when
+        # the other operand is all zeros.  One spare bit holds the sign.
+        w = max(n * max_a * max_b, max_a, max_b).bit_length() // 8 + 1
+        bias = int.from_bytes(b"\x80".rjust(w, b"\0") * n, "little")
+        product = _pack(a, w, bias)
+        # A square (self * self, as in _pow) takes CPython's squaring path.
+        product *= product if b is a else _pack(b, w, bias)
+        # With 2**(8w-1) added to every digit all digits are nonnegative,
+        # so the mask keeps exactly c_0..c_{n-1}; the XOR turns each digit
+        # back into the two's complement of its c_k.
+        low = ((product + bias) & ((1 << (8 * w * n)) - 1)) ^ bias
+        data = low.to_bytes(w * n, "little")
+        return LaurentSeries(self.offset + other.offset, tuple(
+            [int.from_bytes(data[i:i + w], "little", signed=True)
+             for i in range(0, w * n, w)]))
 
     def __rmul__(self, other: int) -> LaurentSeries:
         if isinstance(other, int):
@@ -230,6 +255,17 @@ class LaurentSeries:
         return "\n".join(lines)
 
 
+def _pack(coeffs: tuple[int, ...], w: int, bias: int) -> int:
+    """sum(c * 2**(8*w*i)) for coefficients with |c| < 2**(8*w - 1).
+
+    Concatenated two's-complement digits, XOR the top bit of every digit,
+    read c + 2**(8*w - 1) >= 0 per digit; subtracting ``bias`` (that
+    offset in every digit) leaves the signed sum.
+    """
+    digits = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+    return (int.from_bytes(digits, "little") ^ bias) - bias
+
+
 @dataclass(frozen=True)
 class Comparison:
     """Outcome of comparing two windows on their common exponent range."""
@@ -252,8 +288,8 @@ def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 200) -> Compa
     overlap = max(hi - lo, 0)
     if overlap < min_overlap or overlap == 0:
         return Comparison(INSUFFICIENT, lo, hi - 1, overlap)
-    for e in range(lo, hi):
-        x, y = a[e], b[e]
-        if x != y:
-            return Comparison(FAIL, lo, hi - 1, overlap, (e, x, y))
+    left, right = a._span(lo, hi), b._span(lo, hi)
+    if left != right:
+        i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+        return Comparison(FAIL, lo, hi - 1, overlap, (lo + i, left[i], right[i]))
     return Comparison(PASS, lo, hi - 1, overlap)

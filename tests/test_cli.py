@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from etaq.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main, run
+import etaq.cli as cli
+from etaq.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, MAX_ORDER, main, run
 
 
 def test_expand_partition_window(capsys):
@@ -162,6 +163,24 @@ def test_oracle_json(capsys):
 def test_oracle_rejects_small_order(capsys):
     assert main(["oracle", "cross-check", "--order", "8"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", (
+    ["expand", "f1"],
+    ["dissect", "f1", "2", "1"],
+    ["verify", "all"],
+    ["verify", "identity", "--id", "EQ28"],
+    ["oracle", "cross-check"],
+))
+@pytest.mark.parametrize("order", (MAX_ORDER + 1, 10**12))
+def test_enormous_order_is_usage_error_before_any_work(argv, order, capsys, monkeypatch):
+    def must_not_run(args):
+        raise AssertionError(f"{args.command} ran with --order {args.order}")
+
+    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_verify", "_cmd_oracle"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    assert main(argv + ["--order", str(order)]) == EXIT_USAGE
+    assert f"--order must be <= {MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_run_raises_system_exit(capsys, monkeypatch):

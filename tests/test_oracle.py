@@ -109,5 +109,7 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
         flagged = [c for c in report.checks if c.status == FAIL]
         assert flagged
         assert any(c.witness and c.witness.get("exponent") == 5 for c in flagged)
+        f1 = next(c for c in flagged if c.name.startswith("f1:"))
+        assert f1.witness == {"exponent": 5, "left": "2", "right": "1"}
     finally:
         eta._expand_quotient_cached.cache_clear()
