@@ -30,6 +30,13 @@ _MIN_ORDER = 16
 # instead of failing.  main() rejects it with exit 2 before any expansion.
 MAX_ORDER = 20_000
 
+# Largest total |exponent| of an expression given to expand or dissect:
+# five times the largest quotient the verifiers expand (20).  Coefficient
+# sizes grow with the exponents, so an enormous exponent would run for
+# minutes or out of memory at any order; main() rejects it with exit 2
+# right after parsing, before any expansion.
+MAX_EXPONENT_SUM = 100
+
 _STATUS_WORD = {PASS: "PASS", FAIL: "FAIL", INSUFFICIENT: "INSUFFICIENT"}
 
 
@@ -119,14 +126,14 @@ def _exit_for(statuses: list[str]) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.order < 1:
         return _usage_error(f"--order must be >= 1, got {args.order}")
-    _print_series(expand_quotient(parse_quotient(args.expr), args.order))
+    _print_series(expand_quotient(args.factors, args.order))
     return EXIT_OK
 
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
     if args.order < 1:
         return _usage_error(f"--order must be >= 1, got {args.order}")
-    series = expand_quotient(parse_quotient(args.expr), args.order)
+    series = expand_quotient(args.factors, args.order)
     _print_series(series.extract(args.step, args.residue))
     return EXIT_OK
 
@@ -233,6 +240,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
+        if hasattr(args, "expr"):
+            args.factors = parse_quotient(args.expr)
+            weight = sum(map(abs, args.factors.values()))
+            if weight > MAX_EXPONENT_SUM:
+                return _usage_error(f"total |exponent| must be <= {MAX_EXPONENT_SUM}, "
+                                    f"got {weight}")
         return handlers[args.command](args)
     except QuotientParseError as exc:
         return _usage_error(str(exc))

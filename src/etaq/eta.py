@@ -10,18 +10,35 @@ partition counts) and p(n) to their eta quotients:
     PSTAR    f1^4 f5^4
     EULER_P  1 / f1                 ordinary partitions
 
+Every factor is built at its natural length.  Since f_m(q) = f_1(q^m),
+the window [0, N) of f_m^e holds only ceil(N/m) independent coefficients:
+f_1^e (a power of f_1 or of 1/f_1) is expanded on ceil(N/m) terms and
+then spread to every m-th place.  Before that, a quotient whose periods
+share a gcd g > 1 is a series in q^g: the quotient with periods m/g is
+expanded to order ceil(N/g) and spread by g, so f2^4 f10^4 costs one
+f1^4 f5^4 at half the order.  The full-length products then start from
+the first factor.
+
 ``expand_k`` expands the level-10 multiplier function
 
     k(q) = q * prod_{n>=1} (1-q^{10n-9})(1-q^{10n-8})(1-q^{10n-2})(1-q^{10n-1})
                / ((1-q^{10n-7})(1-q^{10n-6})(1-q^{10n-4})(1-q^{10n-3}))
 
-used by the quintic identity catalog.
+used by the quintic identity catalog, as the theta quotient
+
+    k(q) = q * theta_1 theta_2 / (theta_3 theta_4),
+    theta_a = (q^a, q^{10-a}, q^10; q^10)_inf = sum_{j in Z} (-1)^j q^{5j(j-1)+aj}.
+
+The factors (q^10; q^10)_inf cancel, and by the Jacobi triple product each
+theta_a is sparse (about 2 sqrt(N/5) nonzero terms below q^N).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping
 
 from .series import EmptyWindow, LaurentSeries
@@ -32,10 +49,6 @@ TARGETS: dict[str, dict[int, int]] = {
     "PSTAR": {1: 4, 5: 4},
     "EULER_P": {1: -1},
 }
-
-# Residues mod 10 of the exponents appearing upstairs / downstairs in k(q).
-_K_NUMERATOR = frozenset({1, 2, 8, 9})
-_K_DENOMINATOR = frozenset({3, 4, 6, 7})
 
 
 @lru_cache(maxsize=None)
@@ -87,16 +100,38 @@ def _pow(s: LaurentSeries, e: int) -> LaurentSeries:
     return result
 
 
+def _spread(s: LaurentSeries, m: int, order: int) -> LaurentSeries:
+    """s(q^m) on [0, order), for s on [0, ceil(order/m))."""
+    if m == 1:
+        return s
+    c = [0] * order
+    c[::m] = s.coeffs
+    return LaurentSeries(0, tuple(c))
+
+
+def _factor(m: int, e: int, order: int) -> LaurentSeries:
+    """f_m^e on [0, order): f_1^e on ceil(order/m) terms, spread by m."""
+    length = -(-order // m)
+    base = expand_f(1, length)
+    if e < 0:
+        base = base.invert(length)
+    return _spread(_pow(base, abs(e)), m, order)
+
+
+def _expand(items: tuple[tuple[int, int], ...], order: int) -> LaurentSeries:
+    """prod f_m^e over items on [0, order), each factor at its natural length."""
+    if not items:
+        return LaurentSeries.one(order)
+    g = math.gcd(*(m for m, _ in items))
+    if g > 1:
+        reduced = tuple((m // g, e) for m, e in items)
+        return _spread(_expand(reduced, -(-order // g)), g, order)
+    return reduce(operator.mul, (_factor(m, e, order) for m, e in items))
+
+
 @lru_cache(maxsize=None)
 def _expand_quotient_cached(items: tuple[tuple[int, int], ...], order: int) -> LaurentSeries:
-    result = LaurentSeries.one(order)
-    for m, e in items:
-        base = expand_f(m, order)
-        if e < 0:
-            base = base.invert(order)
-            e = -e
-        result = result * _pow(base, e)
-    return result
+    return _expand(items, order)
 
 
 def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
@@ -122,29 +157,33 @@ def gen_target(tag: str, order: int) -> LaurentSeries:
     return expand_quotient(factors, order)
 
 
+def _theta(a: int, length: int) -> LaurentSeries:
+    """(q^a, q^{10-a}, q^10; q^10)_inf = sum_{j in Z} (-1)^j q^{5j(j-1)+aj} on [0, length).
+
+    For 0 < a < 10, a != 5, the exponents are pairwise distinct and grow
+    with |j| on each side of j = 0.
+    """
+    c = [0] * length
+    for j, step in ((0, 1), (-1, -1)):
+        while (e := 5 * j * (j - 1) + a * j) < length:
+            c[e] = -1 if j & 1 else 1
+            j += step
+    return LaurentSeries(0, tuple(c))
+
+
 @lru_cache(maxsize=None)
 def expand_k(order: int) -> LaurentSeries:
     """The level-10 multiplier k(q) on the window [1, order).
 
-    Built factor by factor: each (1 - q^d) upstairs is one in-place
-    binomial multiply, each downstairs factor one in-place geometric
-    divide; factors with d >= order - 1 cannot move any retained
-    coefficient.  The q prefactor makes the window start at 1.
+    k(q) = q * theta_1 theta_2 / (theta_3 theta_4): four sparse theta
+    series on order - 1 terms, two series inversions and three products.
+    The q prefactor makes the window start at 1.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
     length = order - 1
-    c = [0] * length
-    c[0] = 1
-    for d in range(1, length):
-        r = d % 10
-        if r in _K_NUMERATOR:
-            for i in range(length - 1, d - 1, -1):
-                c[i] -= c[i - d]
-        elif r in _K_DENOMINATOR:
-            for i in range(d, length):
-                c[i] += c[i - d]
-    return LaurentSeries(1, tuple(c))
+    t1, t2, t3, t4 = (_theta(a, length) for a in (1, 2, 3, 4))
+    return (t1 * t2 * t3.invert(length) * t4.invert(length)).shift(1)
 
 
 class QuotientParseError(ValueError):

@@ -1,17 +1,35 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Nothing here shares an algorithm with :mod:`etaq.eta`: partition counts
-come from a parts-accumulation dynamic program (no pentagonal numbers),
-and eta products are rebuilt one literal (1 - q^d) factor at a time.
+Nothing here shares an algorithm with :mod:`etaq.eta` or with the
+product kernel of :mod:`etaq.series`: partition counts come from a
+parts-accumulation dynamic program (no pentagonal numbers), and eta
+products and k(q) are rebuilt one literal (1 - q^d) factor at a time,
+each factor one slice update of a plain list.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import eta
 from .series import FAIL, PASS, LaurentSeries, compare
+
+
+def _times_binomial(c: list[int], d: int) -> None:
+    """c *= (1 - q^d) in place; both slices are read before the write."""
+    c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
+
+
+def _over_binomial(c: list[int], d: int) -> None:
+    """c /= (1 - q^d) in place, one block of d coefficients at a time.
+
+    Each block c[i:i+d] adds the block before it, which is already
+    divided: the ascending update c[n] += c[n - d], d entries at once.
+    """
+    for i in range(d, len(c), d):
+        c[i:i + d] = map(operator.add, c[i:i + d], c[i - d:i])
 
 
 def partition_counts(order: int) -> list[int]:
@@ -21,8 +39,7 @@ def partition_counts(order: int) -> list[int]:
     dp = [0] * order
     dp[0] = 1
     for part in range(1, order):
-        for n in range(part, order):
-            dp[n] += dp[n - part]
+        _over_binomial(dp, part)
     return dp
 
 
@@ -31,8 +48,8 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
 
     Each positive exponent unit multiplies in the factors (1 - q^d) for
     d = m, 2m, ... < order one by one; each negative unit multiplies by
-    the geometric series 1/(1 - q^d) instead (the ascending in-place
-    update).  Factors with d >= order cannot change the window.
+    the geometric series 1/(1 - q^d) instead.  Factors with d >= order
+    cannot change the window.
     """
     for m, e in factors.items():
         if m < 1:
@@ -42,15 +59,37 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
     c = [0] * order
     c[0] = 1
     for m, e in sorted(factors.items()):
+        step = _times_binomial if e > 0 else _over_binomial
         for _ in range(abs(e)):
             for d in range(m, order, m):
-                if e > 0:
-                    for i in range(order - 1, d - 1, -1):
-                        c[i] -= c[i - d]
-                else:
-                    for i in range(d, order):
-                        c[i] += c[i - d]
+                step(c, d)
     return LaurentSeries(0, tuple(c))
+
+
+# Residues mod 10 of the d with (1 - q^d) upstairs / downstairs in k(q).
+_K_NUMERATOR = frozenset({1, 2, 8, 9})
+_K_DENOMINATOR = frozenset({3, 4, 6, 7})
+
+
+def direct_k(order: int) -> LaurentSeries:
+    """k(q) on [1, order) as the literal product
+
+        q * prod (1 - q^d) [d = 1,2,8,9 mod 10] / prod (1 - q^d) [d = 3,4,6,7 mod 10],
+
+    one factor at a time in increasing d; factors with d >= order - 1
+    cannot move any retained coefficient.
+    """
+    if order < 2:
+        raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
+    length = order - 1
+    c = [0] * length
+    c[0] = 1
+    for d in range(1, length):
+        if d % 10 in _K_NUMERATOR:
+            _times_binomial(c, d)
+        elif d % 10 in _K_DENOMINATOR:
+            _over_binomial(c, d)
+    return LaurentSeries(1, tuple(c))
 
 
 @dataclass(frozen=True)
@@ -97,8 +136,9 @@ def cross_check(order: int) -> CrossCheckReport:
     """Compare the fast expander against the brute-force paths.
 
     Covers every period used by the identity catalog, all four named
-    generating targets, the inversion path (1/f1 against the partition
-    dynamic program), and the classical partition congruences
+    generating targets, k(q) (the theta quotient against its literal
+    product), the inversion path (1/f1 against the partition dynamic
+    program), and the classical partition congruences
     p(5n+4) == 0 mod 5, p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a
     sanity gate on the oracle itself.
     """
@@ -115,6 +155,10 @@ def cross_check(order: int) -> CrossCheckReport:
         checks.append(_agreement(
             f"{tag}: quotient expander vs factor-by-factor product",
             eta.gen_target(tag, order), direct_eta_product(eta.TARGETS[tag], order)))
+
+    checks.append(_agreement(
+        "k: theta quotient vs factor-by-factor product",
+        eta.expand_k(order), direct_k(order)))
 
     counts = partition_counts(order)
     checks.append(_agreement(
@@ -139,5 +183,6 @@ __all__ = [
     "CrossCheckReport",
     "cross_check",
     "direct_eta_product",
+    "direct_k",
     "partition_counts",
 ]

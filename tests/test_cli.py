@@ -12,7 +12,16 @@ import sys
 import pytest
 
 import etaq.cli as cli
-from etaq.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, MAX_ORDER, main, run
+from etaq.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_PRECISION,
+    EXIT_USAGE,
+    MAX_EXPONENT_SUM,
+    MAX_ORDER,
+    main,
+    run,
+)
 
 
 def test_expand_partition_window(capsys):
@@ -165,6 +174,11 @@ def test_oracle_rejects_small_order(capsys):
     capsys.readouterr()
 
 
+def _replace_handlers(monkeypatch, handler):
+    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_verify", "_cmd_oracle"):
+        monkeypatch.setattr(cli, name, handler)
+
+
 @pytest.mark.parametrize("argv", (
     ["expand", "f1"],
     ["dissect", "f1", "2", "1"],
@@ -177,10 +191,33 @@ def test_enormous_order_is_usage_error_before_any_work(argv, order, capsys, monk
     def must_not_run(args):
         raise AssertionError(f"{args.command} ran with --order {args.order}")
 
-    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_verify", "_cmd_oracle"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    _replace_handlers(monkeypatch, must_not_run)
     assert main(argv + ["--order", str(order)]) == EXIT_USAGE
     assert f"--order must be <= {MAX_ORDER}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", (["expand"], ["dissect", "2", "1"]))
+@pytest.mark.parametrize("expr", (
+    f"f1^{MAX_EXPONENT_SUM + 1}",
+    "f1^1000000000000",
+    "f1^-1000000000000",
+    f"f1^-{MAX_EXPONENT_SUM // 2}*f5^{MAX_EXPONENT_SUM // 2}*f10",
+))
+def test_enormous_exponent_is_usage_error_before_any_work(args, expr, capsys, monkeypatch):
+    def must_not_run(parsed):
+        raise AssertionError(f"{parsed.command} ran with {parsed.expr}")
+
+    _replace_handlers(monkeypatch, must_not_run)
+    assert main([args[0], expr, *args[1:], "--order", "300"]) == EXIT_USAGE
+    assert f"total |exponent| must be <= {MAX_EXPONENT_SUM}" in capsys.readouterr().err
+
+
+def test_exponent_sum_at_the_cap_reaches_the_handler(monkeypatch):
+    seen = []
+    _replace_handlers(monkeypatch, lambda parsed: seen.append(parsed.factors) or EXIT_OK)
+    expr = f"f1^-{MAX_EXPONENT_SUM - 1}*f2"
+    assert main(["expand", expr, "--order", "300"]) == EXIT_OK
+    assert seen == [{1: 1 - MAX_EXPONENT_SUM, 2: 1}]
 
 
 def test_run_raises_system_exit(capsys, monkeypatch):

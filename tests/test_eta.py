@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+import etaq.eta as eta
 
 from etaq.eta import (
     QuotientParseError,
@@ -13,8 +17,8 @@ from etaq.eta import (
     gen_target,
     parse_quotient,
 )
-from etaq.oracle import direct_eta_product
-from etaq.series import LaurentSeries
+from etaq.oracle import cross_check, direct_eta_product, direct_k
+from etaq.series import FAIL, PASS, LaurentSeries
 
 # Frozen from the factor-by-factor oracle product.
 F1_13 = (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
@@ -59,6 +63,23 @@ def test_expand_quotient_empty_product():
 def test_expand_quotient_exponent_additivity():
     f1 = expand_f(1, 40)
     assert expand_quotient({1: 2}, 40) == f1 * f1
+
+
+def _random_quotients(count: int, seed: int) -> list[dict[int, int]]:
+    rng = random.Random(seed)
+    periods = (1, 2, 4, 5, 8, 10, 20, 40)
+    exponents = [e for e in range(-5, 6) if e]
+    return [{m: rng.choice(exponents) for m in sorted(rng.sample(periods, rng.randint(1, 4)))}
+            for _ in range(count)]
+
+
+# Seeded random quotients, most with a period gcd above 1, plus G = f2^4 f10^4.
+@pytest.mark.parametrize("factors", _random_quotients(16, 40) + [{2: 4, 10: 4}], ids=str)
+def test_expand_quotient_matches_oracle_on_random_quotients(factors):
+    # m - 1, m and m + 1 put ceil(order / m) on both sides of a rounding step.
+    orders = {1, 2, 37, 200} | {n for m in factors for n in (m - 1, m, m + 1) if n >= 1}
+    for order in sorted(orders):
+        assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
 
 
 def test_expand_quotient_validation():
@@ -125,6 +146,37 @@ def test_expand_k_matches_independent_reconstruction():
     k = expand_k(order)
     assert rebuilt.offset == k.offset
     assert rebuilt.coeffs[: len(k.coeffs)] == k.coeffs
+
+
+@pytest.mark.parametrize("order", [*range(2, 61), 2000])
+def test_expand_k_matches_literal_product(order):
+    assert expand_k(order) == direct_k(order)
+
+
+def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
+    # Negative control: flip the sign of the q^9 term (j = -1) of theta_1.
+    # Then k gains 2 q^10 theta_2/(theta_3 theta_4), so the first wrong
+    # coefficient is k(10) = 1 + 2.
+    real_theta = eta._theta
+
+    def broken(a, length):
+        s = real_theta(a, length)
+        if a != 1:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[9] = -coeffs[9]
+        return LaurentSeries(s.offset, coeffs)
+
+    monkeypatch.setattr(eta, "_theta", broken)
+    eta.expand_k.cache_clear()
+    try:
+        checks = {c.name: c for c in cross_check(40).checks}
+    finally:
+        eta.expand_k.cache_clear()
+    row = checks["k: theta quotient vs factor-by-factor product"]
+    assert row.status == FAIL
+    assert row.witness == {"exponent": 10, "left": "3", "right": "1"}
+    assert [name for name, c in checks.items() if c.status != PASS] == [row.name]
 
 
 def test_expand_k_validation():
