@@ -15,9 +15,12 @@ from .series import (
     LaurentSeries,
     NonUnitLeadingCoefficient,
     PASS,
+    Report,
+    SKIPPED,
     SeriesError,
     compare,
     two_adic_valuation,
+    worst,
 )
 from .eta import (
     QuotientParseError,
@@ -30,7 +33,6 @@ from .eta import (
 )
 from .identities import (
     CATALOG,
-    IdentityReport,
     catalog_ids,
     identity_sides,
     verify_all_identities,
@@ -46,7 +48,6 @@ from .sequences import (
 from .congruences import (
     CongruenceClaim,
     DissectionClaim,
-    VerificationReport,
     lhs_series,
     rhs_series,
     theorem_11_claims,
@@ -71,14 +72,14 @@ __all__ = [
     "EmptyWindow",
     "FAIL",
     "INSUFFICIENT",
-    "IdentityReport",
     "LaurentSeries",
     "NonUnitLeadingCoefficient",
     "PASS",
     "QuotientParseError",
+    "Report",
+    "SKIPPED",
     "SeriesError",
     "TARGETS",
-    "VerificationReport",
     "catalog_ids",
     "closed_form_C",
     "compare",
@@ -107,5 +108,6 @@ __all__ = [
     "verify_theorem",
     "verify_valuations",
     "verify_zero_family_structurally",
+    "worst",
     "zero_family_claim",
 ]

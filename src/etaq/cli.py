@@ -14,14 +14,22 @@ from typing import Sequence
 
 from . import congruences, identities, oracle, sequences
 from .eta import QuotientParseError, expand_quotient, parse_quotient
-from .series import EmptyWindow, FAIL, INSUFFICIENT, PASS, SeriesError, two_adic_valuation
+from .series import (
+    FAIL,
+    INSUFFICIENT,
+    PASS,
+    SKIPPED,
+    EmptyWindow,
+    Report,
+    SeriesError,
+    two_adic_valuation,
+    worst,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
-
-_MIN_ORDER = 16
 
 # Largest --order any subcommand accepts: 2.5 times the largest order the
 # verifiers are benchmarked at (8000).  A window is a dense list of big
@@ -37,7 +45,9 @@ MAX_ORDER = 20_000
 # right after parsing, before any expansion.
 MAX_EXPONENT_SUM = 100
 
-_STATUS_WORD = {PASS: "PASS", FAIL: "FAIL", INSUFFICIENT: "INSUFFICIENT"}
+_STATUS_WORD = {PASS: "PASS", FAIL: "FAIL", INSUFFICIENT: "INSUFFICIENT",
+                SKIPPED: "SKIPPED"}
+_EXIT_FOR = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INSUFFICIENT: EXIT_PRECISION}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,40 +97,30 @@ def _print_series(series) -> None:
     print(series.dump())
 
 
-def _identity_row(report: identities.IdentityReport) -> str:
-    row = (f"[{_STATUS_WORD[report.status]}] {report.identity} "
-           f"order={report.order}")
-    if report.witness is not None:
-        e, lhs, rhs = report.witness
-        row += f" first mismatch at q^{e}: lhs={lhs} rhs={rhs}"
-    return row
-
-
-def _verification_row(report: congruences.VerificationReport) -> str:
-    row = f"[{_STATUS_WORD[report.status]}] {report.label} {report.claim}"
+def _row(report: Report) -> str:
+    row = f"[{_STATUS_WORD[report.status]}] {report.label}"
+    if report.claim is not None:
+        row += f" {report.claim}"
     if report.checked is not None:
-        row += (f" (n={report.checked['from']}..{report.checked['to']},"
+        row += (f" ({report.checked['from']}..{report.checked['to']},"
                 f" {report.checked['points']} points)")
-    if report.counterexample is not None:
-        row += f" counterexample={report.counterexample}"
+    if report.witness is not None:
+        row += f" witness={report.witness}"
     if report.note is not None:
         row += f" note: {report.note}"
     return row
 
 
-def _sequence_row(check: sequences.SequenceCheck) -> str:
-    row = f"[{_STATUS_WORD[check.status]}] {check.name} kmax={check.kmax}"
-    if check.failure is not None:
-        row += f" failure={check.failure}"
-    return row
-
-
-def _exit_for(statuses: list[str]) -> int:
-    if FAIL in statuses:
-        return EXIT_FAIL
-    if INSUFFICIENT in statuses:
-        return EXIT_PRECISION
-    return EXIT_OK
+def _print_reports(args: argparse.Namespace, reports: list[Report],
+                   envelope: dict[str, object], key: str) -> int:
+    """Print one row per report, or the JSON envelope with the reports
+    under ``key``; return the exit code of the worst status."""
+    if args.format == "json":
+        print(json.dumps({**envelope, key: [r.to_dict() for r in reports]}, indent=2))
+    else:
+        for report in reports:
+            print(_row(report))
+    return _EXIT_FOR[worst(r.status for r in reports)]
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -155,29 +155,11 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < _MIN_ORDER:
-        return _usage_error(f"--order must be >= {_MIN_ORDER} for verify, got {args.order}")
+    if args.order < identities.MIN_ORDER:
+        return _usage_error(f"--order must be >= {identities.MIN_ORDER} for verify, "
+                            f"got {args.order}")
     if args.kmax < 1:
         return _usage_error(f"--kmax must be >= 1, got {args.kmax}")
-
-    rows: list[str] = []
-    dicts: list[dict[str, object]] = []
-    statuses: list[str] = []
-
-    def take_identity(report: identities.IdentityReport) -> None:
-        rows.append(_identity_row(report))
-        dicts.append(report.to_dict())
-        statuses.append(report.status)
-
-    def take_verification(report: congruences.VerificationReport) -> None:
-        rows.append(_verification_row(report))
-        dicts.append(report.to_dict())
-        statuses.append(report.status)
-
-    def take_sequence(check: sequences.SequenceCheck) -> None:
-        rows.append(_sequence_row(check))
-        dicts.append(check.to_dict())
-        statuses.append(check.status)
 
     if args.scope == "identity":
         if args.id is None:
@@ -185,45 +167,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.id not in identities.CATALOG:
             return _usage_error(f"unknown identity id {args.id!r}; known ids: "
                                 + ", ".join(identities.catalog_ids()))
-        take_identity(identities.verify_identity(args.id, args.order))
+        reports = [identities.verify_identity(args.id, args.order)]
     elif args.scope == "theorem":
         if args.id is None:
             return _usage_error("verify theorem requires --id")
         if args.id not in ("1.1", "1.2", "3.1"):
             return _usage_error(f"unknown theorem id {args.id!r}; known ids: 1.1, 1.2, 3.1")
-        for report in congruences.verify_theorem(args.id, args.order, args.kmax):
-            take_verification(report)
+        reports = congruences.verify_theorem(args.id, args.order, args.kmax)
     else:
-        for report in identities.verify_all_identities(args.order):
-            take_identity(report)
+        reports = identities.verify_all_identities(args.order)
         for theorem_id in ("3.1", "1.1", "1.2"):
-            for report in congruences.verify_theorem(theorem_id, args.order, args.kmax):
-                take_verification(report)
-        take_verification(congruences.verify_zero_family_structurally(0, args.order))
-        take_sequence(sequences.verify_valuations(64))
-        take_sequence(sequences.verify_closed_forms(64))
+            reports += congruences.verify_theorem(theorem_id, args.order, args.kmax)
+        reports += [congruences.verify_zero_family_structurally(0, args.order),
+                    sequences.verify_valuations(64),
+                    sequences.verify_closed_forms(64)]
 
-    if args.format == "json":
-        print(json.dumps({"command": "verify", "scope": args.scope,
-                          "order": args.order, "kmax": args.kmax,
-                          "reports": dicts}, indent=2))
-    else:
-        for row in rows:
-            print(row)
-    return _exit_for(statuses)
+    return _print_reports(args, reports,
+                          {"command": "verify", "scope": args.scope,
+                           "order": args.order, "kmax": args.kmax}, "reports")
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    report = oracle.cross_check(args.order)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for check in report.checks:
-            row = f"[{_STATUS_WORD[check.status]}] {check.name}"
-            if check.witness is not None:
-                row += f" witness={check.witness}"
-            print(row)
-    return EXIT_OK if report.ok else EXIT_FAIL
+    checks = oracle.cross_check(args.order)
+    return _print_reports(args, checks,
+                          {"order": args.order,
+                           "status": worst(c.status for c in checks)}, "checks")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -25,10 +25,12 @@ from .series import (
     FAIL,
     INSUFFICIENT,
     PASS,
-    Comparison,
+    SKIPPED,
     LaurentSeries,
+    Report,
     compare,
     two_adic_valuation,
+    worst,
 )
 
 TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
@@ -104,35 +106,7 @@ def rhs_series(claim: DissectionClaim, order: int, family: str | None = None) ->
     return result
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    label: str
-    claim: str
-    status: str
-    checked: dict[str, int] | None = None
-    counterexample: dict[str, object] | None = None
-    note: str | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {"label": self.label, "claim": self.claim, "status": self.status,
-                "checked": self.checked, "counterexample": self.counterexample,
-                "note": self.note}
-
-
-def _from_comparison(label: str, claim: str, outcome: Comparison,
-                     note: str | None = None) -> VerificationReport:
-    checked = None
-    if outcome.overlap > 0:
-        checked = {"from": outcome.lo, "to": outcome.hi, "points": outcome.overlap}
-    counterexample = None
-    if outcome.witness is not None:
-        e, lhs, rhs = outcome.witness
-        counterexample = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
-    return VerificationReport(label, claim, outcome.status, checked,
-                              counterexample, note)
-
-
-def verify_dissection(claim: DissectionClaim, order: int) -> VerificationReport:
+def verify_dissection(claim: DissectionClaim, order: int) -> Report:
     """Compare lhs and rhs; the window halves at each level, so the
     required overlap scales as order / 2^(k+1).
 
@@ -150,10 +124,10 @@ def verify_dissection(claim: DissectionClaim, order: int) -> VerificationReport:
         alt = compare(lhs, rhs_series(claim, order, family=other), min_overlap=required)
         note = (f"k=2 lead labeling: {fam}_2={seq_value(fam, 2)} -> {outcome.status}, "
                 f"swapped {other}_2={seq_value(other, 2)} -> {alt.status}")
-    return _from_comparison(claim.label, claim.describe(), outcome, note)
+    return Report.of(claim.label, claim.describe(), order, outcome, note)
 
 
-def verify_induction_step(claim: DissectionClaim, order: int) -> VerificationReport:
+def verify_induction_step(claim: DissectionClaim, order: int) -> Report:
     """Check extract(q^-2 * rhs_k, 2, 0) == rhs_(k+1) as series.
 
     This is the step that advances level k to k + 1 uniformly in k: the
@@ -166,7 +140,7 @@ def verify_induction_step(claim: DissectionClaim, order: int) -> VerificationRep
     label = f"induction[{claim.target},k={claim.k}->{claim.k + 1}]"
     text = (f"extract(q^-2 * ({claim.describe().split(' == ')[1]}), 2, 0) "
             f"== {nxt.describe().split(' == ')[1]}")
-    return _from_comparison(label, text, outcome)
+    return Report.of(label, text, order, outcome)
 
 
 @dataclass(frozen=True)
@@ -194,7 +168,7 @@ class CongruenceClaim:
 
 
 def verify_congruence(claim: CongruenceClaim, order: int,
-                      min_points: int = 1) -> VerificationReport:
+                      min_points: int = 1) -> Report:
     """Scan every index n >= -1 whose exponent lies below the order.
 
     Fewer than min_points reachable coefficients is reported as
@@ -206,16 +180,13 @@ def verify_congruence(claim: CongruenceClaim, order: int,
     while claim.step * n + claim.residue < order:
         reachable.append(n)
         n += 1
+    checked = None
+    if reachable:
+        checked = {"from": reachable[0], "to": reachable[-1], "points": len(reachable)}
     if len(reachable) < min_points:
-        checked = None
-        if reachable:
-            checked = {"from": reachable[0], "to": reachable[-1],
-                       "points": len(reachable)}
-        return VerificationReport(
-            claim.label, claim.describe(), INSUFFICIENT, checked,
-            note=(f"only {len(reachable)} reachable coefficients below order "
-                  f"{order}, need {min_points}"))
-    checked = {"from": reachable[0], "to": reachable[-1], "points": len(reachable)}
+        return Report(claim.label, INSUFFICIENT, claim.describe(), order, checked,
+                      note=(f"only {len(reachable)} reachable coefficients below order "
+                            f"{order}, need {min_points}"))
     for n in reachable:
         e = claim.step * n + claim.residue
         value = series[e] if e >= series.offset else 0
@@ -225,11 +196,10 @@ def verify_congruence(claim: CongruenceClaim, order: int,
             ok = two_adic_valuation(value) >= claim.required_valuation
         if not ok:
             v = two_adic_valuation(value)
-            return VerificationReport(
-                claim.label, claim.describe(), FAIL, checked,
-                {"n": n, "exponent": e, "value": str(value),
-                 "v2": "inf" if value == 0 else int(v)})
-    return VerificationReport(claim.label, claim.describe(), PASS, checked)
+            return Report(claim.label, FAIL, claim.describe(), order, checked,
+                          {"n": n, "exponent": e, "value": str(value),
+                           "v2": "inf" if value == 0 else int(v)})
+    return Report(claim.label, PASS, claim.describe(), order, checked)
 
 
 def theorem_11_claims(kmax: int) -> list[CongruenceClaim]:
@@ -277,7 +247,7 @@ def zero_family_claim(k: int) -> CongruenceClaim:
         "PSTAR", 1 << (4 * k + 4), 3 * (1 << (4 * k + 3)) - 1, None, f"1.7[k={k}]")
 
 
-def verify_zero_family_structurally(k: int, order: int) -> VerificationReport:
+def verify_zero_family_structurally(k: int, order: int) -> Report:
     """Establish the exact-vanishing family through the dissection itself.
 
     The level-(4k+3) rhs for P* collapses to (-64)^(k+1) G because the
@@ -286,53 +256,37 @@ def verify_zero_family_structurally(k: int, order: int) -> VerificationReport:
     progression of the exact-zero claim.  Both facts are checked on the
     window, then cross-checked against the direct coefficient scan.
     """
+    zero = zero_family_claim(k)
     claim = DissectionClaim("PSTAR", 4 * k + 3)
     rhs = rhs_series(claim, order)
-    scale = (-64) ** (k + 1)
-    expected = scale * _G(order) + LaurentSeries.from_terms({}, -1, order)
-    structural = compare(rhs, expected, min_overlap=max(1, order // 2))
-    odd = rhs.extract(2, 1)
-    odd_witness = next(((e, c) for e, c in odd if c), None)
-    direct = verify_congruence(zero_family_claim(k), order, min_points=1)
-
-    statuses = [structural.status,
-                FAIL if odd_witness is not None else PASS,
-                direct.status]
-    if FAIL in statuses:
-        status = FAIL
-    elif INSUFFICIENT in statuses:
-        status = INSUFFICIENT
-    else:
-        status = PASS
-    counterexample: dict[str, object] | None = None
-    if structural.witness is not None:
-        e, lhs_v, rhs_v = structural.witness
-        counterexample = {"exponent": e, "lhs": str(lhs_v), "rhs": str(rhs_v)}
-    elif odd_witness is not None:
-        counterexample = {"exponent": odd_witness[0], "value": str(odd_witness[1])}
-    elif direct.counterexample is not None:
-        counterexample = direct.counterexample
-    note = (f"rhs == (-64)^{k + 1} f2^4 f10^4: {structural.status}; "
-            f"odd part of rhs identically zero: "
-            f"{PASS if odd_witness is None else FAIL}; "
-            f"direct coefficient scan: {direct.status}")
-    zero = zero_family_claim(k)
-    return VerificationReport(
+    expected = (-64) ** (k + 1) * _G(order) + LaurentSeries.from_terms({}, -1, order)
+    structural = Report.of(
         f"1.7-structural[k={k}]",
         f"{zero.describe()}, derived from the level-{4 * k + 3} dissection",
-        status, direct.checked, counterexample, note)
+        order, compare(rhs, expected, min_overlap=max(1, order // 2)))
+    odd_witness = next(({"exponent": e, "value": str(c)}
+                        for e, c in rhs.extract(2, 1) if c), None)
+    odd_status = PASS if odd_witness is None else FAIL
+    direct = verify_congruence(zero, order, min_points=1)
+    note = (f"rhs == (-64)^{k + 1} f2^4 f10^4: {structural.status}; "
+            f"odd part of rhs identically zero: {odd_status}; "
+            f"direct coefficient scan: {direct.status}")
+    return Report(structural.label,
+                  worst((structural.status, odd_status, direct.status)),
+                  structural.claim, order, direct.checked,
+                  structural.witness or odd_witness or direct.witness, note)
 
 
 _THEOREM_IDS = ("1.1", "1.2", "3.1")
 
 
-def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[VerificationReport]:
+def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
     """Run every claim of one catalogued theorem.
 
     1.1: congruence rows for M and T*, k = 1..kmax, each requiring at
          least 5 in-window coefficients.
-    1.2: the five P* families for k = 0..kmax; rows whose progression
-         has no coefficient below the order are skipped entirely.
+    1.2: the five P* families for k = 0..kmax; a row whose progression
+         has no coefficient below the order is reported as skipped.
     3.1: all dissections for k = 1..kmax plus the induction steps
          k -> k+1 for k = 1..kmax-1.
     """
@@ -340,9 +294,16 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[VerificationR
         return [verify_congruence(c, order, min_points=5)
                 for c in theorem_11_claims(kmax)]
     if theorem_id == "1.2":
-        return [verify_congruence(c, order, min_points=1)
-                for c in theorem_12_claims(kmax)
-                if c.residue - c.step < order]
+        reports = []
+        for c in theorem_12_claims(kmax):
+            first = c.residue - c.step  # the exponent at n = -1
+            if first < order:
+                reports.append(verify_congruence(c, order, min_points=1))
+            else:
+                reports.append(Report(
+                    c.label, SKIPPED, c.describe(), order,
+                    note=f"first coefficient q^{first} lies beyond the window"))
+        return reports
     if theorem_id == "3.1":
         reports = []
         for k in range(1, kmax + 1):
@@ -360,7 +321,6 @@ __all__ = [
     "CongruenceClaim",
     "DissectionClaim",
     "TARGET_FAMILY",
-    "VerificationReport",
     "lhs_series",
     "rhs_series",
     "theorem_11_claims",

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import FAIL, INSUFFICIENT, PASS, LaurentSeries, compare
-from .eta import expand_f, expand_k, expand_quotient, gen_target
+from .congruences import DissectionClaim, lhs_series, rhs_series
+from .eta import expand_f, expand_k, expand_quotient
+from .series import LaurentSeries, Report, compare
 
 Sides = tuple[LaurentSeries, LaurentSeries]
 
@@ -98,24 +99,10 @@ def _sides_negq(order: int) -> Sides:
     return expand_f(1, order).alternate_signs(), _q({2: 3, 1: -1, 4: -1}, order)
 
 
-def _sides_l22(order: int) -> Sides:
-    lhs = gen_target("PSTAR", order).shift(-3).extract(2, 0)
-    rhs = -4 * _q({1: 4, 5: 4}, order).shift(-1) - 8 * _q({2: 4, 10: 4}, order)
-    return lhs, rhs
-
-
-def _sides_eq210(order: int) -> Sides:
-    lhs = gen_target("M", order).shift(-3).extract(2, 0)
-    rhs = (_q({1: 4, 5: 4}, order).shift(-1) - 8 * _q({2: 4, 10: 4}, order)
-           + 10 * _q({1: 1, 2: 1, 5: 3, 10: 3}, order))
-    return lhs, rhs
-
-
-def _sides_eq211(order: int) -> Sides:
-    lhs = gen_target("TSTAR", order).shift(-2).extract(2, 0)
-    rhs = (_q({1: 4, 5: 4}, order).shift(-1)
-           + 10 * _q({1: 1, 2: 1, 5: 3, 10: 3}, order))
-    return lhs, rhs
+def _dissection_sides(target: str) -> Callable[[int], Sides]:
+    """Both sides of the level-1 dissection of one target, as an identity."""
+    claim = DissectionClaim(target, 1)
+    return lambda order: (lhs_series(claim, order), rhs_series(claim, order))
 
 
 def _sides_eq212_oddfree(order: int) -> Sides:
@@ -188,16 +175,16 @@ _DEFINITIONS = (
     IdentityDefinition(
         "L22",
         "sum_{n>=-1} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4",
-        _sides_l22),
+        _dissection_sides("PSTAR")),
     IdentityDefinition(
         "EQ210",
         "sum_{n>=-1} M(2n+3) q^n = f1^4 f5^4/q - 8 f2^4 f10^4"
         " + 10 f1 f2 f5^3 f10^3",
-        _sides_eq210),
+        _dissection_sides("M")),
     IdentityDefinition(
         "EQ211",
         "sum_{n>=-1} T*(2n+2) q^n = f1^4 f5^4/q + 10 f1 f2 f5^3 f10^3",
-        _sides_eq211),
+        _dissection_sides("TSTAR")),
     IdentityDefinition(
         "EQ212_ODDFREE",
         "extract(f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2) + 2q^2 f4 f20^3"
@@ -228,34 +215,18 @@ def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
     return CATALOG[tag].build(order)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    order: int
-    status: str
-    witness: tuple[int, int, int] | None  # (exponent, lhs, rhs)
-
-    def to_dict(self) -> dict[str, object]:
-        witness = None
-        if self.witness is not None:
-            e, lhs, rhs = self.witness
-            witness = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
-        return {"id": self.identity, "order": self.order,
-                "status": self.status, "witness": witness}
-
-
-def verify_identity(tag: str, order: int) -> IdentityReport:
+def verify_identity(tag: str, order: int) -> Report:
     """Compare both sides coefficientwise, requiring order // 2 overlap.
 
     The halved requirement accommodates the 2-dissected entries, whose
     windows genuinely hold only about half as many coefficients.
     """
     lhs, rhs = identity_sides(tag, order)
-    outcome = compare(lhs, rhs, min_overlap=order // 2)
-    return IdentityReport(tag, order, outcome.status, outcome.witness)
+    return Report.of(tag, CATALOG[tag].statement, order,
+                     compare(lhs, rhs, min_overlap=order // 2))
 
 
-def verify_all_identities(order: int) -> list[IdentityReport]:
+def verify_all_identities(order: int) -> list[Report]:
     return [verify_identity(tag, order) for tag in CATALOG]
 
 
@@ -263,7 +234,6 @@ __all__ = [
     "CATALOG",
     "MIN_ORDER",
     "IdentityDefinition",
-    "IdentityReport",
     "catalog_ids",
     "identity_sides",
     "verify_all_identities",

@@ -10,11 +10,11 @@ each factor one slice update of a plain list.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import eta
-from .series import FAIL, PASS, LaurentSeries, compare
+from .identities import MIN_ORDER
+from .series import FAIL, PASS, LaurentSeries, Report, compare
 
 
 def _times_binomial(c: list[int], d: int) -> None:
@@ -92,47 +92,15 @@ def direct_k(order: int) -> LaurentSeries:
     return LaurentSeries(1, tuple(c))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    witness: dict[str, object] | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {"name": self.name, "status": self.status, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    order: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == PASS for c in self.checks)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "order": self.order,
-            "status": PASS if self.ok else FAIL,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def _agreement(name: str, a: LaurentSeries, b: LaurentSeries) -> CheckResult:
+def _agreement(name: str, order: int, a: LaurentSeries, b: LaurentSeries) -> Report:
     """Compare a and b on their common window; witness the first mismatch."""
-    outcome = compare(a, b, min_overlap=1)
-    witness = None
-    if outcome.witness is not None:
-        e, left, right = outcome.witness
-        witness = {"exponent": e, "left": str(left), "right": str(right)}
-    return CheckResult(name, outcome.status, witness)
+    return Report.of(name, None, order, compare(a, b, min_overlap=1))
 
 
 _CHECK_PERIODS = (1, 2, 4, 5, 8, 10, 20, 40)
 
 
-def cross_check(order: int) -> CrossCheckReport:
+def cross_check(order: int) -> list[Report]:
     """Compare the fast expander against the brute-force paths.
 
     Covers every period used by the identity catalog, all four named
@@ -142,45 +110,42 @@ def cross_check(order: int) -> CrossCheckReport:
     p(5n+4) == 0 mod 5, p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a
     sanity gate on the oracle itself.
     """
-    if order < 16:
-        raise ValueError(f"order must be >= 16, got {order}")
-    checks: list[CheckResult] = []
+    if order < MIN_ORDER:
+        raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
+    checks: list[Report] = []
 
     for m in _CHECK_PERIODS:
         checks.append(_agreement(
-            f"f{m}: pentagonal expansion vs factor-by-factor product",
+            f"f{m}: pentagonal expansion vs factor-by-factor product", order,
             eta.expand_f(m, order), direct_eta_product({m: 1}, order)))
 
     for tag in sorted(eta.TARGETS):
         checks.append(_agreement(
-            f"{tag}: quotient expander vs factor-by-factor product",
+            f"{tag}: quotient expander vs factor-by-factor product", order,
             eta.gen_target(tag, order), direct_eta_product(eta.TARGETS[tag], order)))
 
     checks.append(_agreement(
-        "k: theta quotient vs factor-by-factor product",
+        "k: theta quotient vs factor-by-factor product", order,
         eta.expand_k(order), direct_k(order)))
 
     counts = partition_counts(order)
     checks.append(_agreement(
-        "1/f1: series inversion vs partition dynamic program",
+        "1/f1: series inversion vs partition dynamic program", order,
         eta.expand_f(1, order).invert(order), LaurentSeries(0, tuple(counts))))
 
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
-        witness = None
-        for n in range(residue, order, modulus):
-            if counts[n] % modulus:
-                witness = {"n": n, "value": str(counts[n]), "modulus": modulus}
-                break
-        checks.append(CheckResult(
+        ns = range(residue, order, modulus)
+        witness = next(({"n": n, "value": str(counts[n]), "modulus": modulus}
+                        for n in ns if counts[n] % modulus), None)
+        checks.append(Report(
             f"p({modulus}n+{residue}) == 0 mod {modulus}",
-            FAIL if witness else PASS, witness))
+            FAIL if witness else PASS, order=order,
+            checked={"from": ns[0], "to": ns[-1], "points": len(ns)}, witness=witness))
 
-    return CrossCheckReport(order, tuple(checks))
+    return checks
 
 
 __all__ = [
-    "CheckResult",
-    "CrossCheckReport",
     "cross_check",
     "direct_eta_product",
     "direct_k",

@@ -15,10 +15,9 @@ factor -64: C_{k+4} = -64 C_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import FAIL, PASS, two_adic_valuation
+from .series import FAIL, PASS, Report, two_adic_valuation
 
 _INITIALS: dict[str, tuple[int, int]] = {"A": (1, 1), "B": (0, 1), "C": (1, -4)}
 _FORCED: dict[str, bool] = {"A": True, "B": True, "C": False}
@@ -59,36 +58,23 @@ def closed_form_C(k: int) -> int:
     return (-64) ** (k // 4) * _C_CLOSED_BASE[k % 4]
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
-    name: str
-    kmax: int
-    status: str
-    failure: dict[str, object] | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {"name": self.name, "kmax": self.kmax,
-                "status": self.status, "failure": self.failure}
-
-
-def verify_valuations(kmax: int) -> SequenceCheck:
+def verify_valuations(kmax: int) -> Report:
     """v2(A_k) == v2(B_k) == k - 1 exactly, for 1 <= k <= kmax."""
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
+    name = "exact 2-adic valuation v2 = k-1 for families A and B"
+    checked = {"from": 1, "to": kmax, "points": kmax}
     for family in ("A", "B"):
         for k in range(1, kmax + 1):
             v = two_adic_valuation(seq_value(family, k))
             if v != k - 1:
-                return SequenceCheck(
-                    "exact 2-adic valuation v2 = k-1 for families A and B",
-                    kmax, FAIL,
-                    {"family": family, "k": k,
-                     "value": str(seq_value(family, k)), "v2": str(v)})
-    return SequenceCheck(
-        "exact 2-adic valuation v2 = k-1 for families A and B", kmax, PASS)
+                return Report(name, FAIL, checked=checked,
+                              witness={"family": family, "k": k,
+                                       "value": str(seq_value(family, k)), "v2": str(v)})
+    return Report(name, PASS, checked=checked)
 
 
-def verify_closed_forms(kmax: int) -> SequenceCheck:
+def verify_closed_forms(kmax: int) -> Report:
     """C_k == closed form and C_{k+4} == -64 C_k, for 0 <= k <= kmax.
 
     kmax must be at least 8 so the telescoping step is exercised across
@@ -97,21 +83,21 @@ def verify_closed_forms(kmax: int) -> SequenceCheck:
     if kmax < 8:
         raise ValueError(f"kmax must be >= 8, got {kmax}")
     name = "family C closed form and 4-step telescoping"
+    checked = {"from": 0, "to": kmax, "points": kmax + 1}
     for k in range(kmax + 1):
         if seq_value("C", k) != closed_form_C(k):
-            return SequenceCheck(name, kmax, FAIL,
-                                 {"k": k, "value": str(seq_value("C", k)),
-                                  "closed_form": str(closed_form_C(k))})
+            return Report(name, FAIL, checked=checked,
+                          witness={"k": k, "value": str(seq_value("C", k)),
+                                   "closed_form": str(closed_form_C(k))})
     for k in range(kmax - 3):
         if seq_value("C", k + 4) != -64 * seq_value("C", k):
-            return SequenceCheck(name, kmax, FAIL,
-                                 {"k": k, "value": str(seq_value("C", k + 4)),
-                                  "telescoped": str(-64 * seq_value("C", k))})
-    return SequenceCheck(name, kmax, PASS)
+            return Report(name, FAIL, checked=checked,
+                          witness={"k": k, "value": str(seq_value("C", k + 4)),
+                                   "telescoped": str(-64 * seq_value("C", k))})
+    return Report(name, PASS, checked=checked)
 
 
 __all__ = [
-    "SequenceCheck",
     "closed_form_C",
     "seq_value",
     "sequence_values",

@@ -22,14 +22,19 @@ Packing and unpacking go through ``int.to_bytes``/``int.from_bytes``
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 PASS = "pass"
 FAIL = "fail"
 INSUFFICIENT = "insufficient-precision"
+SKIPPED = "skipped"  # a claim not run, with the reason in its note
+
+# worst() ranks statuses by this; a skipped claim weighs like a pass.
+_SEVERITY = {PASS: 0, SKIPPED: 0, INSUFFICIENT: 1, FAIL: 2}
 
 
 class SeriesError(Exception):
@@ -293,3 +298,55 @@ def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 200) -> Compa
         i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
         return Comparison(FAIL, lo, hi - 1, overlap, (lo + i, left[i], right[i]))
     return Comparison(PASS, lo, hi - 1, overlap)
+
+
+@dataclass(frozen=True)
+class Report:
+    """One verdict of any verifier: an identity, a dissection, a congruence
+    row, a sequence check or an oracle agreement.
+
+    ``checked`` is the window the verdict rests on, ``{"from", "to",
+    "points"}``; ``witness`` is the first counterexample found (for a
+    comparison ``{"exponent", "lhs", "rhs"}``, big integers as decimal
+    strings); ``note`` says whatever else the verdict needs, such as why a
+    claim was skipped.
+    """
+
+    label: str
+    status: str
+    claim: str | None = None
+    order: int | None = None
+    checked: dict[str, int] | None = None
+    witness: dict[str, object] | None = None
+    note: str | None = None
+
+    @property
+    def identity(self) -> str:
+        """The label; the session workload in ``perfbench/worker.py`` reads
+        identity verdicts through this name."""
+        return self.label
+
+    @classmethod
+    def of(cls, label: str, claim: str | None, order: int | None,
+           comparison: Comparison, note: str | None = None) -> Report:
+        """The verdict of one comparison: its status, window and witness."""
+        checked = None
+        if comparison.overlap > 0:
+            checked = {"from": comparison.lo, "to": comparison.hi,
+                       "points": comparison.overlap}
+        witness = None
+        if comparison.witness is not None:
+            e, lhs, rhs = comparison.witness
+            witness = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
+        return cls(label, comparison.status, claim, order, checked, witness, note)
+
+    def to_dict(self) -> dict[str, object]:
+        return dataclasses.asdict(self)
+
+
+def worst(statuses: Iterable[str]) -> str:
+    """The overall verdict: fail over insufficient-precision over pass.
+
+    Skipped claims count as passes, and no statuses at all is a pass.
+    """
+    return max((PASS, *statuses), key=_SEVERITY.__getitem__)

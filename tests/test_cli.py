@@ -22,6 +22,7 @@ from etaq.cli import (
     main,
     run,
 )
+from etaq.series import FAIL, INSUFFICIENT, PASS, SKIPPED, Report
 
 
 def test_expand_partition_window(capsys):
@@ -87,7 +88,8 @@ def test_sequences_rejects_negative_kmax(capsys):
 
 def test_verify_identity_single(capsys):
     assert main(["verify", "identity", "--id", "EQ28", "--order", "64"]) == EXIT_OK
-    assert capsys.readouterr().out == "[PASS] EQ28 order=64\n"
+    assert capsys.readouterr().out == (
+        "[PASS] EQ28 f1 f2 f5^5 = f2^4 f5^2 f10 - q f1^2 f10^5 (0..63, 64 points)\n")
 
 
 def test_verify_identity_requires_id(capsys):
@@ -139,8 +141,30 @@ def test_verify_all_json(capsys):
     assert payload["command"] == "verify"
     assert payload["scope"] == "all"
     assert payload["order"] == 64
-    assert len(payload["reports"]) == 39
-    assert {r["status"] for r in payload["reports"]} == {"pass"}
+    assert len(payload["reports"]) == 46
+    assert {r["status"] for r in payload["reports"]} == {"pass", "skipped"}
+
+
+@pytest.mark.parametrize("argv, key", (
+    (["verify", "all", "--order", "64", "--kmax", "2"], "reports"),
+    (["oracle", "cross-check", "--order", "32"], "checks"),
+))
+def test_every_json_row_has_one_key_set(argv, key, capsys):
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)[key]
+    assert {tuple(row) for row in rows} == {
+        ("label", "status", "claim", "order", "checked", "witness", "note")}
+
+
+def test_verify_theorem_skipped_rows_keep_exit_zero(capsys):
+    assert main(["verify", "theorem", "--id", "1.2", "--order", "2000",
+                 "--kmax", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
+    skipped = [line for line in lines if line.startswith("[SKIPPED]")]
+    assert len(skipped) == 2
+    assert skipped[0].startswith("[SKIPPED] 1.6[k=2] P*(2048n+4095)")
+    assert skipped[0].endswith("note: first coefficient q^2047 lies beyond the window")
 
 
 def test_verify_all_text_covers_every_verifier(capsys):
@@ -167,6 +191,19 @@ def test_oracle_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "pass"
     assert payload["order"] == 32
+
+
+@pytest.mark.parametrize("statuses, code", (
+    ((PASS, SKIPPED), EXIT_OK),
+    ((PASS, INSUFFICIENT, SKIPPED), EXIT_PRECISION),
+    ((INSUFFICIENT, FAIL, PASS), EXIT_FAIL),
+))
+def test_exit_code_is_the_worst_status(statuses, code, capsys, monkeypatch):
+    reports = [Report(f"row{i}", status, order=32) for i, status in enumerate(statuses)]
+    monkeypatch.setattr(cli.oracle, "cross_check", lambda order: reports)
+    assert main(["oracle", "cross-check", "--order", "32"]) == code
+    words = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert words == [f"[{s.split('-')[0].upper()}]" for s in statuses]
 
 
 def test_oracle_rejects_small_order(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import etaq.congruences as congruences
 from etaq.congruences import (
     CongruenceClaim,
     DissectionClaim,
@@ -18,7 +19,7 @@ from etaq.congruences import (
     verify_zero_family_structurally,
     zero_family_claim,
 )
-from etaq.series import FAIL, INSUFFICIENT, PASS, compare
+from etaq.series import FAIL, INSUFFICIENT, PASS, SKIPPED, LaurentSeries, compare
 
 
 def test_claim_arithmetic():
@@ -58,7 +59,7 @@ def test_dissections_pass():
         for target in ("M", "TSTAR", "PSTAR"):
             report = verify_dissection(DissectionClaim(target, k), 800)
             assert report.status == PASS, report.label
-            assert report.counterexample is None
+            assert report.witness is None
 
 
 def test_level_two_lead_labeling_notes():
@@ -102,7 +103,7 @@ def test_verify_congruence_detects_false_valuation():
     fake = CongruenceClaim("PSTAR", 2, 3, 3, "fake")
     report = verify_congruence(fake, 64)
     assert report.status == FAIL
-    assert report.counterexample == {
+    assert report.witness == {
         "n": -1, "exponent": 1, "value": "-4", "v2": 2,
     }
 
@@ -111,7 +112,7 @@ def test_verify_congruence_detects_false_exact_zero():
     fake = CongruenceClaim("M", 2, 2, None, "fake-zero")
     report = verify_congruence(fake, 64)
     assert report.status == FAIL
-    assert report.counterexample == {
+    assert report.witness == {
         "n": -1, "exponent": 0, "value": "1", "v2": 0,
     }
 
@@ -164,12 +165,27 @@ def test_theorem_11_passes():
 
 def test_theorem_12_passes_with_reach_filter():
     reports = verify_theorem("1.2", 2000, 2)
-    labels = [r.label for r in reports]
-    assert len(reports) == 13
-    assert "1.5[k=2]" in labels
-    assert "1.6[k=2]" not in labels
-    assert "1.7[k=2]" not in labels
-    assert all(r.status == PASS for r in reports)
+    status = {r.label: r.status for r in reports}
+    assert len(reports) == 15
+    assert status["1.5[k=2]"] == PASS
+    assert status["1.6[k=2]"] == SKIPPED
+    assert status["1.7[k=2]"] == SKIPPED
+    assert [r.label for r in reports if r.status != PASS] == ["1.6[k=2]", "1.7[k=2]"]
+    skipped = reports[-1]
+    assert skipped.note == "first coefficient q^2047 lies beyond the window"
+    assert skipped.checked is None and skipped.witness is None
+
+
+@pytest.mark.parametrize("order", (64, 2000))
+@pytest.mark.parametrize("kmax", (0, 1, 2, 8))
+def test_theorem_12_emits_every_claim(order, kmax):
+    reports = verify_theorem("1.2", order, kmax)
+    assert len(reports) == 5 * (kmax + 1)
+    assert [r.label for r in reports] == [c.label for c in theorem_12_claims(kmax)]
+    for report, claim in zip(reports, theorem_12_claims(kmax)):
+        beyond = claim.residue - claim.step >= order
+        assert report.status == (SKIPPED if beyond else PASS), report.label
+        assert report.order == order
 
 
 def test_theorem_31_passes():
@@ -205,11 +221,31 @@ def test_zero_family_structural_routes():
     assert deeper.checked["points"] == 2
 
 
+def test_zero_family_structural_negative_control(monkeypatch):
+    # An odd q^1 term in the level-3 rhs breaks both structural facts;
+    # the direct scan of P* itself still passes.
+    real_rhs = congruences.rhs_series
+
+    def broken(claim, order, family=None):
+        s = real_rhs(claim, order, family)
+        return s + LaurentSeries.from_terms({1: 1}, s.offset, s.prec)
+
+    monkeypatch.setattr(congruences, "rhs_series", broken)
+    report = verify_zero_family_structurally(0, 200)
+    assert report.status == FAIL
+    assert report.witness == {"exponent": 1, "lhs": "1", "rhs": "0"}
+    assert report.note == (
+        "rhs == (-64)^1 f2^4 f10^4: fail; "
+        "odd part of rhs identically zero: fail; "
+        "direct coefficient scan: pass")
+
+
 def test_report_dict_shape():
     report = verify_dissection(DissectionClaim("PSTAR", 1), 64)
     payload = report.to_dict()
     assert set(payload) == {
-        "label", "claim", "status", "checked", "counterexample", "note",
+        "label", "claim", "status", "order", "checked", "witness", "note",
     }
     assert payload["status"] == PASS
+    assert payload["order"] == 64
     assert payload["checked"]["points"] >= 16

@@ -170,13 +170,13 @@ def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
     monkeypatch.setattr(eta, "_theta", broken)
     eta.expand_k.cache_clear()
     try:
-        checks = {c.name: c for c in cross_check(40).checks}
+        checks = {c.label: c for c in cross_check(40)}
     finally:
         eta.expand_k.cache_clear()
     row = checks["k: theta quotient vs factor-by-factor product"]
     assert row.status == FAIL
-    assert row.witness == {"exponent": 10, "left": "3", "right": "1"}
-    assert [name for name, c in checks.items() if c.status != PASS] == [row.name]
+    assert row.witness == {"exponent": 10, "lhs": "3", "rhs": "1"}
+    assert [label for label, c in checks.items() if c.status != PASS] == [row.label]
 
 
 def test_expand_k_validation():

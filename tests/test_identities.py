@@ -108,4 +108,14 @@ def test_identity_sides_validation():
 def test_verify_identity_report_shape():
     report = verify_identity("EQ22", 64)
     payload = report.to_dict()
-    assert payload == {"id": "EQ22", "order": 64, "status": PASS, "witness": None}
+    assert payload == {
+        "label": "EQ22", "status": PASS, "claim": CATALOG["EQ22"].statement,
+        "order": 64, "checked": {"from": 0, "to": 63, "points": 64},
+        "witness": None, "note": None,
+    }
+
+
+def test_identity_report_keeps_the_identity_name():
+    report = verify_identity("EQ28", 64)
+    assert report.identity == report.label == "EQ28"
+    assert (report.order, report.status) == (64, PASS)

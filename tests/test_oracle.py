@@ -10,7 +10,7 @@ from etaq.oracle import (
     direct_eta_product,
     partition_counts,
 )
-from etaq.series import FAIL, PASS, LaurentSeries
+from etaq.series import FAIL, PASS, LaurentSeries, worst
 
 P_SMALL = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
@@ -64,11 +64,11 @@ def test_direct_eta_product_validation():
 
 
 def test_cross_check_passes():
-    report = cross_check(120)
-    assert report.ok
-    assert all(check.status == PASS for check in report.checks)
-    assert all(check.witness is None for check in report.checks)
-    names = [check.name for check in report.checks]
+    checks = cross_check(120)
+    assert all(check.status == PASS for check in checks)
+    assert all(check.witness is None for check in checks)
+    assert all(check.order == 120 and check.checked for check in checks)
+    names = [check.label for check in checks]
     assert any(name.startswith("f1:") for name in names)
     assert any(name.startswith("M:") for name in names)
     assert any("mod 5" in name for name in names)
@@ -80,11 +80,13 @@ def test_cross_check_validation():
 
 
 def test_cross_check_report_dict():
-    report = cross_check(40)
-    payload = report.to_dict()
-    assert payload["order"] == 40
-    assert payload["status"] == PASS
-    assert len(payload["checks"]) == len(report.checks)
+    payload = cross_check(40)[0].to_dict()
+    assert payload == {
+        "label": "f1: pentagonal expansion vs factor-by-factor product",
+        "status": PASS, "claim": None, "order": 40,
+        "checked": {"from": 0, "to": 39, "points": 40},
+        "witness": None, "note": None,
+    }
 
 
 def test_cross_check_catches_seeded_defect(monkeypatch):
@@ -104,12 +106,12 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
     monkeypatch.setattr(eta, "expand_f", broken)
     eta._expand_quotient_cached.cache_clear()
     try:
-        report = cross_check(order)
-        assert not report.ok
-        flagged = [c for c in report.checks if c.status == FAIL]
+        checks = cross_check(order)
+        assert worst(c.status for c in checks) == FAIL
+        flagged = [c for c in checks if c.status == FAIL]
         assert flagged
         assert any(c.witness and c.witness.get("exponent") == 5 for c in flagged)
-        f1 = next(c for c in flagged if c.name.startswith("f1:"))
-        assert f1.witness == {"exponent": 5, "left": "2", "right": "1"}
+        f1 = next(c for c in flagged if c.label.startswith("f1:"))
+        assert f1.witness == {"exponent": 5, "lhs": "2", "rhs": "1"}
     finally:
         eta._expand_quotient_cached.cache_clear()

@@ -71,14 +71,15 @@ def test_valuation_pattern_explicitly():
 def test_verify_valuations_passes():
     check = verify_valuations(64)
     assert check.status == PASS
-    assert check.failure is None
-    assert check.to_dict()["kmax"] == 64
+    assert check.witness is None
+    assert check.to_dict()["checked"] == {"from": 1, "to": 64, "points": 64}
 
 
 def test_verify_closed_forms_passes():
     check = verify_closed_forms(64)
     assert check.status == PASS
-    assert check.failure is None
+    assert check.witness is None
+    assert check.checked == {"from": 0, "to": 64, "points": 65}
 
 
 def test_validation_errors():

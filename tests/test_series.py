@@ -10,12 +10,15 @@ from etaq.series import (
     FAIL,
     INSUFFICIENT,
     PASS,
+    SKIPPED,
     AllZeroWindow,
     EmptyWindow,
     LaurentSeries,
     NonUnitLeadingCoefficient,
+    Report,
     compare,
     two_adic_valuation,
+    worst,
 )
 
 
@@ -219,3 +222,32 @@ def test_from_terms_validates_window():
 
 def test_iteration_yields_exponent_pairs():
     assert list(series(-2, 5, 6)) == [(-2, 5), (-1, 6)]
+
+
+def test_worst_orders_fail_over_insufficient_over_pass():
+    assert worst([]) == PASS
+    assert worst([PASS, SKIPPED]) == PASS
+    assert worst([SKIPPED]) == PASS
+    assert worst([PASS, INSUFFICIENT, SKIPPED]) == INSUFFICIENT
+    assert worst([INSUFFICIENT, FAIL, PASS]) == FAIL
+    assert worst(iter([FAIL, INSUFFICIENT])) == FAIL
+
+
+def test_report_of_comparison():
+    a = series(-1, 1, 2, 3)
+    failed = Report.of("x", "a == b", 9, compare(a, series(-1, 1, 5, 3), min_overlap=1))
+    assert failed.status == FAIL
+    assert failed.checked == {"from": -1, "to": 1, "points": 3}
+    assert failed.witness == {"exponent": 0, "lhs": "2", "rhs": "5"}
+    assert failed.to_dict() == {
+        "label": "x", "status": FAIL, "claim": "a == b", "order": 9,
+        "checked": {"from": -1, "to": 1, "points": 3},
+        "witness": {"exponent": 0, "lhs": "2", "rhs": "5"}, "note": None,
+    }
+
+    passed = Report.of("y", None, None, compare(a, a, min_overlap=1), note="n")
+    assert (passed.status, passed.witness, passed.note) == (PASS, None, "n")
+    assert passed.identity == "y"
+
+    empty = Report.of("z", None, None, compare(a, series(5, 1), min_overlap=1))
+    assert (empty.status, empty.checked) == (INSUFFICIENT, None)
