@@ -2,13 +2,16 @@
 
 Exit codes: 0 all requested checks pass, 1 any check fails, 2 usage or
 unknown-id errors, 3 a request the window arithmetic cannot satisfy at
-the given order (insufficient precision).
+the given order (insufficient precision), 141 the reader closed stdout
+early (e.g. ``| head -1``; 128 + SIGPIPE, as a shell reports a process
+killed by the signal), with nothing written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_BROKEN_PIPE = 141
 
 # Largest --order any subcommand accepts: 2.5 times the largest order the
 # verifiers are benchmarked at (8000).  A window is a dense list of big
@@ -75,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity and congruence verifiers")
     p.add_argument("scope", choices=("all", "identity", "theorem"))
-    p.add_argument("--id", help="identity tag (e.g. EQ28) or theorem id (1.1, 1.2, 3.1)")
+    p.add_argument("--id", help="identity tag (e.g. EQ28) or theorem id "
+                                 f"({', '.join(congruences.THEOREM_IDS)})")
     p.add_argument("--order", type=int, default=500, help="window order (default 500)")
     p.add_argument("--kmax", type=int, default=8, help="largest level (default 8)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -171,8 +176,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.scope == "theorem":
         if args.id is None:
             return _usage_error("verify theorem requires --id")
-        if args.id not in ("1.1", "1.2", "3.1"):
-            return _usage_error(f"unknown theorem id {args.id!r}; known ids: 1.1, 1.2, 3.1")
+        if args.id not in congruences.THEOREM_IDS:
+            return _usage_error(f"unknown theorem id {args.id!r}; known ids: "
+                                + ", ".join(congruences.THEOREM_IDS))
         reports = congruences.verify_theorem(args.id, args.order, args.kmax)
     else:
         reports = identities.verify_all_identities(args.order)
@@ -214,7 +220,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             if weight > MAX_EXPONENT_SUM:
                 return _usage_error(f"total |exponent| must be <= {MAX_EXPONENT_SUM}, "
                                     f"got {weight}")
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # fail a second time and print its own message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except QuotientParseError as exc:
         return _usage_error(str(exc))
     except EmptyWindow as exc:

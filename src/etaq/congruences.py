@@ -234,8 +234,7 @@ def theorem_12_claims(kmax: int) -> list[CongruenceClaim]:
             "PSTAR", 1 << (base + 2), (1 << (base + 3)) - 1, 6 * k + 3, f"1.5[k={k}]"))
         claims.append(CongruenceClaim(
             "PSTAR", 1 << (base + 3), (1 << (base + 4)) - 1, 6 * k + 6, f"1.6[k={k}]"))
-        claims.append(CongruenceClaim(
-            "PSTAR", 1 << (base + 4), 3 * (1 << (base + 3)) - 1, None, f"1.7[k={k}]"))
+        claims.append(zero_family_claim(k))
     return claims
 
 
@@ -277,7 +276,7 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
                   structural.witness or odd_witness or direct.witness, note)
 
 
-_THEOREM_IDS = ("1.1", "1.2", "3.1")
+THEOREM_IDS = ("1.1", "1.2", "3.1")
 
 
 def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
@@ -314,13 +313,14 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
                 reports.append(verify_induction_step(DissectionClaim(target, k), order))
         return reports
     raise ValueError(
-        f"unknown theorem id {theorem_id!r}; expected one of {', '.join(_THEOREM_IDS)}")
+        f"unknown theorem id {theorem_id!r}; expected one of {', '.join(THEOREM_IDS)}")
 
 
 __all__ = [
     "CongruenceClaim",
     "DissectionClaim",
     "TARGET_FAMILY",
+    "THEOREM_IDS",
     "lhs_series",
     "rhs_series",
     "theorem_11_claims",

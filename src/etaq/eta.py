@@ -1,44 +1,47 @@
-"""Expansion of the products f_m = prod_{n>=1} (1 - q^{m n}) and their quotients.
+"""Expansion of eta quotients and the level-10 multiplier k(q).
 
-``expand_f`` uses the pentagonal-number expansion of a single factor,
-``expand_quotient`` combines powers of several factors, and ``gen_target``
-maps the named coefficient families M(n), T*(n), P*(n) (restricted
-partition counts) and p(n) to their eta quotients:
+Every factor is a Jacobi triple product
+
+    theta(p, a) = (q^a, q^{p-a}, q^p; q^p)_inf
+                = sum_{j in Z} (-1)^j q^{p j (j-1)/2 + a j},   0 < a < p,
+
+keyed by (p, a).  It is sparse (about 2 sqrt(2N/p) nonzero terms below
+q^N), and ``_theta`` is the only place that generates one.  The eta
+product f_m = prod_{n>=1} (1 - q^{m n}) is theta(3m, m), whose
+exponents m j (3j - 1)/2 are the pentagonal numbers spread by m; the
+multiplier
+
+    k(q) = q * prod_{n>=1} (1-q^{10n-9})(1-q^{10n-8})(1-q^{10n-2})(1-q^{10n-1})
+               / ((1-q^{10n-7})(1-q^{10n-6})(1-q^{10n-4})(1-q^{10n-3}))
+         = q * theta(10,1) theta(10,2) / (theta(10,3) theta(10,4))
+
+used by the quintic identity catalog is q times a fixed quotient of
+(10, a) factors (the factors (q^10; q^10)_inf cancel).
+
+``_expand`` applies one rule at every level.  Let g be the gcd of every
+period and every a of a quotient.  If g > 1 the quotient is a series in
+q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
+spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
+f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
+theta(5, 2) at half length.  A single factor at g = 1 is theta, inverted
+when e < 0, then raised to |e|; several factors are the product of their
+single-factor expansions.  ``_expand_quotient_cached`` is the only cache.
+
+``gen_target`` maps the named coefficient families M(n), T*(n), P*(n)
+(restricted partition counts) and p(n) to their eta quotients:
 
     M        f2^5 f5^5 / (f1 f10)
     TSTAR    f1^5 f10^5 / (f2 f5)
     PSTAR    f1^4 f5^4
     EULER_P  1 / f1                 ordinary partitions
-
-Every factor is built at its natural length.  Since f_m(q) = f_1(q^m),
-the window [0, N) of f_m^e holds only ceil(N/m) independent coefficients:
-f_1^e (a power of f_1 or of 1/f_1) is expanded on ceil(N/m) terms and
-then spread to every m-th place.  Before that, a quotient whose periods
-share a gcd g > 1 is a series in q^g: the quotient with periods m/g is
-expanded to order ceil(N/g) and spread by g, so f2^4 f10^4 costs one
-f1^4 f5^4 at half the order.  The full-length products then start from
-the first factor.
-
-``expand_k`` expands the level-10 multiplier function
-
-    k(q) = q * prod_{n>=1} (1-q^{10n-9})(1-q^{10n-8})(1-q^{10n-2})(1-q^{10n-1})
-               / ((1-q^{10n-7})(1-q^{10n-6})(1-q^{10n-4})(1-q^{10n-3}))
-
-used by the quintic identity catalog, as the theta quotient
-
-    k(q) = q * theta_1 theta_2 / (theta_3 theta_4),
-    theta_a = (q^a, q^{10-a}, q^10; q^10)_inf = sum_{j in Z} (-1)^j q^{5j(j-1)+aj}.
-
-The factors (q^10; q^10)_inf cancel, and by the Jacobi triple product each
-theta_a is sparse (about 2 sqrt(N/5) nonzero terms below q^N).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
-from functools import lru_cache, reduce
 from typing import Mapping
 
 from .series import EmptyWindow, LaurentSeries
@@ -50,32 +53,9 @@ TARGETS: dict[str, dict[int, int]] = {
     "EULER_P": {1: -1},
 }
 
-
-@lru_cache(maxsize=None)
-def expand_f(m: int, order: int) -> LaurentSeries:
-    """prod_{n>=1} (1 - q^{m n}) on the window [0, order).
-
-    Pentagonal-number expansion: the product is the sparse series
-    sum_j (-1)^j q^{m j (3j +- 1) / 2}.
-    """
-    if m < 1:
-        raise ValueError(f"period must be >= 1, got {m}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    c = [0] * order
-    c[0] = 1
-    j = 1
-    while True:
-        e1 = m * (j * (3 * j - 1) // 2)
-        if e1 >= order:
-            break
-        sign = -1 if j & 1 else 1
-        c[e1] += sign
-        e2 = m * (j * (3 * j + 1) // 2)
-        if e2 < order:
-            c[e2] += sign
-        j += 1
-    return LaurentSeries(0, tuple(c))
+# Factors are ((p, a), e) for theta(p, a)^e; k(q) is q times this quotient.
+_Items = tuple[tuple[tuple[int, int], int], ...]
+_K_ITEMS: _Items = (((10, 1), 1), ((10, 2), 1), ((10, 3), -1), ((10, 4), -1))
 
 
 def _validate_quotient(factors: Mapping[int, int]) -> None:
@@ -84,6 +64,20 @@ def _validate_quotient(factors: Mapping[int, int]) -> None:
             raise ValueError(f"period must be a positive integer, got {m!r}")
         if not isinstance(e, int) or isinstance(e, bool) or e == 0:
             raise ValueError(f"exponent of f{m} must be a nonzero integer, got {e!r}")
+
+
+def _theta(period: int, a: int, length: int) -> LaurentSeries:
+    """sum_{j in Z} (-1)^j q^{period j(j-1)/2 + a j} on [0, length), 0 < a < period.
+
+    The exponents grow with |j| on each side of j = 0; they coincide
+    only when 2a == period, so terms are added, not assigned.
+    """
+    c = [0] * length
+    for j, step in ((0, 1), (-1, -1)):
+        while (e := period * j * (j - 1) // 2 + a * j) < length:
+            c[e] += -1 if j & 1 else 1
+            j += step
+    return LaurentSeries(0, tuple(c))
 
 
 def _pow(s: LaurentSeries, e: int) -> LaurentSeries:
@@ -109,29 +103,24 @@ def _spread(s: LaurentSeries, m: int, order: int) -> LaurentSeries:
     return LaurentSeries(0, tuple(c))
 
 
-def _factor(m: int, e: int, order: int) -> LaurentSeries:
-    """f_m^e on [0, order): f_1^e on ceil(order/m) terms, spread by m."""
-    length = -(-order // m)
-    base = expand_f(1, length)
-    if e < 0:
-        base = base.invert(length)
-    return _spread(_pow(base, abs(e)), m, order)
-
-
-def _expand(items: tuple[tuple[int, int], ...], order: int) -> LaurentSeries:
-    """prod f_m^e over items on [0, order), each factor at its natural length."""
+def _expand(items: _Items, order: int) -> LaurentSeries:
+    """prod theta(p, a)^e over items on [0, order), by the gcd rule above."""
     if not items:
         return LaurentSeries.one(order)
-    g = math.gcd(*(m for m, _ in items))
+    g = math.gcd(*(n for (p, a), _ in items for n in (p, a)))
     if g > 1:
-        reduced = tuple((m // g, e) for m, e in items)
+        reduced = tuple(((p // g, a // g), e) for (p, a), e in items)
         return _spread(_expand(reduced, -(-order // g)), g, order)
-    return reduce(operator.mul, (_factor(m, e, order) for m, e in items))
+    if len(items) > 1:
+        return functools.reduce(operator.mul, (_expand((item,), order) for item in items))
+    [((p, a), e)] = items
+    base = _theta(p, a, order)
+    if e < 0:
+        base = base.invert(order)
+    return _pow(base, abs(e))
 
 
-@lru_cache(maxsize=None)
-def _expand_quotient_cached(items: tuple[tuple[int, int], ...], order: int) -> LaurentSeries:
-    return _expand(items, order)
+_expand_quotient_cached = functools.lru_cache(maxsize=None)(_expand)
 
 
 def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
@@ -144,7 +133,24 @@ def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
     _validate_quotient(factors)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return _expand_quotient_cached(tuple(sorted(factors.items())), order)
+    return _expand_quotient_cached(
+        tuple([((3 * m, m), e) for m, e in sorted(factors.items())]), order)
+
+
+def expand_f(m: int, order: int) -> LaurentSeries:
+    """prod_{n>=1} (1 - q^{m n}) on the window [0, order)."""
+    return expand_quotient({m: 1}, order)
+
+
+def expand_k(order: int) -> LaurentSeries:
+    """The level-10 multiplier k(q) on the window [1, order).
+
+    The quotient theta(10,1) theta(10,2) / (theta(10,3) theta(10,4)) on
+    order - 1 terms, shifted by the q prefactor to start at 1.
+    """
+    if order < 2:
+        raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
+    return _expand_quotient_cached(_K_ITEMS, order - 1).shift(1)
 
 
 def gen_target(tag: str, order: int) -> LaurentSeries:
@@ -155,35 +161,6 @@ def gen_target(tag: str, order: int) -> LaurentSeries:
         raise ValueError(f"unknown generating target {tag!r}; expected one of "
                          + ", ".join(sorted(TARGETS))) from None
     return expand_quotient(factors, order)
-
-
-def _theta(a: int, length: int) -> LaurentSeries:
-    """(q^a, q^{10-a}, q^10; q^10)_inf = sum_{j in Z} (-1)^j q^{5j(j-1)+aj} on [0, length).
-
-    For 0 < a < 10, a != 5, the exponents are pairwise distinct and grow
-    with |j| on each side of j = 0.
-    """
-    c = [0] * length
-    for j, step in ((0, 1), (-1, -1)):
-        while (e := 5 * j * (j - 1) + a * j) < length:
-            c[e] = -1 if j & 1 else 1
-            j += step
-    return LaurentSeries(0, tuple(c))
-
-
-@lru_cache(maxsize=None)
-def expand_k(order: int) -> LaurentSeries:
-    """The level-10 multiplier k(q) on the window [1, order).
-
-    k(q) = q * theta_1 theta_2 / (theta_3 theta_4): four sparse theta
-    series on order - 1 terms, two series inversions and three products.
-    The q prefactor makes the window start at 1.
-    """
-    if order < 2:
-        raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    length = order - 1
-    t1, t2, t3, t4 = (_theta(a, length) for a in (1, 2, 3, 4))
-    return (t1 * t2 * t3.invert(length) * t4.invert(length)).shift(1)
 
 
 class QuotientParseError(ValueError):

@@ -103,7 +103,8 @@ _CHECK_PERIODS = (1, 2, 4, 5, 8, 10, 20, 40)
 def cross_check(order: int) -> list[Report]:
     """Compare the fast expander against the brute-force paths.
 
-    Covers every period used by the identity catalog, all four named
+    Covers every period used by the identity catalog (each f_m through
+    the quotient expander, the path the verifiers use), all four named
     generating targets, k(q) (the theta quotient against its literal
     product), the inversion path (1/f1 against the partition dynamic
     program), and the classical partition congruences

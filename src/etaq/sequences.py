@@ -15,8 +15,6 @@ factor -64: C_{k+4} = -64 C_k.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .series import FAIL, PASS, Report, two_adic_valuation
 
 _INITIALS: dict[str, tuple[int, int]] = {"A": (1, 1), "B": (0, 1), "C": (1, -4)}
@@ -46,8 +44,8 @@ def sequence_values(family: str, kmax: int) -> list[int]:
     return values[:kmax + 1]
 
 
-@lru_cache(maxsize=None)
 def seq_value(family: str, k: int) -> int:
+    """P_k of one family."""
     return sequence_values(family, k)[k]
 
 

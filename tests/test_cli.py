@@ -1,18 +1,22 @@
 """End-to-end tests for the command-line front end.
 
 Each test drives main() with a concrete argv and asserts on the exit
-code and the printed output, exercising all four exit paths.
+code and the printed output, exercising every exit path.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import etaq.cli as cli
 from etaq.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_PRECISION,
@@ -267,3 +271,24 @@ def test_run_raises_system_exit(capsys, monkeypatch):
 
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PRECISION}) == 4
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # The reader closes the pipe before the first row is written, as
+    # `| head -1` does once it has its line.  Whether rows are flushed one
+    # by one or at exit, the CLI exits 141 and writes nothing to stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etaq.cli", "oracle", "cross-check", "--order", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert stderr == b""

@@ -154,29 +154,56 @@ def test_expand_k_matches_literal_product(order):
 
 
 def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
-    # Negative control: flip the sign of the q^9 term (j = -1) of theta_1.
-    # Then k gains 2 q^10 theta_2/(theta_3 theta_4), so the first wrong
-    # coefficient is k(10) = 1 + 2.
+    # Negative control: flip the sign of the q^9 term (j = -1) of
+    # theta(10, 1), a factor only k uses.  Then k gains
+    # 2 q^10 theta_2/(theta_3 theta_4), so the first wrong coefficient is
+    # k(10) = 1 + 2.
     real_theta = eta._theta
 
-    def broken(a, length):
-        s = real_theta(a, length)
-        if a != 1:
+    def broken(period, a, length):
+        s = real_theta(period, a, length)
+        if (period, a) != (10, 1):
             return s
         coeffs = list(s.coeffs)
         coeffs[9] = -coeffs[9]
         return LaurentSeries(s.offset, coeffs)
 
     monkeypatch.setattr(eta, "_theta", broken)
-    eta.expand_k.cache_clear()
+    eta._expand_quotient_cached.cache_clear()
     try:
         checks = {c.label: c for c in cross_check(40)}
     finally:
-        eta.expand_k.cache_clear()
+        eta._expand_quotient_cached.cache_clear()
     row = checks["k: theta quotient vs factor-by-factor product"]
     assert row.status == FAIL
     assert row.witness == {"exponent": 10, "lhs": "3", "rhs": "1"}
     assert [label for label, c in checks.items() if c.status != PASS] == [row.label]
+
+
+def test_cross_check_catches_seeded_defect_in_reduced_theta(monkeypatch):
+    # Negative control: f5 on [0, 37) is theta(3, 1) on ceil(37/5) = 8
+    # terms spread by 5.  Corrupt the q^2 term of exactly that window; the
+    # f5 row must then fail at q^10 (pentagonal coefficient -1, now 0).
+    order = 37
+    real_theta = eta._theta
+
+    def broken(period, a, length):
+        s = real_theta(period, a, length)
+        if (period, a, length) != (3, 1, -(-order // 5)):
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[2] += 1
+        return LaurentSeries(s.offset, coeffs)
+
+    monkeypatch.setattr(eta, "_theta", broken)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        checks = {c.label: c for c in cross_check(order)}
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    row = checks["f5: pentagonal expansion vs factor-by-factor product"]
+    assert row.status == FAIL
+    assert row.witness == {"exponent": 10, "lhs": "0", "rhs": "-1"}
 
 
 def test_expand_k_validation():
