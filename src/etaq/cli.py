@@ -49,6 +49,13 @@ MAX_ORDER = 20_000
 # right after parsing, before any expansion.
 MAX_EXPONENT_SUM = 100
 
+# Largest --kmax of sequences and verify.  The family values grow like
+# 16^k (theorem 1.2 at k = 1000 reaches 2^4003, about 1205 digits), so a
+# larger k would overrun CPython's 4300-digit limit on int-to-string
+# conversion after minutes of work.  main() rejects it with exit 2
+# before any handler runs.
+MAX_KMAX = 1000
+
 _STATUS_WORD = {PASS: "PASS", FAIL: "FAIL", INSUFFICIENT: "INSUFFICIENT",
                 SKIPPED: "SKIPPED"}
 _EXIT_FOR = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INSUFFICIENT: EXIT_PRECISION}
@@ -206,6 +213,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     order = getattr(args, "order", None)
     if order is not None and order > MAX_ORDER:
         return _usage_error(f"--order must be <= {MAX_ORDER}, got {order}")
+    kmax = getattr(args, "kmax", None)
+    if kmax is not None and kmax > MAX_KMAX:
+        return _usage_error(f"--kmax must be <= {MAX_KMAX}, got {kmax}")
     handlers = {
         "expand": _cmd_expand,
         "dissect": _cmd_dissect,

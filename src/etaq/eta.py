@@ -25,7 +25,23 @@ spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
 theta(5, 2) at half length.  A single factor at g = 1 is theta, inverted
 when e < 0, then raised to |e|; several factors are the product of their
-single-factor expansions.  ``_expand_quotient_cached`` is the only cache.
+single-factor expansions.
+
+``_expand_quotient_cached`` is the only cache.  It keeps one entry per
+quotient with g = 1 (a single factor or a product), holding the longest
+window expanded so far.  Windows are prefix-stable: a higher order never
+changes a coefficient already claimed.  So a request at or below the
+stored length is served from the entry (the stored series itself, or
+its prefix), and a longer request expands afresh and replaces it.  Every
+level of ``_expand`` with g = 1, each single factor included, goes
+through the cache, so factors are shared across quotients and orders:
+f5 on N terms is the first ceil(N/5) terms of a stored f1 window, and
+f2^4 f10^4 is a stored f1^4 f5^4 window spread by 2.  A quotient with
+g > 1 is not stored but spread from its reduced window on each request,
+which keeps the cached bytes under half of what storing every level
+takes.  Once the cached coefficient objects pass ``_CACHE_BYTES``, the
+least recently used windows are dropped.  ``cache_info()`` reads the
+cache's counters.
 
 ``gen_target`` maps the named coefficient families M(n), T*(n), P*(n)
 (restricted partition counts) and p(n) to their eta quotients:
@@ -42,6 +58,8 @@ import functools
 import math
 import operator
 import re
+import sys
+from collections import OrderedDict
 from typing import Mapping
 
 from .series import EmptyWindow, LaurentSeries
@@ -104,13 +122,22 @@ def _spread(s: LaurentSeries, m: int, order: int) -> LaurentSeries:
 
 
 def _expand(items: _Items, order: int) -> LaurentSeries:
-    """prod theta(p, a)^e over items on [0, order), by the gcd rule above."""
+    """prod theta(p, a)^e over items on [0, order), by the gcd rule above.
+
+    A quotient with g > 1 is spread from its reduced window on every
+    call; only quotients with g = 1 go through the window cache.
+    """
     if not items:
         return LaurentSeries.one(order)
     g = math.gcd(*(n for (p, a), _ in items for n in (p, a)))
     if g > 1:
         reduced = tuple(((p // g, a // g), e) for (p, a), e in items)
-        return _spread(_expand(reduced, -(-order // g)), g, order)
+        return _spread(_expand_quotient_cached(reduced, -(-order // g)), g, order)
+    return _expand_quotient_cached(items, order)
+
+
+def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
+    """``_expand`` of a quotient with g = 1, on a cache miss."""
     if len(items) > 1:
         return functools.reduce(operator.mul, (_expand((item,), order) for item in items))
     [((p, a), e)] = items
@@ -120,7 +147,80 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
     return _pow(base, abs(e))
 
 
-_expand_quotient_cached = functools.lru_cache(maxsize=None)(_expand)
+# Bytes of cached coefficient objects (each int and each coefficient
+# tuple, as sys.getsizeof counts them) above which the window cache drops
+# its least recently used windows.  ``verify all`` caches 2.7 MB at order
+# 2000 and 11.5 MB at order 8000, so this holds every window up to about
+# order 5000 and bounds the cache above it.
+_CACHE_BYTES = 8 * 2**20
+
+
+def _prefix(window: LaurentSeries, order: int) -> LaurentSeries:
+    """``window`` on [0, order), for order at most its length."""
+    return window if len(window.coeffs) == order else LaurentSeries(0, window.coeffs[:order])
+
+
+class _WindowCache:
+    """The longest window expanded so far for each items key.
+
+    A request at or below the stored length is served from it: the
+    stored series itself when the lengths match, else its prefix, which
+    the soundness invariant makes the exact shorter window.  A longer
+    request expands afresh and replaces the entry.  Least recently used
+    windows are dropped while the stored bytes exceed ``_CACHE_BYTES``.
+    """
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        """Drop every window and zero the counters."""
+        self._windows: OrderedDict[_Items, tuple[LaurentSeries, int]] = OrderedDict()
+        self._bytes = 0
+        self._hits = self._prefix_hits = self._misses = self._evictions = 0
+
+    def info(self) -> dict[str, int]:
+        return {"hits": self._hits, "prefix_hits": self._prefix_hits,
+                "misses": self._misses, "entries": len(self._windows),
+                "bytes": self._bytes, "evictions": self._evictions}
+
+    def __call__(self, items: _Items, order: int) -> LaurentSeries:
+        entry = self._windows.get(items)
+        if entry is not None and len(entry[0].coeffs) >= order:
+            self._windows.move_to_end(items)
+            if len(entry[0].coeffs) == order:
+                self._hits += 1
+            else:
+                self._prefix_hits += 1
+            return _prefix(entry[0], order)
+        self._misses += 1
+        window = _expand_reduced(items, order)
+        # The factor expansions above may have evicted a shorter window of this key.
+        old = self._windows.pop(items, None)
+        if old is not None:
+            self._bytes -= old[1]
+        size = sys.getsizeof(window.coeffs) + sum(map(sys.getsizeof, window.coeffs))
+        self._windows[items] = (window, size)
+        self._bytes += size
+        while self._bytes > _CACHE_BYTES:
+            self._bytes -= self._windows.popitem(last=False)[1][1]
+            self._evictions += 1
+        return window
+
+
+_expand_quotient_cached = _WindowCache()
+
+
+def cache_info() -> dict[str, int]:
+    """A snapshot of the window cache's counters.
+
+    ``hits`` counts requests served by a stored window of their exact
+    length, ``prefix_hits`` those served by the prefix of a longer one,
+    and ``misses`` those expanded afresh and stored; ``entries`` and
+    ``bytes`` measure what is stored, and ``evictions`` counts windows
+    dropped for the budget.  Changing the dict changes nothing.
+    """
+    return _expand_quotient_cached.info()
 
 
 def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
@@ -133,7 +233,7 @@ def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
     _validate_quotient(factors)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return _expand_quotient_cached(
+    return _expand(
         tuple([((3 * m, m), e) for m, e in sorted(factors.items())]), order)
 
 
@@ -150,7 +250,7 @@ def expand_k(order: int) -> LaurentSeries:
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    return _expand_quotient_cached(_K_ITEMS, order - 1).shift(1)
+    return _expand(_K_ITEMS, order - 1).shift(1)
 
 
 def gen_target(tag: str, order: int) -> LaurentSeries:
@@ -212,6 +312,7 @@ __all__ = [
     "TARGETS",
     "EmptyWindow",
     "QuotientParseError",
+    "cache_info",
     "expand_f",
     "expand_k",
     "expand_quotient",

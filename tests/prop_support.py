@@ -11,6 +11,15 @@ import random
 from etaq.series import PASS, LaurentSeries, compare
 
 
+def random_quotients(count: int, seed: int) -> list[dict[int, int]]:
+    """Seeded eta quotients {period: exponent} over the catalog's periods."""
+    rng = random.Random(seed)
+    periods = (1, 2, 4, 5, 8, 10, 20, 40)
+    exponents = [e for e in range(-5, 6) if e]
+    return [{m: rng.choice(exponents) for m in sorted(rng.sample(periods, rng.randint(1, 4)))}
+            for _ in range(count)]
+
+
 def random_series(rng: random.Random, *, min_len: int = 1, max_len: int = 32,
                   min_offset: int = -8, max_offset: int = 8,
                   coeff_bound: int = 9) -> LaurentSeries:

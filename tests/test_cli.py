@@ -22,6 +22,7 @@ from etaq.cli import (
     EXIT_PRECISION,
     EXIT_USAGE,
     MAX_EXPONENT_SUM,
+    MAX_KMAX,
     MAX_ORDER,
     main,
     run,
@@ -216,7 +217,8 @@ def test_oracle_rejects_small_order(capsys):
 
 
 def _replace_handlers(monkeypatch, handler):
-    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_verify", "_cmd_oracle"):
+    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_sequences", "_cmd_verify",
+                 "_cmd_oracle"):
         monkeypatch.setattr(cli, name, handler)
 
 
@@ -235,6 +237,38 @@ def test_enormous_order_is_usage_error_before_any_work(argv, order, capsys, monk
     _replace_handlers(monkeypatch, must_not_run)
     assert main(argv + ["--order", str(order)]) == EXIT_USAGE
     assert f"--order must be <= {MAX_ORDER}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    ["sequences", "--family", "A"],
+    ["verify", "all"],
+    ["verify", "theorem", "--id", "1.2"],
+))
+@pytest.mark.parametrize("kmax", (MAX_KMAX + 1, 10**12))
+def test_enormous_kmax_is_usage_error_before_any_work(argv, kmax, capsys, monkeypatch):
+    def must_not_run(args):
+        raise AssertionError(f"{args.command} ran with --kmax {args.kmax}")
+
+    _replace_handlers(monkeypatch, must_not_run)
+    assert main(argv + ["--kmax", str(kmax)]) == EXIT_USAGE
+    assert f"--kmax must be <= {MAX_KMAX}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (["sequences", "--family", "B"], ["verify", "all"]))
+def test_kmax_at_the_cap_reaches_the_handler(argv, monkeypatch):
+    seen = []
+    _replace_handlers(monkeypatch, lambda parsed: seen.append(parsed.kmax) or EXIT_OK)
+    assert main(argv + ["--kmax", str(MAX_KMAX)]) == EXIT_OK
+    assert seen == [MAX_KMAX]
+
+
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_sequences_at_the_kmax_cap_print_every_value(family, capsys):
+    # The cap keeps every value under CPython's int-to-string digit limit.
+    assert main(["sequences", "--family", family, "--kmax", str(MAX_KMAX),
+                 "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["k"] for row in rows] == list(range(MAX_KMAX + 1))
 
 
 @pytest.mark.parametrize("args", (["expand"], ["dissect", "2", "1"]))

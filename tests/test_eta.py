@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 import etaq.eta as eta
+import prop_support as props
 
 from etaq.eta import (
     QuotientParseError,
@@ -65,16 +64,9 @@ def test_expand_quotient_exponent_additivity():
     assert expand_quotient({1: 2}, 40) == f1 * f1
 
 
-def _random_quotients(count: int, seed: int) -> list[dict[int, int]]:
-    rng = random.Random(seed)
-    periods = (1, 2, 4, 5, 8, 10, 20, 40)
-    exponents = [e for e in range(-5, 6) if e]
-    return [{m: rng.choice(exponents) for m in sorted(rng.sample(periods, rng.randint(1, 4)))}
-            for _ in range(count)]
-
-
 # Seeded random quotients, most with a period gcd above 1, plus G = f2^4 f10^4.
-@pytest.mark.parametrize("factors", _random_quotients(16, 40) + [{2: 4, 10: 4}], ids=str)
+@pytest.mark.parametrize("factors", props.random_quotients(16, 40) + [{2: 4, 10: 4}],
+                         ids=str)
 def test_expand_quotient_matches_oracle_on_random_quotients(factors):
     # m - 1, m and m + 1 put ceil(order / m) on both sides of a rounding step.
     orders = {1, 2, 37, 200} | {n for m in factors for n in (m - 1, m, m + 1) if n >= 1}
@@ -182,14 +174,16 @@ def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
 
 def test_cross_check_catches_seeded_defect_in_reduced_theta(monkeypatch):
     # Negative control: f5 on [0, 37) is theta(3, 1) on ceil(37/5) = 8
-    # terms spread by 5.  Corrupt the q^2 term of exactly that window; the
-    # f5 row must then fail at q^10 (pentagonal coefficient -1, now 0).
+    # terms spread by 5, served as a prefix of the f1 row's 37-term
+    # theta(3, 1) window.  Corrupt the q^2 term of theta(3, 1) at every
+    # length; the f5 row must then fail at q^10 (pentagonal coefficient
+    # -1, now 0).
     order = 37
     real_theta = eta._theta
 
     def broken(period, a, length):
         s = real_theta(period, a, length)
-        if (period, a, length) != (3, 1, -(-order // 5)):
+        if (period, a) != (3, 1) or length <= 2:
             return s
         coeffs = list(s.coeffs)
         coeffs[2] += 1
