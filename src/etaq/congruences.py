@@ -26,6 +26,7 @@ from .series import (
     INSUFFICIENT,
     PASS,
     SKIPPED,
+    EmptyWindow,
     LaurentSeries,
     Report,
     compare,
@@ -112,10 +113,17 @@ def verify_dissection(claim: DissectionClaim, order: int) -> Report:
 
     At k = 2 the report also states which of the two possible lead
     labelings (swapping the A and B families) the series actually obeys.
+    A progression with no coefficient below the order is reported as
+    insufficient-precision.
     """
-    lhs = lhs_series(claim, order)
-    rhs = rhs_series(claim, order)
     required = max(1, order >> (claim.k + 1))
+    try:
+        lhs = lhs_series(claim, order)
+    except EmptyWindow:
+        return Report(claim.label, INSUFFICIENT, claim.describe(), order,
+                      note=(f"only 0 reachable coefficients below order {order}, "
+                            f"need {required}"))
+    rhs = rhs_series(claim, order)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
     if claim.k == 2 and claim.target in ("M", "TSTAR"):

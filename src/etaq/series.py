@@ -3,29 +3,48 @@
 A series value is a *window* of exactly known coefficients.  ``coeffs[i]``
 is the coefficient of ``q**(offset + i)``; every coefficient below
 ``offset`` is exactly zero, and nothing is claimed at or above
-``prec = offset + len(coeffs)``.  All arithmetic uses Python's big
-integers, so results are exact, and every operation propagates the window
-conservatively: a result never claims a coefficient it cannot actually
-know from its inputs.
+``prec = offset + len(coeffs)``.  All arithmetic is exact integer
+arithmetic, and every operation propagates the window conservatively: a
+result never claims a coefficient it cannot actually know from its
+inputs.
 
-Products use one Kronecker-substitution kernel.  Both operands are cut to
-the common length n; each coefficient becomes one signed base-2**(8w)
-digit of a single Python int, the two ints are multiplied once (CPython's
-Karatsuba, in C), and the low n digits of the product are read back.
-Every product coefficient is a sum of at most n terms a_i * b_j, so
-|c_k| <= n * max|a| * max|b|.  The digit width w is the smallest whole
-number of bytes whose top bit is clear of that bound, so no digit ever
-overflows into its neighbour and the result is the exact Cauchy product.
-Packing and unpacking go through ``int.to_bytes``/``int.from_bytes``
-(binary, linear time), never through decimal strings.
+Products use one Kronecker-substitution kernel on decimal digits.  Both
+operands are cut to the common length n; each coefficient c becomes the
+d-digit decimal string of c + 10**d/2, the strings are concatenated
+(highest coefficient first) into one ``Decimal``, and the bias is
+subtracted, which leaves sum(c_i * 10**(d*i)) exactly.  The two values
+are multiplied once by libmpdec, whose multiply switches to a
+number-theoretic transform on long operands, and the low n digit groups
+of the product are read back.  Every product coefficient is bounded by
+the triangle inequality: |c_k| <= sum_i |a_i| * max|b| (and the same with
+a and b swapped), so with B the smaller of the two bounds, or the
+operands' own largest coefficient if that is bigger, the width d is the
+smallest digit count with 2*B < 10**d and no digit group ever carries
+into its neighbour: the result is the exact Cauchy product.  The
+arithmetic runs under a private context with the largest precision and
+exponent range, trapping ``Inexact`` and ``Rounded``, so a product that
+did not fit would raise instead of returning a wrong coefficient; the
+thread's ``decimal.getcontext()`` is never changed.
+
+The kernel needs the C ``decimal`` module (``_decimal``, part of the
+standard library, so etaq still has no runtime dependency); the
+pure-Python ``_pydecimal`` fallback would be orders of magnitude slower.
+CPython refuses int <-> str conversions of more than
+``sys.get_int_max_str_digits()`` digits, and that limit may be set as
+low as 640; digit groups wider than 640 digits are therefore converted
+through ``Decimal`` (a binary conversion, with no limit) instead of
+``%``-formatting and ``int``, and the global limit is never changed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 import operator
+import struct
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Iterator, Mapping
 
 PASS = "pass"
@@ -162,21 +181,19 @@ class LaurentSeries:
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs[:n], other.coeffs[:n]
         max_a, max_b = max(map(abs, a)), max(map(abs, b))
-        # |c_k| <= n*max_a*max_b; the operands' own digits must fit too when
-        # the other operand is all zeros.  One spare bit holds the sign.
-        w = max(n * max_a * max_b, max_a, max_b).bit_length() // 8 + 1
-        bias = int.from_bytes(b"\x80".rjust(w, b"\0") * n, "little")
-        product = _pack(a, w, bias)
-        # A square (self * self, as in _pow) takes CPython's squaring path.
-        product *= product if b is a else _pack(b, w, bias)
-        # With 2**(8w-1) added to every digit all digits are nonnegative,
-        # so the mask keeps exactly c_0..c_{n-1}; the XOR turns each digit
-        # back into the two's complement of its c_k.
-        low = ((product + bias) & ((1 << (8 * w * n)) - 1)) ^ bias
-        data = low.to_bytes(w * n, "little")
-        return LaurentSeries(self.offset + other.offset, tuple(
-            [int.from_bytes(data[i:i + w], "little", signed=True)
-             for i in range(0, w * n, w)]))
+        # The operands' own digits must fit too when one side is all zeros.
+        bound = max(min(sum(map(abs, a)) * max_b, max_a * sum(map(abs, b))), max_a, max_b)
+        d = _digit_count(2 * bound)
+        bias = Decimal(("5" + "0" * (d - 1)) * n)  # 10**d/2 in every digit group
+        x = _CONTEXT.subtract(Decimal(_digits(a, d)), bias)
+        # A square (self * self, as in _pow) passes one operand twice.
+        y = x if b is a else _CONTEXT.subtract(Decimal(_digits(b, d)), bias)
+        # Adding the bias turns c_0..c_{n-1} into nonnegative d-digit groups;
+        # adding 10**(2nd) keeps the sum positive when the upper half of the
+        # product is negative, so its last n*d digits are exactly those groups.
+        product = _CONTEXT.fma(x, y, _CONTEXT.add(bias, Decimal(f"1E{2 * n * d}")))
+        return LaurentSeries(self.offset + other.offset,
+                             _coefficients(str(product)[-n * d:], n, d))
 
     def __rmul__(self, other: int) -> LaurentSeries:
         if isinstance(other, int):
@@ -260,15 +277,45 @@ class LaurentSeries:
         return "\n".join(lines)
 
 
-def _pack(coeffs: tuple[int, ...], w: int, bias: int) -> int:
-    """sum(c * 2**(8*w*i)) for coefficients with |c| < 2**(8*w - 1).
+# Exact integer arithmetic: a result that needs rounding raises Inexact.
+_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           Emin=decimal.MIN_EMIN, traps=[decimal.Inexact, decimal.Rounded])
 
-    Concatenated two's-complement digits, XOR the top bit of every digit,
-    read c + 2**(8*w - 1) >= 0 per digit; subtracting ``bias`` (that
-    offset in every digit) leaves the signed sum.
+# The lowest int <-> str digit limit CPython accepts; no limit refuses a
+# conversion of this many digits or fewer.
+_STR_DIGITS = 640
+
+
+def _digit_count(t: int) -> int:
+    """The smallest d >= 1 with t < 10**d, for t >= 0."""
+    # 0.30102999 < log10(2), so the estimate never overshoots the answer.
+    d = max(1, (t.bit_length() - 1) * 30102999 // 100000000)
+    while 10 ** d <= t:
+        d += 1
+    return d
+
+
+def _digits(coeffs: tuple[int, ...], d: int) -> str:
+    """The d-digit decimal strings of c + 10**d/2, highest c first.
+
+    Every |c| must be below 10**d/2, so each string is d digits wide.
     """
-    digits = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
-    return (int.from_bytes(digits, "little") ^ bias) - bias
+    values = map((5 * 10 ** (d - 1)).__add__, reversed(coeffs))
+    if d <= _STR_DIGITS:
+        return (f"%0{d}d" * len(coeffs)) % tuple(values)
+    return "".join([str(Decimal(v)).zfill(d) for v in values])
+
+
+def _coefficients(text: str, n: int, d: int) -> tuple[int, ...]:
+    """Inverse of ``_digits``: n groups of d digits, each minus 10**d/2."""
+    if d <= _STR_DIGITS:
+        # A fresh Struct: struct.unpack would keep one compiled format per (n, d).
+        values = map(int, struct.Struct(f"{d}s" * n).unpack(text.encode()))
+    else:
+        values = (int(Decimal(text[i:i + d])) for i in range(0, n * d, d))
+    out = list(map((-5 * 10 ** (d - 1)).__add__, values))
+    out.reverse()
+    return tuple(out)
 
 
 @dataclass(frozen=True)

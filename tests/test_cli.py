@@ -139,6 +139,24 @@ def test_verify_theorem_insufficient_exit(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_theorem_31_reports_levels_beyond_the_window(capsys):
+    # At order 2000 the level-11 and level-12 progressions start at
+    # exponents 2046 and above: those dissections become rows, not an abort.
+    code = main(["verify", "theorem", "--id", "3.1", "--order", "2000",
+                 "--kmax", "12", "--format", "json"])
+    assert code == EXIT_PRECISION
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    dissections = [r for r in rows if r["label"].startswith("dissection[")]
+    inductions = [r for r in rows if r["label"].startswith("induction[")]
+    assert (len(dissections), len(inductions)) == (36, 33)
+    short = [r for r in dissections if r["status"] == INSUFFICIENT]
+    assert [r["label"] for r in short] == [
+        f"dissection[{t},k={k}]" for k in (11, 12) for t in ("M", "TSTAR", "PSTAR")]
+    assert all(r["checked"] is None and r["note"] ==
+               "only 0 reachable coefficients below order 2000, need 1" for r in short)
+    assert {r["status"] for r in rows if r not in short} == {PASS}
+
+
 def test_verify_all_json(capsys):
     assert main(["verify", "all", "--order", "64", "--kmax", "2",
                  "--format", "json"]) == EXIT_OK

@@ -1,17 +1,23 @@
-"""The Kronecker-substitution product and the slice-based add and compare.
+"""The decimal Kronecker-substitution product and the slice-based add and
+compare.
 
 Every case is checked against a reference written here, one exponent at
-a time, with seeded random operands.  The last test checks the product
-end to end against the oracle's literal factor products, which share no
-algorithm with the kernel.
+a time, with seeded random operands.  One test checks the product end to
+end against the oracle's literal factor products, which share no
+algorithm with the kernel.  The kernel's tests also run in CI under
+``python -X int_max_str_digits=640``, the lowest int <-> str limit
+CPython accepts.
 """
 
 from __future__ import annotations
 
+import decimal
 import random
+import sys
 
 import pytest
 
+from etaq import series
 from etaq.eta import expand_quotient
 from etaq.oracle import direct_eta_product
 from etaq.series import FAIL, INSUFFICIENT, PASS, EmptyWindow, LaurentSeries, compare
@@ -79,7 +85,8 @@ def test_product_borrows_across_digits():
 @pytest.mark.parametrize("bits", (1, 7, 8, 63, 64, 200))
 def test_product_reaches_the_digit_width_bound(bits):
     # With every coefficient +-max the last product coefficient is exactly
-    # n * max|a| * max|b| in absolute value: the bound the width is chosen for.
+    # n * max|a| * max|b| = ||a||_1 * max|b| in absolute value: the bound
+    # the width is chosen for.
     top = (1 << bits) - 1
     for n in (1, 2, 16, 255, 256):
         a = LaurentSeries(0, (top,) * n)
@@ -90,6 +97,93 @@ def test_product_reaches_the_digit_width_bound(bits):
         assert b * b == schoolbook(b, b)
         alternating = LaurentSeries(0, tuple(top if i % 2 else -top for i in range(n)))
         assert alternating * alternating == schoolbook(alternating, alternating)
+
+
+def composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
+    """``parts`` positive integers summing to ``total``, in seeded order."""
+    cuts = set()
+    while len(cuts) < parts - 1:
+        cuts.add(rng.randrange(1, total))
+    cuts = sorted(cuts)
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 17, 18, 40))
+@pytest.mark.parametrize("twice_bound", ("below", "at"))
+def test_product_at_a_power_of_ten_width_step(d, twice_bound):
+    # ||a||_1 = B, b all +-1: the last coefficient is exactly +-B, the
+    # bound the width is chosen for.  2B = 10**d - 2 still fits d digits;
+    # 2B = 10**d needs d + 1.  With b all -1 every product coefficient is
+    # negative, the upper half included.
+    bound = 10 ** d // 2 - (twice_bound == "below")
+    assert series._digit_count(2 * bound) == d + (twice_bound == "at")
+    rng = random.Random(d)
+    for n in (1, 2, 3, 9):
+        if bound < n:
+            continue
+        a = LaurentSeries(0, composition(bound, n, rng))
+        for sign in (1, -1):
+            b = LaurentSeries(-1, (sign,) * n)
+            product = a * b
+            assert product.coeffs[-1] == sign * bound
+            assert product == schoolbook(a, b)
+        assert a * a == schoolbook(a, a)
+
+
+def test_digit_count_is_the_smallest_width():
+    for t in range(0, 2000):
+        assert series._digit_count(t) == max(1, len(str(t)))
+    for d in range(1, 60):
+        assert series._digit_count(10 ** d - 1) == d
+        assert series._digit_count(10 ** d) == d + 1
+
+
+def test_product_with_negative_upper_half():
+    # Positive low coefficients and a negative upper half: the unpacked sum
+    # is positive only because of the 10**(2nd) offset.
+    rng = random.Random(11)
+    for n in (1, 2, 5, 40):
+        a = LaurentSeries(0, tuple(rng.randint(1, 9) for _ in range(n)))
+        b = LaurentSeries(0, (1,) + tuple(-rng.randint(50, 99) for _ in range(n - 1)))
+        assert a * b == schoolbook(a, b)
+        assert b * b == schoolbook(b, b)
+
+
+def test_product_past_the_int_string_limit():
+    # 5001-digit coefficients: past CPython's default limit of 4300 digits
+    # for int <-> str conversions.  1001-digit ones are within it but past
+    # the lowest limit, 640, which CI sets for this file.
+    big = 10 ** 5001
+    rng = random.Random(13)
+    cases = [LaurentSeries(0, (1, 1 << 15000, -3)),
+             LaurentSeries(2, (big - 7, -big + 1)),
+             LaurentSeries(-1, tuple(rng.randint(-big, big) for _ in range(6))),
+             LaurentSeries(0, (10 ** 1000, -1, 3 - 10 ** 1000))]
+    for a in cases:
+        for b in cases:
+            assert a * b == schoolbook(a, b)
+        assert a * a == schoolbook(a, a)
+
+
+def test_product_leaves_the_decimal_context_and_int_limit_alone():
+    context = decimal.getcontext()
+    before = (context.prec, context.Emax, context.Emin, context.rounding,
+              dict(context.traps), dict(context.flags))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    a = LaurentSeries(0, (1 << 15000, -3, 7) * 30)
+    assert a * a == schoolbook(a, a)
+    assert decimal.getcontext() is context
+    assert (context.prec, context.Emax, context.Emin, context.rounding,
+            dict(context.traps), dict(context.flags)) == before
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_decimal_is_the_c_implementation():
+    # The kernel's speed rests on libmpdec; _pydecimal would be exact but
+    # orders of magnitude slower.
+    import _decimal
+
+    assert decimal.Decimal is _decimal.Decimal
 
 
 def test_product_matches_literal_factor_products():
