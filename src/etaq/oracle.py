@@ -1,25 +1,27 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Nothing here shares an algorithm with :mod:`etaq.eta` or with the
-product kernel of :mod:`etaq.series`: partition counts come from a
-parts-accumulation dynamic program (no pentagonal numbers), and eta
-products and k(q) are rebuilt one literal (1 - q^d) factor at a time,
-each factor one slice update of a plain list.
+Partition counts come from a parts-accumulation dynamic program.  Eta
+products and k(q) come from one exact recurrence on the exponents a_d of
+their literal (1 - q^d) factors, F = prod_{d>=1} (1 - q^d)^{a_d}: with
+s_k = -sum_{d | k} d a_d, F_0 = 1 and n F_n = sum_{k=1}^{n} s_k F_{n-k}
+(Apostol, Introduction to Analytic Number Theory, Thm 14.8).  Each
+division by n is exact; a remainder raises ``ArithmeticError``.
+
+The recurrence shares nothing with :mod:`etaq.eta` or the product kernel
+of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
+Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert``.  Its
+inputs are divisor sums of factor exponents, never a series' coefficients.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Mapping
 
 from . import eta
 from .identities import MIN_ORDER
 from .series import FAIL, PASS, LaurentSeries, Report, compare
-
-
-def _times_binomial(c: list[int], d: int) -> None:
-    """c *= (1 - q^d) in place; both slices are read before the write."""
-    c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
 
 
 def _over_binomial(c: list[int], d: int) -> None:
@@ -43,53 +45,48 @@ def partition_counts(order: int) -> list[int]:
     return dp
 
 
-def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
-    """prod f_m^{e_m} on [0, order) without pentagonal numbers.
+def _euler_product(a: list[int]) -> list[int]:
+    """prod_{d>=1} (1 - q^d)^{a[d]} on [0, len(a)); a[0] is ignored."""
+    s = [0] * len(a)
+    for d in range(1, len(a)):
+        if a[d]:  # s_k -= d a_d at every multiple k of d
+            s[d::d] = [x - d * a[d] for x in s[d::d]]
+    f = [1]
+    for n in range(1, len(a)):
+        q, r = divmod(sum(map(operator.mul, f, s[n:0:-1])), n)
+        if r:
+            raise ArithmeticError(f"inexact division by {n} at q^{n}")
+        f.append(q)
+    return f[:len(a)]  # the empty window stays empty
 
-    Each positive exponent unit multiplies in the factors (1 - q^d) for
-    d = m, 2m, ... < order one by one; each negative unit multiplies by
-    the geometric series 1/(1 - q^d) instead.  Factors with d >= order
-    cannot change the window.
-    """
+
+def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
+    """prod f_m^{e_m} on [0, order): a series in q^g, g the gcd of the periods."""
     for m, e in factors.items():
         if m < 1:
             raise ValueError(f"period must be >= 1, got {m}")
         if e == 0:
             raise ValueError(f"exponent of f{m} must be nonzero")
+    g = math.gcd(*factors) or 1
+    a = [0] * -(-order // g)
+    for m, e in sorted(factors.items()):  # a_d = sum_{m | gd} e_m on ceil(order/g) terms
+        for d in range(m // g, len(a), m // g):
+            a[d] += e
     c = [0] * order
-    c[0] = 1
-    for m, e in sorted(factors.items()):
-        step = _times_binomial if e > 0 else _over_binomial
-        for _ in range(abs(e)):
-            for d in range(m, order, m):
-                step(c, d)
+    c[::g] = _euler_product(a)
     return LaurentSeries(0, tuple(c))
 
 
-# Residues mod 10 of the d with (1 - q^d) upstairs / downstairs in k(q).
-_K_NUMERATOR = frozenset({1, 2, 8, 9})
-_K_DENOMINATOR = frozenset({3, 4, 6, 7})
+# a_d of k(q) by d mod 10: (1 - q^d) upstairs in d = 1,2,8,9, downstairs in 3,4,6,7.
+_K_EXPONENT = {1: 1, 2: 1, 8: 1, 9: 1, 3: -1, 4: -1, 6: -1, 7: -1}
 
 
 def direct_k(order: int) -> LaurentSeries:
-    """k(q) on [1, order) as the literal product
-
-        q * prod (1 - q^d) [d = 1,2,8,9 mod 10] / prod (1 - q^d) [d = 3,4,6,7 mod 10],
-
-    one factor at a time in increasing d; factors with d >= order - 1
-    cannot move any retained coefficient.
-    """
+    """k(q) on [1, order): q prod (1 - q^d)^{a_d} with a_d = _K_EXPONENT[d % 10]."""
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    length = order - 1
-    c = [0] * length
-    c[0] = 1
-    for d in range(1, length):
-        if d % 10 in _K_NUMERATOR:
-            _times_binomial(c, d)
-        elif d % 10 in _K_DENOMINATOR:
-            _over_binomial(c, d)
-    return LaurentSeries(1, tuple(c))
+    return LaurentSeries(1, tuple(_euler_product(
+        [_K_EXPONENT.get(d % 10, 0) for d in range(order - 1)])))
 
 
 def _agreement(name: str, order: int, a: LaurentSeries, b: LaurentSeries) -> Report:

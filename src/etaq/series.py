@@ -184,7 +184,7 @@ class LaurentSeries:
         # The operands' own digits must fit too when one side is all zeros.
         bound = max(min(sum(map(abs, a)) * max_b, max_a * sum(map(abs, b))), max_a, max_b)
         d = _digit_count(2 * bound)
-        bias = Decimal(("5" + "0" * (d - 1)) * n)  # 10**d/2 in every digit group
+        bias = _bias(n, d)
         x = _CONTEXT.subtract(Decimal(_digits(a, d)), bias)
         # A square (self * self, as in _pow) passes one operand twice.
         y = x if b is a else _CONTEXT.subtract(Decimal(_digits(b, d)), bias)
@@ -293,6 +293,19 @@ def _digit_count(t: int) -> int:
     while 10 ** d <= t:
         d += 1
     return d
+
+
+def _bias(n: int, d: int) -> Decimal:
+    """10**d/2 in each of n d-digit groups, by doubling the group count."""
+    unit = Decimal("5" + "0" * (d - 1))
+    bias, groups = Decimal(0), 0
+    for bit in bin(n)[2:]:
+        bias = _CONTEXT.add(bias, _CONTEXT.scaleb(bias, groups * d))
+        groups *= 2
+        if bit == "1":
+            bias = _CONTEXT.add(_CONTEXT.scaleb(bias, d), unit)
+            groups += 1
+    return bias
 
 
 def _digits(coeffs: tuple[int, ...], d: int) -> str:

@@ -3,8 +3,8 @@ compare.
 
 Every case is checked against a reference written here, one exponent at
 a time, with seeded random operands.  One test checks the product end to
-end against the oracle's literal factor products, which share no
-algorithm with the kernel.  The kernel's tests also run in CI under
+end against the oracle's product recurrence, which shares no algorithm
+with the kernel.  The kernel's tests also run in CI under
 ``python -X int_max_str_digits=640``, the lowest int <-> str limit
 CPython accepts.
 """
@@ -136,6 +136,16 @@ def test_digit_count_is_the_smallest_width():
     for d in range(1, 60):
         assert series._digit_count(10 ** d - 1) == d
         assert series._digit_count(10 ** d) == d + 1
+
+
+@pytest.mark.parametrize("d", (1, 2, 17, 640, 641))
+@pytest.mark.parametrize("n", (1, 2, 3, 1000))
+def test_bias_equals_its_digit_string(n, d):
+    # The bias is built by doubling; the string form is its definition.
+    bias = series._bias(n, d)
+    expected = decimal.Decimal(("5" + "0" * (d - 1)) * n)
+    assert bias == expected
+    assert bias.as_tuple() == expected.as_tuple()
 
 
 def test_product_with_negative_upper_half():

@@ -1,16 +1,34 @@
-"""Tests for the brute-force oracle and the cross-check harness."""
+"""Tests for the brute-force oracle and the cross-check harness.
+
+The oracle's product recurrence is checked against the literal product
+it replaced, which multiplies in one (1 - q^d) factor at a time, and
+against digests that the literal product recorded in
+``perfbench/reference.json``.
+"""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import math
+import operator
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import etaq.eta as eta
+import etaq.oracle as oracle
+import prop_support as props
 from etaq.oracle import (
     cross_check,
     direct_eta_product,
+    direct_k,
     partition_counts,
 )
 from etaq.series import FAIL, PASS, LaurentSeries, worst
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 P_SMALL = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
@@ -33,6 +51,89 @@ def test_partition_counts_validation():
         partition_counts(0)
 
 
+def times_binomial(c: list[int], d: int) -> None:
+    """c *= (1 - q^d) in place; both slices are read before the write."""
+    c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
+
+
+def over_binomial(c: list[int], d: int) -> None:
+    """c /= (1 - q^d) in place: c[n] += c[n - d] in ascending n."""
+    for n in range(d, len(c)):
+        c[n] += c[n - d]
+
+
+def literal_eta_product(factors: dict[int, int], order: int) -> list[int]:
+    """prod f_m^{e_m} on [0, order), one (1 - q^d) factor per exponent unit."""
+    c = [1] + [0] * (order - 1)
+    for m, e in sorted(factors.items()):
+        step = times_binomial if e > 0 else over_binomial
+        for _ in range(abs(e)):
+            for d in range(m, order, m):
+                step(c, d)
+    return c
+
+
+def literal_k(order: int) -> list[int]:
+    """k(q) on [1, order), one factor at a time in increasing d."""
+    c = [1] + [0] * (order - 2)
+    for d in range(1, order - 1):
+        if d % 10 in (1, 2, 8, 9):
+            times_binomial(c, d)
+        elif d % 10 in (3, 4, 6, 7):
+            over_binomial(c, d)
+    return c
+
+
+@pytest.mark.parametrize("factors", props.random_quotients(18, 8), ids=str)
+def test_recurrence_matches_literal_product(factors):
+    for order in (1, 2, 97, 240):
+        assert list(direct_eta_product(factors, order).coeffs) == literal_eta_product(
+            factors, order)
+
+
+def test_random_quotients_cover_reduced_quotients():
+    quotients = props.random_quotients(18, 8)
+    assert sum(math.gcd(*q) > 1 for q in quotients) >= 4
+    assert sum(any(e < 0 for e in q.values()) for q in quotients) >= 9
+    assert sum(len(q) >= 3 for q in quotients) >= 4
+
+
+@pytest.mark.parametrize("factors", ({60: 3}, {1: -2, 200: 1}, {100: -1, 150: 4}, {}))
+def test_recurrence_with_periods_at_or_past_the_order(factors):
+    for order in (1, 2, 60, 100, 150, 151):
+        assert list(direct_eta_product(factors, order).coeffs) == literal_eta_product(
+            factors, order)
+
+
+def test_recurrence_matches_literal_k_at_every_order():
+    literal = literal_k(300)
+    for order in range(2, 301):
+        k = direct_k(order)
+        assert (k.offset, list(k.coeffs)) == (1, literal[:order - 1])
+
+
+def test_recurrence_matches_digests_recorded_from_literal_products():
+    # perfbench/reference.json holds BLAKE2b-64 digests of the dump texts
+    # of the literal factor-by-factor products, one per session quotient.
+    reference = json.loads(REFERENCE.read_text())
+    assert reference["digest"] == "blake2b-64"
+    assert len(reference["quotients"]) == 32
+    for text, digests in reference["quotients"].items():
+        dump = direct_eta_product(eta.parse_quotient(text), 600).dump()
+        assert hashlib.blake2b(dump.encode(), digest_size=8).hexdigest() == \
+            digests["expand"]["600"], text
+
+
+def test_inexact_division_raises(monkeypatch):
+    # Tripwire: a non-integral exponent makes n F_n indivisible by n, and
+    # the recurrence must raise rather than floor.
+    monkeypatch.setitem(oracle._K_EXPONENT, 3, Fraction(-1, 2))
+    with pytest.raises(ArithmeticError, match="inexact division by 3 at q\\^3"):
+        direct_k(40)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        direct_eta_product({1: Fraction(1, 3)}, 10)
+
+
 def test_direct_eta_product_single_factor():
     assert direct_eta_product({1: 1}, 13).coeffs == (
         1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1,
@@ -40,8 +141,8 @@ def test_direct_eta_product_single_factor():
 
 
 def test_direct_eta_product_inverse_is_partitions():
-    s = direct_eta_product({1: -1}, 30)
-    assert list(s.coeffs) == partition_counts(30)
+    s = direct_eta_product({1: -1}, 500)
+    assert list(s.coeffs) == partition_counts(500)
 
 
 def test_direct_eta_product_cancellation():
