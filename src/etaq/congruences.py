@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eta import expand_quotient, gen_target
+from .eta import TARGET_NAMES, expand_quotient, gen_target
 from .sequences import seq_value
 from .series import (
     FAIL,
@@ -35,7 +35,6 @@ from .series import (
 )
 
 TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
-_PRETTY: dict[str, str] = {"M": "M", "TSTAR": "T*", "PSTAR": "P*"}
 # The extracted progression is step*n + step*2 - 1 for M and P*, one lower
 # for T* (whose base dissection starts at an even argument).
 _RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
@@ -79,7 +78,7 @@ class DissectionClaim:
         return f"dissection[{self.target},k={self.k}]"
 
     def describe(self) -> str:
-        name = _PRETTY[self.target]
+        name = TARGET_NAMES[self.target]
         family = TARGET_FAMILY[self.target]
         terms = f"{family}_{self.k} q^-1 F - 8 {family}_{self.k - 1} G"
         if self.target != "PSTAR":
@@ -168,7 +167,7 @@ class CongruenceClaim:
             raise ValueError(f"step must be >= 1, got {self.step}")
 
     def describe(self) -> str:
-        name = _PRETTY[self.target]
+        name = TARGET_NAMES[self.target]
         subject = f"{name}({self.step}n+{self.residue})"
         if self.required_valuation is None:
             return f"{subject} == 0 for all n >= -1"

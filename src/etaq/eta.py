@@ -70,6 +70,8 @@ TARGETS: dict[str, dict[int, int]] = {
     "PSTAR": {1: 4, 5: 4},
     "EULER_P": {1: -1},
 }
+# How claims and identity statements print a target, as in M(2n+3).
+TARGET_NAMES: dict[str, str] = {"M": "M", "TSTAR": "T*", "PSTAR": "P*"}
 
 # Factors are ((p, a), e) for theta(p, a)^e; k(q) is q times this quotient.
 _Items = tuple[tuple[tuple[int, int], int], ...]
@@ -310,6 +312,7 @@ def parse_quotient(text: str) -> dict[int, int]:
 
 __all__ = [
     "TARGETS",
+    "TARGET_NAMES",
     "EmptyWindow",
     "QuotientParseError",
     "cache_info",

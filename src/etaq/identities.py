@@ -1,203 +1,188 @@
 """Catalog of exact series identities and their verifier.
 
-Each entry names the two sides of one identity among eta quotients, the
-level-10 multiplier k(q), and the named generating targets.  Identities
-whose natural statement divides by q or by k are carried in an equivalent
-cleared or rearranged form so both sides stay Laurent windows over the
-integers; each ``statement`` string records the exact form checked.
+Each ``statement`` is the only spelling of one identity among eta
+quotients, k(q) and the named targets, in a cleared form where it would
+divide by q or k: both sides are read from it, so a claim is what it checks.
+
+Statement notation: `` = `` separates the sides, juxtaposition
+multiplies, ``/`` divides by one term with coefficient +-1 and no k
+(never by a sum), ``^`` is a positive integer power, the names are
+``q``, ``k``, ``f<m>`` and the keys of ``eta.TARGETS``, and
+``extract(side, m, r)`` is sum_n c(mn + r) q^n.  ``sum_{n>=L} X(an+b)
+q^n`` is ``extract`` of the target printed as X, with L the first n
+where an + b >= 0, and ``prod (1 - (-q)^n)`` is f1 at -q.  A trailing
+``[...]`` remark is not checked, and a side that is a bare integer
+takes the other side's window.  A side stays a list of terms
+c q^s k^j prod f_m^e_m until a power of a sum or an ``extract`` needs
+its series.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
-from typing import Callable
 
-from .congruences import DissectionClaim, lhs_series, rhs_series
-from .eta import expand_f, expand_k, expand_quotient
+from .eta import TARGET_NAMES, TARGETS, expand_f, expand_k, expand_quotient
 from .series import LaurentSeries, Report, compare
 
-Sides = tuple[LaurentSeries, LaurentSeries]
+Term = tuple[int, int, int, dict[int, int]]  # (c, s, j, {m: e_m})
+Value = list[Term] | LaurentSeries
+
+_REMARK = re.compile(r"\s*\[[^\]]*\]$")
+_SUM = re.compile(r"sum_\{n>=(-?\d+)\} (%s)\(([1-9]\d*)n\+(\d+)\) q\^n"
+                  % "|".join(map(re.escape, TARGET_NAMES.values())))
+_PROD, _F1_AT_MINUS_Q = "prod (1 - (-q)^n)", "f1_at_minus_q"
+# Whitespace between two operands, or an operand right after a closing
+# parenthesis or a number: the places where juxtaposition multiplies.
+_JUXTAPOSED = re.compile(r"(?<=[\w)])\s+(?=[\w(])|(?<=\))(?=[\w(])|(?<=\d)(?=[A-Za-z(])")
+_FACTOR = re.compile(r"f([1-9][0-9]*)")
 
 
-def _q(factors: dict[int, int], order: int) -> LaurentSeries:
-    return expand_quotient(factors, order)
+def _extraction(match: re.Match[str]) -> str:
+    start, shown, step, residue = match.groups()
+    if int(start) != -(int(residue) // int(step)):
+        raise ValueError(f"sum over {shown}({step}n+{residue}) starts at the wrong n")
+    target = next(t for t, name in TARGET_NAMES.items() if name == shown)
+    return f"extract({target}, {step}, {residue})"
 
 
-def _two_term_split(order: int) -> LaurentSeries:
-    """f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2); equals f1/f5."""
-    return (_q({2: 1, 8: 1, 20: 3, 4: -1, 10: -3, 40: -1}, order)
-            - _q({4: 2, 40: 1, 8: -1, 10: -2}, order).shift(1))
+def _python_syntax(side: str) -> str:
+    side = _SUM.sub(_extraction, side.replace(_PROD, _F1_AT_MINUS_Q))
+    return _JUXTAPOSED.sub("*", side.replace("^", "**"))
 
 
-def _four_term_split(order: int) -> LaurentSeries:
-    """The 2-residue split of f1 f5^3 into four eta-quotient terms."""
-    return (_q({2: 3, 10: 1}, order)
-            - _q({2: 1, 8: 2, 20: 6, 4: -2, 10: -1, 40: -2}, order).shift(1)
-            + 2 * _q({4: 1, 20: 3}, order).shift(2)
-            - _q({4: 4, 10: 1, 40: 2, 2: -1, 8: -2}, order).shift(3))
+def _integer(node: ast.expr) -> int:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise ValueError(f"expected a nonnegative integer literal, got {ast.unparse(node)!r}")
 
 
-def _sides_eq21(order: int) -> Sides:
-    lhs = _q({2: 5, 10: -1}, order)
-    rhs = _q({1: 5, 5: -1}, order) + 5 * _q({1: 2, 2: 1, 5: -2, 10: 3}, order).shift(1)
-    return lhs, rhs
+def _negate(x: Value) -> Value:
+    return -x if isinstance(x, LaurentSeries) else [(-c, s, j, f) for c, s, j, f in x]
 
 
-def _sides_eq22(order: int) -> Sides:
-    return _q({1: 1, 5: -1}, order), _two_term_split(order)
+def _times(x: Term, y: Term) -> Term:
+    factors = {m: x[3].get(m, 0) + y[3].get(m, 0) for m in x[3].keys() | y[3].keys()}
+    return (x[0] * y[0], x[1] + y[1], x[2] + y[2], {m: e for m, e in factors.items() if e})
 
 
-def _sides_eq23(order: int) -> Sides:
-    return _q({1: 1, 5: 3}, order), _four_term_split(order)
+def _series(value: Value, order: int) -> LaurentSeries:
+    if isinstance(value, LaurentSeries):
+        return value
+    total = None
+    for c, s, j, factors in value:
+        term = expand_quotient(factors, order)
+        for _ in range(j):
+            term = term * expand_k(order)
+        term = (term if c == 1 else c * term).shift(s)
+        total = term if total is None else total + term
+    return total
 
 
-def _sides_eq24(order: int) -> Sides:
-    k = expand_k(order)
-    e = _q({1: 1, 10: 5}, order)
-    lhs = k * _q({2: 1, 5: 5}, order)
-    rhs = e.shift(1) - (e * k * k).shift(1)
-    return lhs, rhs
+def _leaf(name: str, order: int) -> Value:
+    if name == _F1_AT_MINUS_Q:
+        return expand_f(1, order).alternate_signs()
+    if name in ("q", "k"):
+        return [(1, int(name == "q"), int(name == "k"), {})]
+    if name in TARGETS:
+        return [(1, 0, 0, dict(TARGETS[name]))]
+    if (factor := _FACTOR.fullmatch(name)) is None:
+        raise ValueError(f"unknown name {name!r}")
+    return [(1, 0, 0, {int(factor[1]): 1})]
 
 
-def _sides_eq25(order: int) -> Sides:
-    k = expand_k(order)
-    e = _q({1: 2, 10: 4}, order)
-    lhs = k * _q({2: 4, 5: 2}, order)
-    rhs = e.shift(1) + (e * k).shift(1) - (e * k * k).shift(1)
-    return lhs, rhs
+def _product(x: Value, y: Value, order: int) -> Value:
+    if isinstance(x, list) and isinstance(y, list):
+        return [_times(a, b) for a in x for b in y]
+    return _series(x, order) * _series(y, order)
 
 
-def _sides_eq26(order: int) -> Sides:
-    k = expand_k(order)
-    e = _q({2: 1, 10: 3}, order)
-    lhs = k * _q({1: 3, 5: 1}, order)
-    rhs = e.shift(1) - 4 * (e * k).shift(1) - (e * k * k).shift(1)
-    return lhs, rhs
+def _evaluate(node: ast.expr, order: int) -> Value:
+    """One side's value: a term list while it stays symbolic, else a series."""
+    if isinstance(node, ast.Constant):
+        return [(_integer(node), 0, 0, {})]
+    if isinstance(node, ast.Name):
+        return _leaf(node.id, order)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _negate(_evaluate(node.operand, order))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "extract" and len(node.args) == 3 and not node.keywords):
+        side, step, residue = node.args
+        return _series(_evaluate(side, order), order).extract(_integer(step), _integer(residue))
+    op = type(node.op) if isinstance(node, ast.BinOp) else None
+    if op not in (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow):
+        raise ValueError(f"unsupported expression {ast.unparse(node)!r}")
+    x = _evaluate(node.left, order)
+    if op is ast.Pow:
+        if (n := _integer(node.right)) < 1:
+            raise ValueError(f"power must be a positive integer, got {n}")
+        # A sum is expanded once, so its square takes the kernel's self * self path.
+        base = result = x if isinstance(x, list) and len(x) == 1 else _series(x, order)
+        for _ in range(n - 1):
+            result = _product(result, base, order)
+        return result
+    y = _evaluate(node.right, order)
+    if op is ast.Div:
+        if not (isinstance(y, list) and len(y) == 1 and y[0][0] in (1, -1) and y[0][2] == 0):
+            raise ValueError(f"cannot divide by {ast.unparse(node.right)!r}, not a unit term")
+        y = [(c, -s, 0, {m: -e for m, e in factors.items()}) for c, s, _, factors in y]
+    if op in (ast.Mult, ast.Div):
+        return _product(x, y, order)
+    y = _negate(y) if op is ast.Sub else y
+    if isinstance(x, list) and isinstance(y, list):
+        return x + y
+    return _series(x, order) + _series(y, order)
 
 
-def _sides_eq27(order: int) -> Sides:
-    lhs = (_q({2: 4, 5: 2, 1: -2, 10: -4}, order).shift(-1)
-           - _q({1: 3, 5: 1, 2: -1, 10: -3}, order).shift(-1))
-    rhs = LaurentSeries.from_terms({0: 5}, -1, order - 1)
-    return lhs, rhs
-
-
-def _sides_eq28(order: int) -> Sides:
-    lhs = _q({1: 1, 2: 1, 5: 5}, order)
-    rhs = _q({2: 4, 5: 2, 10: 1}, order) - _q({1: 2, 10: 5}, order).shift(1)
-    return lhs, rhs
-
-
-def _sides_eq29(order: int) -> Sides:
-    w = _two_term_split(order)
-    lhs = _q({1: 1, 5: 3}, order)
-    rhs = _q({2: 3, 10: 1}, order) - (_q({10: 5, 2: -1}, order) * w * w).shift(1)
-    return lhs, rhs
-
-
-def _sides_negq(order: int) -> Sides:
-    return expand_f(1, order).alternate_signs(), _q({2: 3, 1: -1, 4: -1}, order)
-
-
-def _dissection_sides(target: str) -> Callable[[int], Sides]:
-    """Both sides of the level-1 dissection of one target, as an identity."""
-    claim = DissectionClaim(target, 1)
-    return lambda order: (lhs_series(claim, order), rhs_series(claim, order))
-
-
-def _sides_eq212_oddfree(order: int) -> Sides:
-    lhs = _four_term_split(order).extract(2, 0)
-    rhs = _q({1: 3, 5: 1}, order) + 2 * _q({2: 1, 10: 3}, order).shift(1)
-    return lhs, rhs
-
-
-def _sides_eq213_oddfree(order: int) -> Sides:
-    w = _two_term_split(order)
-    lhs = (w * w).extract(2, 0)
-    rhs = (_q({1: 2, 4: 2, 10: 6, 2: -2, 5: -6, 20: -2}, order)
-           + _q({2: 4, 20: 2, 4: -2, 5: -4}, order).shift(1))
-    return lhs, rhs
+def _read_sides(statement: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """Both sides of a statement, expanded to the given order."""
+    try:
+        sides = _REMARK.sub("", statement).split(" = ")
+        if len(sides) != 2:
+            raise ValueError("expected two sides separated by ' = '")
+        lhs, rhs = (ast.parse(_python_syntax(side), mode="eval").body for side in sides)
+        if isinstance(lhs, ast.Constant):
+            rhs = _series(_evaluate(rhs, order), order)
+            return LaurentSeries.from_terms({0: _integer(lhs)}, rhs.offset, rhs.prec), rhs
+        lhs = _series(_evaluate(lhs, order), order)
+        if isinstance(rhs, ast.Constant):
+            return lhs, LaurentSeries.from_terms({0: _integer(rhs)}, lhs.offset, lhs.prec)
+        return lhs, _series(_evaluate(rhs, order), order)
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"cannot read identity {statement!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class IdentityDefinition:
     tag: str
     statement: str
-    build: Callable[[int], tuple[LaurentSeries, LaurentSeries]]
 
 
-_DEFINITIONS = (
-    IdentityDefinition(
-        "EQ21",
-        "f2^5/f10 = f1^5/f5 + 5q f1^2 f2 f10^3/f5^2",
-        _sides_eq21),
-    IdentityDefinition(
-        "EQ22",
-        "f1/f5 = f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2)",
-        _sides_eq22),
-    IdentityDefinition(
-        "EQ23",
-        "f1 f5^3 = f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2)"
-        " + 2q^2 f4 f20^3 - q^3 f4^4 f10 f40^2/(f2 f8^2)",
-        _sides_eq23),
-    IdentityDefinition(
-        "EQ24",
-        "k f2 f5^5 = q f1 f10^5 (1 - k^2)   [cleared form of"
-        " f2 f5^5/(q f1 f10^5) = 1/k - k]",
-        _sides_eq24),
-    IdentityDefinition(
-        "EQ25",
-        "k f2^4 f5^2 = q f1^2 f10^4 (1 + k - k^2)   [cleared form of"
-        " f2^4 f5^2/(q f1^2 f10^4) = 1/k + 1 - k]",
-        _sides_eq25),
-    IdentityDefinition(
-        "EQ26",
-        "k f1^3 f5 = q f2 f10^3 (1 - 4k - k^2)   [cleared form of"
-        " f1^3 f5/(q f2 f10^3) = 1/k - 4 - k]",
-        _sides_eq26),
-    IdentityDefinition(
-        "EQ27",
-        "f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3) = 5",
-        _sides_eq27),
-    IdentityDefinition(
-        "EQ28",
-        "f1 f2 f5^5 = f2^4 f5^2 f10 - q f1^2 f10^5",
-        _sides_eq28),
-    IdentityDefinition(
-        "EQ29",
-        "f1 f5^3 = f2^3 f10 - q (f10^5/f2)"
-        " (f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2",
-        _sides_eq29),
-    IdentityDefinition(
-        "NEGQ",
-        "prod (1 - (-q)^n) = f2^3/(f1 f4)",
-        _sides_negq),
-    IdentityDefinition(
-        "L22",
-        "sum_{n>=-1} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4",
-        _dissection_sides("PSTAR")),
-    IdentityDefinition(
-        "EQ210",
-        "sum_{n>=-1} M(2n+3) q^n = f1^4 f5^4/q - 8 f2^4 f10^4"
-        " + 10 f1 f2 f5^3 f10^3",
-        _dissection_sides("M")),
-    IdentityDefinition(
-        "EQ211",
-        "sum_{n>=-1} T*(2n+2) q^n = f1^4 f5^4/q + 10 f1 f2 f5^3 f10^3",
-        _dissection_sides("TSTAR")),
-    IdentityDefinition(
-        "EQ212_ODDFREE",
-        "extract(f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2) + 2q^2 f4 f20^3"
-        " - q^3 f4^4 f10 f40^2/(f2 f8^2), 2, 0) = f1^3 f5 + 2q f2 f10^3",
-        _sides_eq212_oddfree),
-    IdentityDefinition(
-        "EQ213_ODDFREE",
-        "extract((f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2, 2, 0)"
-        " = (f1 f4 f10^3/(f2 f5^3 f20))^2 + q (f2^2 f20/(f4 f5^2))^2",
-        _sides_eq213_oddfree),
-)
-
-CATALOG: dict[str, IdentityDefinition] = {d.tag: d for d in _DEFINITIONS}
+CATALOG: dict[str, IdentityDefinition] = {tag: IdentityDefinition(tag, text) for tag, text in (
+    ("EQ21", "f2^5/f10 = f1^5/f5 + 5q f1^2 f2 f10^3/f5^2"),
+    ("EQ22", "f1/f5 = f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2)"),
+    ("EQ23", "f1 f5^3 = f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2)"
+             " + 2q^2 f4 f20^3 - q^3 f4^4 f10 f40^2/(f2 f8^2)"),
+    ("EQ24", "k f2 f5^5 = q f1 f10^5 (1 - k^2)   [cleared form of"
+             " f2 f5^5/(q f1 f10^5) = 1/k - k]"),
+    ("EQ25", "k f2^4 f5^2 = q f1^2 f10^4 (1 + k - k^2)   [cleared form of"
+             " f2^4 f5^2/(q f1^2 f10^4) = 1/k + 1 - k]"),
+    ("EQ26", "k f1^3 f5 = q f2 f10^3 (1 - 4k - k^2)   [cleared form of"
+             " f1^3 f5/(q f2 f10^3) = 1/k - 4 - k]"),
+    ("EQ27", "f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3) = 5"),
+    ("EQ28", "f1 f2 f5^5 = f2^4 f5^2 f10 - q f1^2 f10^5"),
+    ("EQ29", "f1 f5^3 = f2^3 f10 - q (f10^5/f2)"
+             " (f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2"),
+    ("NEGQ", "prod (1 - (-q)^n) = f2^3/(f1 f4)"),
+    ("L22", "sum_{n>=-1} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4"),
+    ("EQ210", "sum_{n>=-1} M(2n+3) q^n = f1^4 f5^4/q - 8 f2^4 f10^4 + 10 f1 f2 f5^3 f10^3"),
+    ("EQ211", "sum_{n>=-1} T*(2n+2) q^n = f1^4 f5^4/q + 10 f1 f2 f5^3 f10^3"),
+    ("EQ212_ODDFREE", "extract(f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2) + 2q^2 f4 f20^3"
+                      " - q^3 f4^4 f10 f40^2/(f2 f8^2), 2, 0) = f1^3 f5 + 2q f2 f10^3"),
+    ("EQ213_ODDFREE", "extract((f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2, 2, 0)"
+                      " = (f1 f4 f10^3/(f2 f5^3 f20))^2 + q (f2^2 f20/(f4 f5^2))^2"),
+)}
 
 MIN_ORDER = 16
 
@@ -212,7 +197,7 @@ def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
         raise ValueError(f"unknown identity id {tag!r}")
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
-    return CATALOG[tag].build(order)
+    return _read_sides(CATALOG[tag].statement, order)
 
 
 def verify_identity(tag: str, order: int) -> Report:

@@ -6,6 +6,7 @@ code and the printed output, exercising every exit path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,19 @@ def test_verify_all_json(capsys):
     assert payload["order"] == 64
     assert len(payload["reports"]) == 46
     assert {r["status"] for r in payload["reports"]} == {"pass", "skipped"}
+
+
+def test_verify_all_json_stdout_is_pinned(capsys):
+    # A BLAKE2b-64 digest of the whole battery's JSON at order 500, recorded
+    # before the identity sides were read from their statements.  It pins
+    # every claim string, window, witness and note against refactors.
+    assert main(["verify", "all", "--order", "500", "--kmax", "8",
+                 "--format", "json"]) == EXIT_PRECISION
+    out = capsys.readouterr().out
+    statuses = [r["status"] for r in json.loads(out)["reports"]]
+    assert (statuses.count(PASS), statuses.count(SKIPPED),
+            statuses.count(INSUFFICIENT), len(statuses)) == (86, 34, 4, 124)
+    assert hashlib.blake2b(out.encode(), digest_size=8).hexdigest() == "bfc51ae5836e5c0e"
 
 
 @pytest.mark.parametrize("argv, key", (

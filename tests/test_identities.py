@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from etaq.eta import expand_k, expand_quotient
 from etaq.identities import (
     CATALOG,
     MIN_ORDER,
+    IdentityDefinition,
+    _read_sides,
     catalog_ids,
     identity_sides,
     verify_all_identities,
     verify_identity,
 )
 from etaq.oracle import direct_eta_product
-from etaq.series import PASS, compare
+from etaq.series import FAIL, PASS, compare
 
 ALL_IDS = (
     "EQ21", "EQ22", "EQ23", "EQ24", "EQ25", "EQ26", "EQ27", "EQ28", "EQ29",
@@ -119,3 +123,103 @@ def test_identity_report_keeps_the_identity_name():
     report = verify_identity("EQ28", 64)
     assert report.identity == report.label == "EQ28"
     assert (report.order, report.status) == (64, PASS)
+
+
+# BLAKE2b-64 digests of lhs.dump() and rhs.dump() for every entry, recorded
+# from hand-written expansions of each side before the sides were read from
+# the statement text: any shifted window or changed coefficient fails.
+FROZEN_SIDES = {
+    16: {
+        "EQ21": ("2733dd14ec4642ca", "2733dd14ec4642ca"),
+        "EQ22": ("18232d3945756b89", "18232d3945756b89"),
+        "EQ23": ("745d9c4a279bab2a", "745d9c4a279bab2a"),
+        "EQ24": ("674575912dfe6557", "79b9f73d57376259"),
+        "EQ25": ("3c12121ed6ebf833", "5ad7a6e254f8c8d6"),
+        "EQ26": ("d25f14eaa1d76741", "4acca90f93913119"),
+        "EQ27": ("a45ffcd64c2d27a8", "a45ffcd64c2d27a8"),
+        "EQ28": ("8c9d081a9f73695c", "8c9d081a9f73695c"),
+        "EQ29": ("745d9c4a279bab2a", "745d9c4a279bab2a"),
+        "NEGQ": ("fe230b46f0cfe599", "fe230b46f0cfe599"),
+        "L22": ("91f90cb3d9b2c45a", "a57c5c1cb771c1b2"),
+        "EQ210": ("303b0a4c62093931", "10aa2753ac86a801"),
+        "EQ211": ("4a48e48463a6a7e9", "1704eebd6cfa1139"),
+        "EQ212_ODDFREE": ("f09bbd8d9c8b353e", "3abcbee5862b04be"),
+        "EQ213_ODDFREE": ("91eecd666ed11feb", "0c53ead1d5b32a98"),
+    },
+    301: {
+        "EQ21": ("b34c1f1dc30d2c1a", "b34c1f1dc30d2c1a"),
+        "EQ22": ("a05e657ee5c940ef", "a05e657ee5c940ef"),
+        "EQ23": ("97c87cad2ae541b8", "97c87cad2ae541b8"),
+        "EQ24": ("f61841871203e26b", "50b720443b5c8941"),
+        "EQ25": ("e176f3aeb7f0fc4b", "ce92d6b16a789ceb"),
+        "EQ26": ("c71c69d13d64929a", "10de2209bc95c89e"),
+        "EQ27": ("9fecda478ea399c7", "9fecda478ea399c7"),
+        "EQ28": ("563ab3a73776a340", "563ab3a73776a340"),
+        "EQ29": ("97c87cad2ae541b8", "97c87cad2ae541b8"),
+        "NEGQ": ("88106b91c5082667", "88106b91c5082667"),
+        "L22": ("8c41163283735ff4", "64714d0d817ea6e6"),
+        "EQ210": ("0c4ae249d0eeb962", "faf25bc2887b895a"),
+        "EQ211": ("5de1a5faea1c2fbc", "70d3555989a125dc"),
+        "EQ212_ODDFREE": ("2303a0c009d80b22", "cd5773cd45ed43a4"),
+        "EQ213_ODDFREE": ("9ba08b19bae34840", "5f730430b5b80372"),
+    },
+}
+
+
+@pytest.mark.parametrize("order", sorted(FROZEN_SIDES))
+@pytest.mark.parametrize("tag", ALL_IDS)
+def test_sides_read_from_the_statement_match_frozen_digests(tag, order):
+    lhs, rhs = identity_sides(tag, order)
+    digests = tuple(hashlib.blake2b(side.dump().encode(), digest_size=8).hexdigest()
+                    for side in (lhs, rhs))
+    assert digests == FROZEN_SIDES[order][tag]
+
+
+@pytest.mark.parametrize("tag, old, new, witness", (
+    ("EQ21", "5q", "6q", (1, 0, 1)),
+    # L22's rhs once came from the dissection code, so this edit passed.
+    ("L22", "-4", "-3", (-1, -4, -3)),
+))
+def test_one_token_edit_of_a_statement_fails_with_a_witness(tag, old, new, witness,
+                                                            monkeypatch):
+    statement = CATALOG[tag].statement
+    assert statement.count(old) == 1
+    edited = statement.replace(old, new)
+    outcome = compare(*_read_sides(edited, 300), min_overlap=150)
+    assert (outcome.status, outcome.witness) == (FAIL, witness)
+    monkeypatch.setitem(CATALOG, tag, IdentityDefinition(tag, edited))
+    report = verify_identity(tag, 300)
+    assert (report.status, report.claim) == (FAIL, edited)
+    assert report.witness == {"exponent": witness[0], "lhs": str(witness[1]),
+                              "rhs": str(witness[2])}
+
+
+@pytest.mark.parametrize("statement, reason", (
+    ("f1 f5 = g3 f5", "unknown name 'g3'"),
+    ("f1 = f2/(f1 + f5)", "cannot divide by"),
+    ("f1 = f1 f2/(k f2)", "cannot divide by"),
+    ("f1 = f1^(1/2)", "expected a nonnegative integer literal"),
+    ("f1 = f1^1.5", "expected a nonnegative integer literal"),
+    ("f1 = extract(f1, 2, -1)", "expected a nonnegative integer literal"),
+    ("f1 = f1^0", "positive integer"),
+    ("f1 f5^3", "two sides"),
+    ("f1 = f1 = f1", "two sides"),
+    ("f1 = f1 % f2", "unsupported expression"),
+    ("f1 = extract(f1, 2)", "unsupported expression"),
+    ("f1 = f1 +", "invalid syntax"),
+    ("sum_{n>=0} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4", "starts at the wrong n"),
+    ("sum_{n>=-1} P*(0n+3) q^n = f1", "invalid syntax"),
+    ("sum_{n>=-1} Q*(2n+3) q^n = f1", "invalid syntax"),
+))
+def test_malformed_statement_raises_naming_it(statement, reason):
+    with pytest.raises(ValueError) as info:
+        _read_sides(statement, 64)
+    assert repr(statement) in str(info.value)
+    assert reason in str(info.value)
+
+
+def test_bare_integer_side_takes_the_other_window():
+    lhs, rhs = _read_sides("f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3) = 5", 40)
+    assert (lhs.offset, lhs.prec) == (rhs.offset, rhs.prec) == (-1, 39)
+    lhs, rhs = _read_sides("5 = f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3)", 40)
+    assert (lhs.offset, lhs.prec, lhs[0]) == (-1, 39, 5)
