@@ -1,18 +1,18 @@
 """Dissection and congruence verification for the named targets.
 
-The 2-power dissections all live on the same three building blocks
+The level-l dissection of a target extracts the progression with step
+2^l and residue 2^(l+1) + offset (-2 for T*, -1 for M and P*) from its
+generating function, and states that it equals
 
-    F = f1^4 f5^4,   G = f2^4 f10^4,   H = f1 f2 f5^3 f10^3,
+    P_l * q^{-1} F  -  8 P_{l-1} * G  (+ 5 * 2^l * H for M and T*)
 
-and state that extracting the progression step*n + residue from a target's
-generating function reproduces
-
-    P_k * q^{-1} F  -  8 P_{k-1} * G  (+ 5 * 2^k * H for M and T*),
-
-where P is the family A, B, or C from :mod:`etaq.sequences` according to
-the target.  The congruence claims are the coefficientwise consequences:
-every such coefficient is divisible by a stated power of two (or vanishes
-outright for the exact-zero family).
+with F = f1^4 f5^4, G = f2^4 f10^4, H = f1 f2 f5^3 f10^3, and P the
+family A, B, or C from :mod:`etaq.sequences` according to the target.
+The congruence claims are its coefficientwise consequences: on the
+progression of one level, every coefficient is divisible by a stated
+power of two, or vanishes outright.  Rows 1.1 and 1.2 are the M and T*
+levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3, and row 1.7 the odd
+half of the P* level 4k+3.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eta import TARGET_NAMES, expand_quotient, gen_target
-from .sequences import seq_value
+from .sequences import seq_value, sequence_values
 from .series import (
     FAIL,
     INSUFFICIENT,
@@ -35,21 +35,17 @@ from .series import (
 )
 
 TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
-# The extracted progression is step*n + step*2 - 1 for M and P*, one lower
-# for T* (whose base dissection starts at an even argument).
+# T*'s base dissection starts at an even argument, one below M's and P*'s.
 _RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
 
-
-def _F(order: int) -> LaurentSeries:
-    return expand_quotient({1: 4, 5: 4}, order)
-
-
-def _G(order: int) -> LaurentSeries:
-    return expand_quotient({2: 4, 10: 4}, order)
+_F_QUOTIENT = {1: 4, 5: 4}
+_G_QUOTIENT = {2: 4, 10: 4}
+_H_QUOTIENT = {1: 1, 2: 1, 5: 3, 10: 3}
 
 
-def _H(order: int) -> LaurentSeries:
-    return expand_quotient({1: 1, 2: 1, 5: 3, 10: 3}, order)
+def _progression(target: str, level: int) -> tuple[int, int]:
+    """(step, residue) of the progression the level-l dissection extracts."""
+    return 1 << level, (1 << (level + 1)) + _RESIDUE_OFFSET[target]
 
 
 @dataclass(frozen=True)
@@ -67,11 +63,11 @@ class DissectionClaim:
 
     @property
     def step(self) -> int:
-        return 1 << self.k
+        return _progression(self.target, self.k)[0]
 
     @property
     def residue(self) -> int:
-        return (1 << (self.k + 1)) + _RESIDUE_OFFSET[self.target]
+        return _progression(self.target, self.k)[1]
 
     @property
     def label(self) -> str:
@@ -98,11 +94,11 @@ def rhs_series(claim: DissectionClaim, order: int, family: str | None = None) ->
     verification uses this to decide which labeling the series obeys.
     """
     fam = family if family is not None else TARGET_FAMILY[claim.target]
-    lead = seq_value(fam, claim.k)
-    prev = seq_value(fam, claim.k - 1)
-    result = lead * _F(order).shift(-1) - (8 * prev) * _G(order)
+    prev, lead = sequence_values(fam, claim.k)[-2:]
+    result = (lead * expand_quotient(_F_QUOTIENT, order).shift(-1)
+              - (8 * prev) * expand_quotient(_G_QUOTIENT, order))
     if claim.target != "PSTAR":
-        result = result + (5 << claim.k) * _H(order)
+        result = result + (5 << claim.k) * expand_quotient(_H_QUOTIENT, order)
     return result
 
 
@@ -178,25 +174,22 @@ def verify_congruence(claim: CongruenceClaim, order: int,
                       min_points: int = 1) -> Report:
     """Scan every index n >= -1 whose exponent lies below the order.
 
-    Fewer than min_points reachable coefficients is reported as
-    insufficient-precision, never as a pass.
+    Fewer than min_points reachable coefficients, or none at all, is
+    reported as insufficient-precision, never as a pass.
     """
     series = gen_target(claim.target, order)
-    reachable = []
-    n = -1
-    while claim.step * n + claim.residue < order:
-        reachable.append(n)
-        n += 1
+    reachable = range(-1, -((claim.residue - order) // claim.step))
     checked = None
     if reachable:
         checked = {"from": reachable[0], "to": reachable[-1], "points": len(reachable)}
-    if len(reachable) < min_points:
+    required = max(1, min_points)
+    if len(reachable) < required:
         return Report(claim.label, INSUFFICIENT, claim.describe(), order, checked,
                       note=(f"only {len(reachable)} reachable coefficients below order "
-                            f"{order}, need {min_points}"))
+                            f"{order}, need {required}"))
     for n in reachable:
         e = claim.step * n + claim.residue
-        value = series[e] if e >= series.offset else 0
+        value = series[e]
         if claim.required_valuation is None:
             ok = value == 0
         else:
@@ -213,13 +206,9 @@ def theorem_11_claims(kmax: int) -> list[CongruenceClaim]:
     """The M and T* congruence families for 1 <= k <= kmax."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    claims = []
-    for k in range(1, kmax + 1):
-        claims.append(CongruenceClaim(
-            "M", 1 << k, (1 << (k + 1)) - 1, k - 1, f"1.1[k={k}]"))
-        claims.append(CongruenceClaim(
-            "TSTAR", 1 << k, (1 << (k + 1)) - 2, k - 1, f"1.2[k={k}]"))
-    return claims
+    return [CongruenceClaim(target, *_progression(target, k), k - 1, f"{row}[k={k}]")
+            for k in range(1, kmax + 1)
+            for target, row in (("M", "1.1"), ("TSTAR", "1.2"))]
 
 
 def theorem_12_claims(kmax: int) -> list[CongruenceClaim]:
@@ -232,15 +221,9 @@ def theorem_12_claims(kmax: int) -> list[CongruenceClaim]:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     claims = []
     for k in range(kmax + 1):
-        base = 4 * k
-        claims.append(CongruenceClaim(
-            "PSTAR", 1 << base, (1 << (base + 1)) - 1, 6 * k, f"1.3[k={k}]"))
-        claims.append(CongruenceClaim(
-            "PSTAR", 1 << (base + 1), (1 << (base + 2)) - 1, 6 * k + 2, f"1.4[k={k}]"))
-        claims.append(CongruenceClaim(
-            "PSTAR", 1 << (base + 2), (1 << (base + 3)) - 1, 6 * k + 3, f"1.5[k={k}]"))
-        claims.append(CongruenceClaim(
-            "PSTAR", 1 << (base + 3), (1 << (base + 4)) - 1, 6 * k + 6, f"1.6[k={k}]"))
+        for i, extra in enumerate((0, 2, 3, 6)):
+            claims.append(CongruenceClaim(
+                "PSTAR", *_progression("PSTAR", 4 * k + i), 6 * k + extra, f"1.{3 + i}[k={k}]"))
         claims.append(zero_family_claim(k))
     return claims
 
@@ -249,8 +232,8 @@ def zero_family_claim(k: int) -> CongruenceClaim:
     """The exact-vanishing progression P*(2^(4k+4) n + 3*2^(4k+3) - 1) == 0."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return CongruenceClaim(
-        "PSTAR", 1 << (4 * k + 4), 3 * (1 << (4 * k + 3)) - 1, None, f"1.7[k={k}]")
+    step, residue = _progression("PSTAR", 4 * k + 3)
+    return CongruenceClaim("PSTAR", 2 * step, residue + step, None, f"1.7[k={k}]")
 
 
 def verify_zero_family_structurally(k: int, order: int) -> Report:
@@ -265,7 +248,8 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
     zero = zero_family_claim(k)
     claim = DissectionClaim("PSTAR", 4 * k + 3)
     rhs = rhs_series(claim, order)
-    expected = (-64) ** (k + 1) * _G(order) + LaurentSeries.from_terms({}, -1, order)
+    expected = ((-64) ** (k + 1) * expand_quotient(_G_QUOTIENT, order)
+                + LaurentSeries.from_terms({}, -1, order))
     structural = Report.of(
         f"1.7-structural[k={k}]",
         f"{zero.describe()}, derived from the level-{4 * k + 3} dissection",

@@ -63,12 +63,13 @@ def verify_valuations(kmax: int) -> Report:
     name = "exact 2-adic valuation v2 = k-1 for families A and B"
     checked = {"from": 1, "to": kmax, "points": kmax}
     for family in ("A", "B"):
+        values = sequence_values(family, kmax)
         for k in range(1, kmax + 1):
-            v = two_adic_valuation(seq_value(family, k))
+            v = two_adic_valuation(values[k])
             if v != k - 1:
                 return Report(name, FAIL, checked=checked,
                               witness={"family": family, "k": k,
-                                       "value": str(seq_value(family, k)), "v2": str(v)})
+                                       "value": str(values[k]), "v2": str(v)})
     return Report(name, PASS, checked=checked)
 
 
@@ -82,16 +83,17 @@ def verify_closed_forms(kmax: int) -> Report:
         raise ValueError(f"kmax must be >= 8, got {kmax}")
     name = "family C closed form and 4-step telescoping"
     checked = {"from": 0, "to": kmax, "points": kmax + 1}
-    for k in range(kmax + 1):
-        if seq_value("C", k) != closed_form_C(k):
+    values = sequence_values("C", kmax)
+    for k, value in enumerate(values):
+        if value != closed_form_C(k):
             return Report(name, FAIL, checked=checked,
-                          witness={"k": k, "value": str(seq_value("C", k)),
+                          witness={"k": k, "value": str(value),
                                    "closed_form": str(closed_form_C(k))})
     for k in range(kmax - 3):
-        if seq_value("C", k + 4) != -64 * seq_value("C", k):
+        if values[k + 4] != -64 * values[k]:
             return Report(name, FAIL, checked=checked,
-                          witness={"k": k, "value": str(seq_value("C", k + 4)),
-                                   "telescoped": str(-64 * seq_value("C", k))})
+                          witness={"k": k, "value": str(values[k + 4]),
+                                   "telescoped": str(-64 * values[k])})
     return Report(name, PASS, checked=checked)
 
 

@@ -125,11 +125,25 @@ def test_verify_congruence_insufficient_when_unreachable():
     assert "need 1" in report.note
 
 
-def test_verify_congruence_min_points_gate():
-    claim = CongruenceClaim("M", 32, 63, 4, "1.1[k=5]")
-    report = verify_congruence(claim, 100, min_points=5)
-    assert report.status == INSUFFICIENT
-    assert report.checked["points"] == 3
+@pytest.mark.parametrize("claim, order, min_points", [
+    pytest.param(CongruenceClaim("M", 32, 63, 4, "1.1[k=5]"), 100, 5, id="too-few"),
+    # residue < step: the n = -1 exponent lies below the window.
+    pytest.param(CongruenceClaim("M", 4, 3, 0, "x"), 20, 1, id="below-window"),
+    pytest.param(CongruenceClaim("M", 4, 7, 0, "x"), 20, 5, id="last-at-order-1"),
+    pytest.param(CongruenceClaim("M", 4, 7, 0, "x"), 19, 5, id="last-at-order"),
+    # No reachable coefficient: never a vacuous pass, even at min_points=0.
+    pytest.param(CongruenceClaim("M", 4, 700, 3, "x"), 500, 1, id="none"),
+    pytest.param(CongruenceClaim("M", 4, 700, 3, "x"), 500, 0, id="none-min-0"),
+    pytest.param(CongruenceClaim("M", 4, 7, 0, "x"), 20, 0, id="some-min-0"),
+])
+def test_verify_congruence_min_points_gate(claim, order, min_points):
+    points = sum(1 for n in range(-1, order) if claim.step * n + claim.residue < order)
+    report = verify_congruence(claim, order, min_points=min_points)
+    if points == 0:
+        assert report.checked is None
+    else:
+        assert report.checked == {"from": -1, "to": points - 2, "points": points}
+    assert report.status == (PASS if points >= max(1, min_points) else INSUFFICIENT)
 
 
 def test_theorem_11_claim_table():
@@ -140,6 +154,18 @@ def test_theorem_11_claim_table():
     assert claims[4].step == 8 and claims[4].residue == 15
     assert claims[4].required_valuation == 2
     assert claims[5].target == "TSTAR" and claims[5].residue == 14
+
+    claims = theorem_11_claims(40)
+    assert len(claims) == 80
+    for k in range(1, 41):
+        m, t = claims[2 * k - 2], claims[2 * k - 1]
+        assert (m.target, m.step, m.residue, m.required_valuation) == (
+            "M", 2 ** k, 2 ** (k + 1) - 1, k - 1)
+        assert (t.target, t.step, t.residue, t.required_valuation) == (
+            "TSTAR", 2 ** k, 2 ** (k + 1) - 2, k - 1)
+        for c in (m, t):
+            d = DissectionClaim(c.target, k)
+            assert (d.step, d.residue) == (c.step, c.residue)
 
 
 def test_theorem_12_claim_table():
@@ -155,6 +181,22 @@ def test_theorem_12_claim_table():
     assert by_label["1.7[k=0]"].step == 16
     assert by_label["1.7[k=0]"].residue == 23
     assert by_label["1.7[k=0]"].required_valuation is None
+
+    claims = theorem_12_claims(10)
+    assert len(claims) == 55
+    for k in range(11):
+        for i, extra in enumerate((0, 2, 3, 6)):
+            c = claims[5 * k + i]
+            level = 4 * k + i
+            assert (c.label, c.target, c.step, c.residue, c.required_valuation) == (
+                f"1.{3 + i}[k={k}]", "PSTAR", 2 ** level, 2 ** (level + 1) - 1, 6 * k + extra)
+            if level >= 1:
+                d = DissectionClaim("PSTAR", level)
+                assert (d.step, d.residue) == (c.step, c.residue)
+        z = claims[5 * k + 4]
+        assert (z.label, z.target, z.step, z.residue, z.required_valuation) == (
+            f"1.7[k={k}]", "PSTAR", 2 ** (4 * k + 4), 3 * 2 ** (4 * k + 3) - 1, None)
+        assert z == zero_family_claim(k)
 
 
 def test_theorem_11_passes():
