@@ -12,15 +12,16 @@ The congruence claims are its coefficientwise consequences: on the
 progression of one level, every coefficient is divisible by a stated
 power of two, or vanishes outright.  Rows 1.1 and 1.2 are the M and T*
 levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3, and row 1.7 the odd
-half of the P* level 4k+3.
+half of the P* level 4k+3.  Theorem 3.1 builds each level's rhs once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eta import TARGET_NAMES, expand_quotient, gen_target
-from .sequences import seq_value, sequence_values
+from .eta import TARGET_NAMES, TARGETS, expand_quotient, gen_target
+from .identities import _series
+from .sequences import sequence_values
 from .series import (
     FAIL,
     INSUFFICIENT,
@@ -38,7 +39,7 @@ TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
 # T*'s base dissection starts at an even argument, one below M's and P*'s.
 _RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
 
-_F_QUOTIENT = {1: 4, 5: 4}
+_F_QUOTIENT = TARGETS["PSTAR"]  # F = f1^4 f5^4 generates P*
 _G_QUOTIENT = {2: 4, 10: 4}
 _H_QUOTIENT = {1: 1, 2: 1, 5: 3, 10: 3}
 
@@ -87,24 +88,21 @@ def lhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     return gen_target(claim.target, order).extract(claim.step, claim.residue)
 
 
-def rhs_series(claim: DissectionClaim, order: int, family: str | None = None) -> LaurentSeries:
-    """The recurrence combination of F, G, H claimed to equal the lhs.
-
-    ``family`` overrides the target's sequence family; the k = 2
-    verification uses this to decide which labeling the series obeys.
-    """
-    fam = family if family is not None else TARGET_FAMILY[claim.target]
-    prev, lead = sequence_values(fam, claim.k)[-2:]
-    result = (lead * expand_quotient(_F_QUOTIENT, order).shift(-1)
-              - (8 * prev) * expand_quotient(_G_QUOTIENT, order))
-    if claim.target != "PSTAR":
-        result = result + (5 << claim.k) * expand_quotient(_H_QUOTIENT, order)
-    return result
+def _rhs_window(claim: DissectionClaim, values: list[int], order: int) -> LaurentSeries:
+    """P_k q^-1 F - 8 P_(k-1) G (+ 5*2^k H), P = values, by the catalog's evaluator."""
+    prev, lead = values[claim.k - 1:claim.k + 1]
+    forced = [(5 << claim.k, 0, 0, _H_QUOTIENT)] if claim.target != "PSTAR" else []
+    return _series([(lead, -1, 0, _F_QUOTIENT), (-8 * prev, 0, 0, _G_QUOTIENT)] + forced, order)
 
 
-def verify_dissection(claim: DissectionClaim, order: int) -> Report:
-    """Compare lhs and rhs; the window halves at each level, so the
-    required overlap scales as order / 2^(k+1).
+def rhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
+    """The recurrence combination of F, G, H claimed to equal the lhs."""
+    return _rhs_window(claim, sequence_values(TARGET_FAMILY[claim.target], claim.k), order)
+
+
+def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) -> Report:
+    """Compare the lhs with the given rhs window; the window halves at
+    each level, so the required overlap scales as order / 2^(k+1).
 
     At k = 2 the report also states which of the two possible lead
     labelings (swapping the A and B families) the series actually obeys.
@@ -118,28 +116,30 @@ def verify_dissection(claim: DissectionClaim, order: int) -> Report:
         return Report(claim.label, INSUFFICIENT, claim.describe(), order,
                       note=(f"only 0 reachable coefficients below order {order}, "
                             f"need {required}"))
-    rhs = rhs_series(claim, order)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
     if claim.k == 2 and claim.target in ("M", "TSTAR"):
         fam = TARGET_FAMILY[claim.target]
         other = "B" if fam == "A" else "A"
-        alt = compare(lhs, rhs_series(claim, order, family=other), min_overlap=required)
-        note = (f"k=2 lead labeling: {fam}_2={seq_value(fam, 2)} -> {outcome.status}, "
-                f"swapped {other}_2={seq_value(other, 2)} -> {alt.status}")
+        swapped = _rhs_window(claim, sequence_values(other, 2), order)
+        alt = compare(lhs, swapped, min_overlap=required)
+        # F = 1 + O(q), so each window's q^-1 coefficient is its lead P_2.
+        note = (f"k=2 lead labeling: {fam}_2={rhs[-1]} -> {outcome.status}, "
+                f"swapped {other}_2={swapped[-1]} -> {alt.status}")
     return Report.of(claim.label, claim.describe(), order, outcome, note)
 
 
-def verify_induction_step(claim: DissectionClaim, order: int) -> Report:
-    """Check extract(q^-2 * rhs_k, 2, 0) == rhs_(k+1) as series.
+def verify_induction_step(claim: DissectionClaim, order: int,
+                          rhs: LaurentSeries, next_rhs: LaurentSeries) -> Report:
+    """Check extract(q^-2 * rhs_k, 2, 0) == rhs_(k+1) on the given windows.
 
     This is the step that advances level k to k + 1 uniformly in k: the
     even part of the q^-2-shifted combination reproduces the next
     combination, for every target family.
     """
     nxt = DissectionClaim(claim.target, claim.k + 1)
-    stepped = rhs_series(claim, order).shift(-2).extract(2, 0)
-    outcome = compare(stepped, rhs_series(nxt, order), min_overlap=max(1, order // 4))
+    stepped = rhs.shift(-2).extract(2, 0)
+    outcome = compare(stepped, next_rhs, min_overlap=max(1, order // 4))
     label = f"induction[{claim.target},k={claim.k}->{claim.k + 1}]"
     text = (f"extract(q^-2 * ({claim.describe().split(' == ')[1]}), 2, 0) "
             f"== {nxt.describe().split(' == ')[1]}")
@@ -246,8 +246,7 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
     window, then cross-checked against the direct coefficient scan.
     """
     zero = zero_family_claim(k)
-    claim = DissectionClaim("PSTAR", 4 * k + 3)
-    rhs = rhs_series(claim, order)
+    rhs = rhs_series(DissectionClaim("PSTAR", 4 * k + 3), order)
     expected = ((-64) ** (k + 1) * expand_quotient(_G_QUOTIENT, order)
                 + LaurentSeries.from_terms({}, -1, order))
     structural = Report.of(
@@ -277,8 +276,8 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
          least 5 in-window coefficients.
     1.2: the five P* families for k = 0..kmax; a row whose progression
          has no coefficient below the order is reported as skipped.
-    3.1: all dissections for k = 1..kmax plus the induction steps
-         k -> k+1 for k = 1..kmax-1.
+    3.1: the dissections for k = 1..kmax and induction steps k -> k+1
+         for k < kmax, one recurrence per family and one rhs per level.
     """
     if theorem_id == "1.1":
         return [verify_congruence(c, order, min_points=5)
@@ -295,14 +294,16 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
                     note=f"first coefficient q^{first} lies beyond the window"))
         return reports
     if theorem_id == "3.1":
-        reports = []
-        for k in range(1, kmax + 1):
-            for target in ("M", "TSTAR", "PSTAR"):
-                reports.append(verify_dissection(DissectionClaim(target, k), order))
-        for k in range(1, kmax):
-            for target in ("M", "TSTAR", "PSTAR"):
-                reports.append(verify_induction_step(DissectionClaim(target, k), order))
-        return reports
+        values = {t: sequence_values(f, kmax) for t, f in TARGET_FAMILY.items()}
+        dissections, inductions, previous = [], [], {}
+        for claim in (DissectionClaim(t, k) for k in range(1, kmax + 1) for t in values):
+            rhs = _rhs_window(claim, values[claim.target], order)
+            dissections.append(verify_dissection(claim, order, rhs))
+            if claim.k > 1:
+                inductions.append(verify_induction_step(DissectionClaim(
+                    claim.target, claim.k - 1), order, previous[claim.target], rhs))
+            previous[claim.target] = rhs  # only the last level's window stays alive
+        return dissections + inductions
     raise ValueError(
         f"unknown theorem id {theorem_id!r}; expected one of {', '.join(THEOREM_IDS)}")
 

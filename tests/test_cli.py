@@ -182,6 +182,19 @@ def test_verify_all_json_stdout_is_pinned(capsys):
     assert hashlib.blake2b(out.encode(), digest_size=8).hexdigest() == "bfc51ae5836e5c0e"
 
 
+def test_theorem_31_json_stdout_is_pinned(capsys):
+    # A BLAKE2b-64 digest of theorem 3.1's JSON, recorded while every row
+    # still rebuilt its own rhs windows.  The dissection rows of levels
+    # 10-40 have no lhs coefficient below the order and report
+    # insufficient-precision; all 117 induction rows compare rhs windows.
+    assert main(["verify", "theorem", "--id", "3.1", "--kmax", "40", "--order", "600",
+                 "--format", "json"]) == EXIT_PRECISION
+    out = capsys.readouterr().out
+    statuses = [r["status"] for r in json.loads(out)["reports"]]
+    assert (statuses.count(PASS), statuses.count(INSUFFICIENT), len(statuses)) == (144, 93, 237)
+    assert hashlib.blake2b(out.encode(), digest_size=8).hexdigest() == "9d2cede2f3cb1d3c"
+
+
 @pytest.mark.parametrize("argv, key", (
     (["verify", "all", "--order", "64", "--kmax", "2"], "reports"),
     (["oracle", "cross-check", "--order", "32"], "checks"),

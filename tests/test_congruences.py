@@ -19,6 +19,7 @@ from etaq.congruences import (
     verify_zero_family_structurally,
     zero_family_claim,
 )
+from etaq.sequences import sequence_values
 from etaq.series import FAIL, INSUFFICIENT, PASS, SKIPPED, LaurentSeries, compare
 
 
@@ -54,20 +55,25 @@ def test_lhs_series_frozen_window():
     assert [lhs[n] for n in range(-1, 4)] == [-4, 8, -8, 0, 20]
 
 
+def _dissection(target, k, order):
+    claim = DissectionClaim(target, k)
+    return verify_dissection(claim, order, rhs_series(claim, order))
+
+
 def test_dissections_pass():
     for k in range(1, 6):
         for target in ("M", "TSTAR", "PSTAR"):
-            report = verify_dissection(DissectionClaim(target, k), 800)
+            report = _dissection(target, k, 800)
             assert report.status == PASS, report.label
             assert report.witness is None
 
 
 def test_level_two_lead_labeling_notes():
-    m = verify_dissection(DissectionClaim("M", 2), 400)
+    m = _dissection("M", 2, 400)
     assert m.note == "k=2 lead labeling: A_2=-2 -> pass, swapped B_2=6 -> fail"
-    t = verify_dissection(DissectionClaim("TSTAR", 2), 400)
+    t = _dissection("TSTAR", 2, 400)
     assert t.note == "k=2 lead labeling: B_2=6 -> pass, swapped A_2=-2 -> fail"
-    p = verify_dissection(DissectionClaim("PSTAR", 2), 400)
+    p = _dissection("PSTAR", 2, 400)
     assert p.note is None
 
 
@@ -76,16 +82,22 @@ def test_swapped_family_rhs_fails():
     # window rejects the other family's lead coefficient.
     claim = DissectionClaim("M", 2)
     lhs = lhs_series(claim, 400)
-    swapped = rhs_series(claim, 400, family="B")
+    swapped = congruences._rhs_window(claim, sequence_values("B", 2), 400)
+    assert swapped[-1] == 6
     assert compare(lhs, swapped, min_overlap=8).status == FAIL
+
+
+def _induction(target, k, order):
+    claim, nxt = DissectionClaim(target, k), DissectionClaim(target, k + 1)
+    return verify_induction_step(claim, order, rhs_series(claim, order), rhs_series(nxt, order))
 
 
 def test_induction_steps_pass():
     for k in range(1, 5):
         for target in ("M", "TSTAR", "PSTAR"):
-            report = verify_induction_step(DissectionClaim(target, k), 400)
+            report = _induction(target, k, 400)
             assert report.status == PASS, report.label
-    report = verify_induction_step(DissectionClaim("M", 1), 400)
+    report = _induction("M", 1, 400)
     assert report.label == "induction[M,k=1->2]"
     assert report.claim.startswith("extract(q^-2 * (A_1 q^-1 F")
 
@@ -239,6 +251,41 @@ def test_theorem_31_passes():
     assert all(r.status == PASS for r in reports)
 
 
+@pytest.mark.parametrize("order, kmax, statuses", [
+    (400, 6, {PASS}),
+    # Levels 7 and 8 lie past the window: no coefficient below the order.
+    (64, 8, {PASS, INSUFFICIENT}),
+])
+def test_theorem_31_rows_match_per_claim_calls(order, kmax, statuses):
+    claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in ("M", "TSTAR", "PSTAR")]
+    expected = [_dissection(c.target, c.k, order) for c in claims]
+    expected += [_induction(c.target, c.k, order) for c in claims if c.k < kmax]
+    reports = verify_theorem("3.1", order, kmax)
+    assert reports == expected
+    assert {r.status for r in reports} == statuses
+
+
+def test_theorem_31_builds_each_rhs_once(monkeypatch):
+    # One recurrence run per family plus one per k = 2 swapped labeling,
+    # and one rhs window per (target, level) plus the two swapped windows.
+    calls = {"recurrence": 0, "window": 0}
+
+    def counted(kind, real):
+        def wrapper(*args):
+            calls[kind] += 1
+            return real(*args)
+        return wrapper
+
+    recurrence = counted("recurrence", sequence_values)
+    monkeypatch.setattr(congruences, "sequence_values", recurrence)
+    monkeypatch.setattr("etaq.sequences.sequence_values", recurrence)
+    monkeypatch.setattr(congruences, "_series", counted("window", congruences._series))
+    kmax = 8
+    reports = verify_theorem("3.1", 400, kmax)
+    assert len(reports) == 3 * kmax + 3 * (kmax - 1)
+    assert calls == {"recurrence": 3 + 2, "window": 3 * kmax + 2}
+
+
 def test_theorem_unknown_id():
     with pytest.raises(ValueError):
         verify_theorem("9.9", 400, 2)
@@ -268,8 +315,8 @@ def test_zero_family_structural_negative_control(monkeypatch):
     # the direct scan of P* itself still passes.
     real_rhs = congruences.rhs_series
 
-    def broken(claim, order, family=None):
-        s = real_rhs(claim, order, family)
+    def broken(claim, order):
+        s = real_rhs(claim, order)
         return s + LaurentSeries.from_terms({1: 1}, s.offset, s.prec)
 
     monkeypatch.setattr(congruences, "rhs_series", broken)
@@ -283,8 +330,7 @@ def test_zero_family_structural_negative_control(monkeypatch):
 
 
 def test_report_dict_shape():
-    report = verify_dissection(DissectionClaim("PSTAR", 1), 64)
-    payload = report.to_dict()
+    payload = _dissection("PSTAR", 1, 64).to_dict()
     assert set(payload) == {
         "label", "claim", "status", "order", "checked", "witness", "note",
     }

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 
 import etaq.eta as eta
 import etaq.oracle as oracle
+from etaq.identities import CATALOG
 import prop_support as props
 from etaq.oracle import (
     cross_check,
@@ -216,3 +218,12 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
         assert f1.witness == {"exponent": 5, "lhs": "2", "rhs": "1"}
     finally:
         eta._expand_quotient_cached.cache_clear()
+
+
+def test_check_periods_cover_catalog_and_targets():
+    # cross_check promises a row for every period the catalog reads.
+    catalog = {int(m) for definition in CATALOG.values()
+               for m in re.findall(r"\bf([1-9]\d*)\b", definition.statement)}
+    targets = {m for factors in eta.TARGETS.values() for m in factors}
+    assert 40 in catalog
+    assert catalog | targets <= set(oracle._CHECK_PERIODS)
