@@ -24,8 +24,9 @@ q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
 spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
 theta(5, 2) at half length.  A single factor at g = 1 is theta, inverted
-when e < 0, then raised to |e|; several factors are the product of their
-single-factor expansions.
+when e < 0, then raised to |e|.  Several split along their gcd tree: the
+factors sharing a g > 1 are one quotient, built at ceil(N/g) terms, and
+only its join with the rest costs N terms (``_expand_reduced``).
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
 quotient with g = 1 (a single factor or a product), holding the longest
@@ -139,7 +140,21 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
 
 
 def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
-    """``_expand`` of a quotient with g = 1, on a cache miss."""
+    """``_expand`` of a quotient with g = 1, on a cache miss.
+
+    Three or more factors split along their gcd tree.  Of the g > 1 that
+    divide the p and a of the factors S, 1 < |S| < all, the one with the
+    largest |S| (1 - 1/g) wins, ties to the larger g; the rest splits again.
+    """
+    gcds: set[int] = set()  # the gcd of every nonempty set of factors' p and a
+    for (p, a), _ in items:
+        gcds |= {math.gcd(p, a, c) for c in gcds | {0}}
+    groups = [(len(s) * (g - 1) / g, g, s) for g in gcds if 1 < len(
+        s := tuple(x for x in items if math.gcd(*x[0]) % g == 0)) < len(items)]
+    if groups:
+        shared = max(groups)[2]
+        rest = tuple(x for x in items if x not in shared)
+        return _expand(shared, order) * _expand(rest, order)
     if len(items) > 1:
         return functools.reduce(operator.mul, (_expand((item,), order) for item in items))
     [((p, a), e)] = items
@@ -151,9 +166,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 2.7 MB at order
-# 2000 and 11.5 MB at order 8000, so this holds every window up to about
-# order 5000 and bounds the cache above it.
+# its least recently used windows.  ``verify all`` caches 3.7 MB at order
+# 2000 and 15.6 MB at order 8000, so this holds every window up to about
+# order 4400; twice as much saved no time at order 8000 and cost 1 MB RSS.
 _CACHE_BYTES = 8 * 2**20
 
 

@@ -172,7 +172,7 @@ class LaurentSeries:
 
     def __mul__(self, other: int | LaurentSeries) -> LaurentSeries:
         if isinstance(other, int):
-            return LaurentSeries(self.offset, tuple(c * other for c in self.coeffs))
+            return LaurentSeries(self.offset, tuple(map(other.__mul__, self.coeffs)))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         # Truncated Cauchy product.  The unknown tail of each operand first

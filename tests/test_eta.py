@@ -227,3 +227,41 @@ def test_parse_quotient_errors():
         parse_quotient("")
     with pytest.raises(QuotientParseError):
         parse_quotient("g1^2")
+
+
+def _full_length_products(monkeypatch, factors, order):
+    """Series-by-series products of ``order`` coefficients made by a cold
+    expansion of ``factors``, which must match the oracle."""
+    real_mul = LaurentSeries.__mul__
+    lengths = []
+
+    def counting_mul(self, other):
+        product = real_mul(self, other)
+        if isinstance(other, LaurentSeries):
+            lengths.append(len(product.coeffs))
+        return product
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        assert expand_quotient(factors, order) == direct_eta_product(factors, order)
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    return lengths.count(order)
+
+
+def test_gcd_tree_multiplies_shared_factors_at_reduced_length(monkeypatch):
+    # EQ213's squared term: f5^-6 f10^6 f20^-2 is a series in q^5 and
+    # f2^-2 f4^2 one in q^2, so only f1^2 and the two joins are taken at
+    # full length; factor by factor it takes six products.
+    factors = {1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}
+    assert _full_length_products(monkeypatch, factors, 2000) <= 3
+
+
+def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch):
+    # No g > 1 divides two of f1, f3, f7: two joins and the square of f7,
+    # which is f1^2 at ceil(order / 7) and so not a full-length product.
+    factors = {1: 1, 3: -1, 7: 2}
+    assert _full_length_products(monkeypatch, factors, 700) == 2
+    for order in (1, 2, 6, 7, 8, 97):
+        assert expand_quotient(factors, order) == direct_eta_product(factors, order)

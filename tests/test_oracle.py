@@ -18,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import etaq.congruences as congruences
 import etaq.eta as eta
+import etaq.identities as identities
 import etaq.oracle as oracle
+from etaq.cli import main
 from etaq.identities import CATALOG
 import prop_support as props
 from etaq.oracle import (
@@ -227,3 +230,26 @@ def test_check_periods_cover_catalog_and_targets():
     targets = {m for factors in eta.TARGETS.values() for m in factors}
     assert 40 in catalog
     assert catalog | targets <= set(oracle._CHECK_PERIODS)
+
+
+def test_every_battery_quotient_matches_the_oracle(monkeypatch, capsys):
+    # Collect every quotient `verify all` expands, then check each one
+    # against the independent product recurrence from a cold cache.
+    seen = set()
+    for module in (congruences, identities):
+        def recording(factors, order, real=module.expand_quotient):
+            seen.add(tuple(sorted(factors.items())))
+            return real(factors, order)
+        monkeypatch.setattr(module, "expand_quotient", recording)
+    main(["verify", "all", "--order", "500", "--kmax", "8"])
+    capsys.readouterr()
+    assert len(seen) == 31
+    assert all(len(factors) > 1 for factors in seen)
+    try:
+        for order in (1, 97, 301):
+            eta._expand_quotient_cached.cache_clear()
+            for factors in sorted(seen):
+                assert eta.expand_quotient(dict(factors), order) == direct_eta_product(
+                    dict(factors), order), (factors, order)
+    finally:
+        eta._expand_quotient_cached.cache_clear()

@@ -251,3 +251,11 @@ def test_report_of_comparison():
 
     empty = Report.of("z", None, None, compare(a, series(5, 1), min_overlap=1))
     assert (empty.status, empty.checked) == (INSUFFICIENT, None)
+
+
+def test_scalar_mul_by_bool_gives_int_coefficients():
+    a = series(-1, 2, -3)
+    for scalar, coeffs in ((True, (2, -3)), (False, (0, 0))):
+        for product in (a * scalar, scalar * a):
+            assert product == series(-1, *coeffs)
+            assert all(type(c) is int for c in product.coeffs)
