@@ -16,6 +16,7 @@ from .series import (
     LaurentSeries,
     NonUnitLeadingCoefficient,
     PASS,
+    ProductTooLarge,
     Report,
     SKIPPED,
     SeriesError,
@@ -76,6 +77,7 @@ __all__ = [
     "LaurentSeries",
     "NonUnitLeadingCoefficient",
     "PASS",
+    "ProductTooLarge",
     "QuotientParseError",
     "Report",
     "SKIPPED",

@@ -23,10 +23,15 @@ period and every a of a quotient.  If g > 1 the quotient is a series in
 q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
 spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
-theta(5, 2) at half length.  A single factor at g = 1 is theta, inverted
-when e < 0, then raised to |e|.  Several split along their gcd tree: the
-factors sharing a g > 1 are one quotient, built at ceil(N/g) terms, and
-only its join with the rest costs N terms (``_expand_reduced``).
+theta(5, 2) at half length.  A single factor at g = 1 is theta, or
+1/theta when e < 0, raised to |e|.  A quotient with factors of both signs
+expands the rest first and then divides that window by theta once per
+unit of each negative exponent e >= -_DIVIDE_MAX: theta is sparse, so a
+division costs N times its support and no wide product.  The target
+M = f2^5 f5^5 / (f1 f10) is f2^5 f5^5 divided by theta(3, 1) and by
+theta(30, 10).  Other quotients of several factors split along their gcd
+tree: the factors sharing a g > 1 are one quotient, built at ceil(N/g)
+terms, and only its join with the rest costs N terms (``_expand_reduced``).
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
 quotient with g = 1 (a single factor or a product), holding the longest
@@ -139,13 +144,34 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
     return _expand_quotient_cached(items, order)
 
 
+# Largest |e| of a negative factor that a quotient with factors of both
+# signs divides by, one theta at a time; a larger |e| multiplies by the
+# power of 1/theta instead.  |e| divisions cost |e| N times theta's
+# support; the power costs a few products whose digit width grows with
+# |e|.  Over f1, f2, f4, f5, f8, f10, f20 and f40 to the power -e, each
+# times f3^5 at order 2000, the summed times broke even at |e| = 8 and
+# 10 (division took 0.76 of the product time at |e| = 6, 1.41 at 16).
+_DIVIDE_MAX = 8
+
+
 def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     """``_expand`` of a quotient with g = 1, on a cache miss.
 
-    Three or more factors split along their gcd tree.  Of the g > 1 that
-    divide the p and a of the factors S, 1 < |S| < all, the one with the
-    largest |S| (1 - 1/g) wins, ties to the larger g; the rest splits again.
+    A quotient with factors of both signs expands the factors other than
+    its divisors (theta^e with -_DIVIDE_MAX <= e < 0), then divides that
+    window by each divisor's theta, |e| times.  Otherwise three or more
+    factors split along their gcd tree.  Of the g > 1 that divide the p
+    and a of the factors S, 1 < |S| < all, the one with the largest
+    |S| (1 - 1/g) wins, ties to the larger g; the rest splits again.
     """
+    divisors = [x for x in items if -_DIVIDE_MAX <= x[1] < 0]
+    if divisors and any(e > 0 for _, e in items):
+        window = _expand(tuple(x for x in items if x not in divisors), order)
+        for (p, a), e in divisors:
+            theta = _theta(p, a, order)
+            for _ in range(-e):
+                window = window / theta
+        return window
     gcds: set[int] = set()  # the gcd of every nonempty set of factors' p and a
     for (p, a), _ in items:
         gcds |= {math.gcd(p, a, c) for c in gcds | {0}}
@@ -166,9 +192,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 3.7 MB at order
-# 2000 and 15.6 MB at order 8000, so this holds every window up to about
-# order 4400; twice as much saved no time at order 8000 and cost 1 MB RSS.
+# its least recently used windows.  ``verify all`` caches 2.99 MB at order
+# 2000 and 12.4 MB at order 8000, so this holds every window up to about
+# order 5400; twice as much saved no time at order 8000 and cost 1 MB RSS.
 _CACHE_BYTES = 8 * 2**20
 
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import etaq.cli as cli
+import etaq.eta as eta
+from etaq import series
 from etaq.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_FAIL,
@@ -338,6 +340,19 @@ def test_exponent_sum_at_the_cap_reaches_the_handler(monkeypatch):
     expr = f"f1^-{MAX_EXPONENT_SUM - 1}*f2"
     assert main(["expand", expr, "--order", "300"]) == EXIT_OK
     assert seen == [{1: 1 - MAX_EXPONENT_SUM, 2: 1}]
+
+
+def test_product_past_the_packed_digit_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(series, "_MAX_PACKED_DIGITS", 1000)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        assert main(["expand", "f1^-4", "--order", "300"]) == EXIT_USAGE
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "product of two 300-term windows" in err
+    assert "above the cap of 1000" in err
 
 
 def test_run_raises_system_exit(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import etaq.eta as eta
@@ -72,6 +74,39 @@ def test_expand_quotient_matches_oracle_on_random_quotients(factors):
     orders = {1, 2, 37, 200} | {n for m in factors for n in (m - 1, m, m + 1) if n >= 1}
     for order in sorted(orders):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
+
+
+def _mixed_sign_quotients(count, seed):
+    """Seeded quotients with factors of both signs; exponents reach past
+    ``eta._DIVIDE_MAX`` so both the division and the product path run."""
+    rng = random.Random(seed)
+    periods = (1, 2, 3, 4, 5, 7, 8, 10, 20, 40)
+    exponents = [e for e in range(-12, 9) if e]
+    quotients = []
+    while len(quotients) < count:
+        factors = {m: rng.choice(exponents) for m in rng.sample(periods, rng.randint(2, 4))}
+        if min(factors.values()) < 0 < max(factors.values()):
+            quotients.append(dict(sorted(factors.items())))
+    return quotients
+
+
+MIXED_SIGN = _mixed_sign_quotients(24, 1301)
+
+
+def test_mixed_sign_draws_reach_both_sides_of_the_crossover():
+    negative = [e for factors in MIXED_SIGN for e in factors.values() if e < 0]
+    assert min(negative) < -eta._DIVIDE_MAX <= max(negative)
+
+
+@pytest.mark.parametrize("factors", MIXED_SIGN, ids=str)
+def test_mixed_sign_quotients_match_oracle_and_are_prefix_stable(factors):
+    for order in (1, 2, 97, 301):
+        eta._expand_quotient_cached.cache_clear()
+        window = expand_quotient(factors, order)
+        assert window == direct_eta_product(factors, order), order
+        eta._expand_quotient_cached.cache_clear()
+        assert expand_quotient(factors, 2 * order).coeffs[:order] == window.coeffs, order
+    eta._expand_quotient_cached.cache_clear()
 
 
 def test_expand_quotient_validation():
@@ -229,39 +264,47 @@ def test_parse_quotient_errors():
         parse_quotient("g1^2")
 
 
-def _full_length_products(monkeypatch, factors, order):
-    """Series-by-series products of ``order`` coefficients made by a cold
-    expansion of ``factors``, which must match the oracle."""
-    real_mul = LaurentSeries.__mul__
-    lengths = []
+def _full_length_work(monkeypatch, factors, order):
+    """Series-by-series products and divisions of ``order`` coefficients
+    made by a cold expansion of ``factors``, which must match the oracle."""
+    real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
+    products, quotients = [], []
 
     def counting_mul(self, other):
         product = real_mul(self, other)
         if isinstance(other, LaurentSeries):
-            lengths.append(len(product.coeffs))
+            products.append(len(product.coeffs))
         return product
 
+    def counting_div(self, other):
+        quotient = real_div(self, other)
+        quotients.append(len(quotient.coeffs))
+        return quotient
+
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(LaurentSeries, "__truediv__", counting_div)
     eta._expand_quotient_cached.cache_clear()
     try:
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
     finally:
         eta._expand_quotient_cached.cache_clear()
-    return lengths.count(order)
+    return products.count(order), quotients.count(order)
 
 
 def test_gcd_tree_multiplies_shared_factors_at_reduced_length(monkeypatch):
-    # EQ213's squared term: f5^-6 f10^6 f20^-2 is a series in q^5 and
-    # f2^-2 f4^2 one in q^2, so only f1^2 and the two joins are taken at
-    # full length; factor by factor it takes six products.
+    # EQ213's squared term is f1^2 f4^2 f10^6 divided by theta ten times,
+    # and f4^2 f10^6 is a series in q^2, so only f1^2 and its join with
+    # f4^2 f10^6 are taken at full length; factor by factor it takes six.
     factors = {1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}
-    assert _full_length_products(monkeypatch, factors, 2000) <= 3
+    products, _ = _full_length_work(monkeypatch, factors, 2000)
+    assert products <= 3
 
 
 def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch):
-    # No g > 1 divides two of f1, f3, f7: two joins and the square of f7,
-    # which is f1^2 at ceil(order / 7) and so not a full-length product.
+    # No g > 1 divides two of f1, f3, f7.  f1 f7^2 is one join (f7^2 is
+    # f1^2 at ceil(order / 7), not a full-length product), and f3^-1 is
+    # one division by theta(9, 3).
     factors = {1: 1, 3: -1, 7: 2}
-    assert _full_length_products(monkeypatch, factors, 700) == 2
+    assert _full_length_work(monkeypatch, factors, 700) == (1, 1)
     for order in (1, 2, 6, 7, 8, 97):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)

@@ -12,12 +12,14 @@ CPython accepts.
 from __future__ import annotations
 
 import decimal
+import math
 import random
 import sys
 
 import pytest
 
 from etaq import series
+from etaq.cli import MAX_ORDER
 from etaq.eta import expand_quotient
 from etaq.oracle import direct_eta_product
 from etaq.series import FAIL, INSUFFICIENT, PASS, EmptyWindow, LaurentSeries, compare
@@ -173,6 +175,27 @@ def test_product_past_the_int_string_limit():
         for b in cases:
             assert a * b == schoolbook(a, b)
         assert a * a == schoolbook(a, a)
+
+
+class _Packing(Exception):
+    """Raised in place of packing: the product passed its size check."""
+
+
+@pytest.mark.parametrize("extra, refused", ((0, False), (1, True)))
+def test_packed_digit_cap_boundary(extra, refused, monkeypatch):
+    # Two MAX_ORDER-term windows at the widest digit group the cap admits,
+    # and one digit wider; the refusal comes before any string is built.
+    def packing(n, d):
+        raise _Packing(n * d)
+
+    monkeypatch.setattr(series, "_bias", packing)
+    assert series._MAX_PACKED_DIGITS % MAX_ORDER == 0
+    width = series._MAX_PACKED_DIGITS // MAX_ORDER + extra
+    x = math.isqrt(10 ** (width - 1) // 2) + 1  # the smallest x with 2 x^2 of `width` digits
+    assert series._digit_count(2 * x * x) == width
+    window = LaurentSeries(0, (x,) + (0,) * (MAX_ORDER - 1))
+    with pytest.raises(series.ProductTooLarge if refused else _Packing):
+        window * window
 
 
 def test_product_leaves_the_decimal_context_and_int_limit_alone():

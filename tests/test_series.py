@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -129,6 +130,67 @@ def test_invert_errors():
         series(0, 0, 0).invert(5)
     with pytest.raises(EmptyWindow):
         series(0, 1, 1).invert(0)
+
+
+def _loop_invert(a, n_terms):
+    """The per-coefficient reciprocal loop, O(n_terms * support): the
+    reference for ``invert``, which divides by the same recurrence in blocks."""
+    i0 = next(i for i, c in enumerate(a.coeffs) if c)
+    lead = a.coeffs[i0]
+    length = min(n_terms, a.prec - a.offset - i0)
+    b = a.coeffs[i0:i0 + length]
+    out = [lead] + [0] * (length - 1)
+    for n in range(1, length):
+        out[n] = -lead * sum(b[j] * out[n - j] for j in range(1, n + 1))
+    return LaurentSeries(-(a.offset + i0), tuple(out))
+
+
+def _unit_led(rng, max_len):
+    """A dense window whose lowest nonzero coefficient, after up to three
+    zeros, is +1 or -1; the others reach past +-1."""
+    zeros = rng.randint(0, 3)
+    rest = [rng.randint(-9, 9) for _ in range(rng.randint(0, max_len))]
+    return LaurentSeries(rng.randint(-8, 8), (0,) * zeros + (rng.choice((1, -1)),) + tuple(rest))
+
+
+def test_invert_matches_the_loop_on_dense_series():
+    rng = random.Random(211)
+    for _ in range(60):
+        a = _unit_led(rng, 300)
+        n_terms = rng.randint(1, 320)
+        assert a.invert(n_terms) == _loop_invert(a, n_terms)
+
+
+def test_division_window_and_product_with_offsets():
+    # Windows past 64 terms run the blockwise passes as well as the
+    # per-output terms, for divisor coefficients of +-1 and wider.
+    rng = random.Random(409)
+    for _ in range(60):
+        a = LaurentSeries(rng.randint(-8, 8),
+                          tuple(rng.randint(-99, 99) for _ in range(rng.randint(1, 300))))
+        b = _unit_led(rng, 300)
+        v = b.offset + next(i for i, c in enumerate(b.coeffs) if c)
+        quotient = a / b
+        assert quotient.offset == a.offset - v
+        assert len(quotient.coeffs) == min(len(a.coeffs), b.prec - v)
+        product = quotient * b
+        assert all(product[e] == a[e] for e in range(product.offset, product.prec))
+        longer = (LaurentSeries(a.offset, a.coeffs + (rng.randint(-99, 99),) * 70)
+                  / LaurentSeries(b.offset, b.coeffs + (rng.randint(-9, 9),) * 70))
+        assert longer.offset == quotient.offset
+        assert longer.coeffs[:len(quotient.coeffs)] == quotient.coeffs
+
+
+def test_division_errors_with_offsets():
+    a = series(-3, 1, 2, 3)
+    with pytest.raises(NonUnitLeadingCoefficient):
+        a / series(2, 0, 0, 3, 1)
+    with pytest.raises(NonUnitLeadingCoefficient):
+        a / series(-4, 0, -2, 1)
+    with pytest.raises(AllZeroWindow):
+        a / series(-1, 0, 0, 0)
+    with pytest.raises(TypeError):
+        a / 2
 
 
 def test_extract_basic():
