@@ -25,6 +25,7 @@ from .series import (
     worst,
 )
 from .eta import (
+    DivisionTooLarge,
     QuotientParseError,
     TARGETS,
     expand_f,
@@ -71,6 +72,7 @@ __all__ = [
     "Comparison",
     "CongruenceClaim",
     "DissectionClaim",
+    "DivisionTooLarge",
     "EmptyWindow",
     "FAIL",
     "INSUFFICIENT",

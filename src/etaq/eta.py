@@ -68,7 +68,7 @@ import sys
 from collections import OrderedDict
 from typing import Mapping
 
-from .series import EmptyWindow, LaurentSeries
+from .series import EmptyWindow, LaurentSeries, SeriesError
 
 TARGETS: dict[str, dict[int, int]] = {
     "M": {1: -1, 2: 5, 5: 5, 10: -1},
@@ -153,6 +153,35 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
 # 10 (division took 0.76 of the product time at |e| = 6, 1.41 at 16).
 _DIVIDE_MAX = 8
 
+# Most term operations one quotient's divisions may take: dividing a
+# window of N terms by theta takes N times theta's nonzero terms below
+# q^N.  At the CLI's largest order ``verify all --kmax 8`` plans at most
+# 20.9M (EQ213's f1^2 f4^2 f10^6 / (f2^2 f5^6 f20^2)) and ``oracle
+# cross-check`` 6.1M; ``expand "f2*f1^-8"`` plans 37.0M and takes about
+# 2.5 s.  ``"f13*f1^-8*...*f12^-3"`` would plan 200M, 91 divisions.
+_MAX_DIVISION_WORK = 40_000_000
+
+
+class DivisionTooLarge(SeriesError):
+    """A quotient's divisions would take more than ``_MAX_DIVISION_WORK``
+    term operations."""
+
+
+def _divisor_thetas(divisors: list[tuple[tuple[int, int], int]],
+                    order: int) -> list[tuple[LaurentSeries, int]]:
+    """(theta(p, a) on [0, order), -e) for each divisor ((p, a), e), e < 0.
+
+    Raises ``DivisionTooLarge`` before any division when the planned
+    work, the sum of -e * order * theta's nonzero terms, passes the cap.
+    """
+    thetas = [(_theta(p, a, order), -e) for (p, a), e in divisors]
+    work = sum(e * order * (order - theta.coeffs.count(0)) for theta, e in thetas)
+    if work > _MAX_DIVISION_WORK:
+        raise DivisionTooLarge(
+            f"{sum(e for _, e in thetas)} divisions by theta series on {order} terms "
+            f"need {work} term operations, above the cap of {_MAX_DIVISION_WORK}")
+    return thetas
+
 
 def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     """``_expand`` of a quotient with g = 1, on a cache miss.
@@ -166,10 +195,10 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     """
     divisors = [x for x in items if -_DIVIDE_MAX <= x[1] < 0]
     if divisors and any(e > 0 for _, e in items):
+        thetas = _divisor_thetas(divisors, order)
         window = _expand(tuple(x for x in items if x not in divisors), order)
-        for (p, a), e in divisors:
-            theta = _theta(p, a, order)
-            for _ in range(-e):
+        for theta, e in thetas:
+            for _ in range(e):
                 window = window / theta
         return window
     gcds: set[int] = set()  # the gcd of every nonempty set of factors' p and a
@@ -242,7 +271,8 @@ class _WindowCache:
         old = self._windows.pop(items, None)
         if old is not None:
             self._bytes -= old[1]
-        size = sys.getsizeof(window.coeffs) + sum(map(sys.getsizeof, window.coeffs))
+        # int.__sizeof__ is sys.getsizeof without the GC header, which ints lack.
+        size = sys.getsizeof(window.coeffs) + sum(map(int.__sizeof__, window.coeffs))
         self._windows[items] = (window, size)
         self._bytes += size
         while self._bytes > _CACHE_BYTES:
@@ -354,6 +384,7 @@ def parse_quotient(text: str) -> dict[int, int]:
 __all__ = [
     "TARGETS",
     "TARGET_NAMES",
+    "DivisionTooLarge",
     "EmptyWindow",
     "QuotientParseError",
     "cache_info",

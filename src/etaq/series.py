@@ -28,11 +28,14 @@ thread's ``decimal.getcontext()`` is never changed.
 
 Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
-sum_{j>=1} b_j c_{k-j}) (Knuth, TAOCP Vol. 2, 4.7) on blocks of outputs:
-every divisor term reaching back past the current block is one C-level
-``map`` pass over the block, so the cost is the window length times the
-divisor's support, and a sparse divisor such as a theta series needs no
-wide product.  ``invert`` is 1 divided by the series, the same recurrence.
+sum_{j>=1} b_j c_{k-j}) (Knuth, TAOCP Vol. 2, 4.7) on blocks of 64
+outputs.  The divisor terms that reach back past the current block are
+applied to it before it starts: its -1 terms in one C-level pass that
+sums their shifted slices, its +1 terms in a second, and each wider
+term in a pass of its own; only the terms below 64 run one output at a
+time.  The cost is the window length times the divisor's support, so a
+sparse divisor such as a theta series needs no wide product.
+``invert`` is 1 divided by the series, the same recurrence.
 
 The kernel needs the C ``decimal`` module (``_decimal``, part of the
 standard library, so etaq still has no runtime dependency); the
@@ -46,8 +49,10 @@ through ``Decimal`` (a binary conversion, with no limit) instead of
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import decimal
+import itertools
 import math
 import operator
 import struct
@@ -271,10 +276,8 @@ class LaurentSeries:
                 f"window [{self.offset}, {self.prec}) contains no exponent "
                 f"congruent to {r} mod {m}"
             )
-        base = self.offset
-        return LaurentSeries(
-            lo, tuple(self.coeffs[m * n + r - base] for n in range(lo, hi + 1))
-        )
+        base = r - self.offset
+        return LaurentSeries(lo, self.coeffs[m * lo + base:m * hi + base + 1:m])
 
     def alternate_signs(self) -> LaurentSeries:
         """Substitute q -> -q (negate coefficients at odd exponents)."""
@@ -339,44 +342,60 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
     The recurrence c_k = b_0 * (a_k - sum_{j>=1} b_j c_{k-j}) runs on
     blocks of ``_BLOCK`` outputs.  A divisor term b_j with j >= _BLOCK
-    reaches a block only from outputs of earlier blocks, so it is
-    subtracted from the whole block in one C-level ``map`` pass before
-    the block starts; only the terms below _BLOCK run one output at a
+    reaches a block only from outputs of earlier blocks, so all such
+    terms are applied before the block starts, as C-level passes over
+    shifted slices of c: one ``map(sum, zip(...))`` adds the block's -1
+    terms to it, a second sums its +1 terms and subtracts them, and each
+    wider term takes a pass of its own.  A term reaches the block when j
+    is below the block's end, and one bisect on each sign's sorted
+    exponents picks those terms.  Their slices start at most _BLOCK - 1
+    outputs before the block, so _BLOCK - 1 zeros in front of c make
+    every slice whole.  Only the terms below _BLOCK run one output at a
     time.  The work is len(a) times the divisor's support.
     """
     if b[0] == -1:  # a / b == (-a) / (-b), whose divisor leads with +1
         a, b = tuple(map(operator.neg, a)), tuple(map(operator.neg, b))
     n = len(a)
-    # _BLOCK zeros in front: c[k - j] below c's start reads an exact zero.
-    c = [0] * _BLOCK + list(a)
-    near = b[1:_BLOCK]
-    plus = [j for j, x in enumerate(near, 1) if x == 1]
-    minus = [j for j, x in enumerate(near, 1) if x == -1]
-    other = [(j, x) for j, x in enumerate(near, 1) if x not in (0, 1, -1)]
-    far = [(j, x) for j, x in enumerate(b[_BLOCK:], _BLOCK) if x]
-    for lo in range(_BLOCK, n + _BLOCK, _BLOCK):
-        hi = min(lo + _BLOCK, n + _BLOCK)
-        for j, x in far:
-            if j + _BLOCK >= hi:
+    plus: list[int] = []
+    minus: list[int] = []
+    other: list[int] = []
+    for j in itertools.compress(range(1, n), b[1:]):
+        x = b[j]
+        (plus if x == 1 else minus if x == -1 else other).append(j)
+    near_plus, far_plus = _split(plus)
+    near_minus, far_minus = _split(minus)
+    near_other, far_other = ([(j, b[j]) for j in js] for js in _split(other))
+    pad = _BLOCK - 1
+    c = [0] * pad + list(a)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        lo, hi = start + pad, stop + pad
+        terms = far_minus[:bisect.bisect_left(far_minus, stop)]
+        block = map(sum, zip(c[lo:hi], *[c[lo - j:hi - j] for j in terms]))
+        terms = far_plus[:bisect.bisect_left(far_plus, stop)]
+        if terms:
+            block = map(operator.sub, block, map(sum, zip(*[c[lo - j:hi - j] for j in terms])))
+        for j, x in far_other:
+            if j >= stop:
                 break
-            start = max(lo, j + _BLOCK)
-            source = c[start - j:hi - j]
-            if x == 1:
-                c[start:hi] = map(operator.sub, c[start:hi], source)
-            elif x == -1:
-                c[start:hi] = map(operator.add, c[start:hi], source)
-            else:
-                c[start:hi] = map(operator.sub, c[start:hi], map(x.__mul__, source))
+            block = map(operator.sub, block, map(x.__mul__, c[lo - j:hi - j]))
+        c[lo:hi] = block
         for k in range(lo, hi):
             s = c[k]
-            for j in plus:
+            for j in near_plus:
                 s -= c[k - j]
-            for j in minus:
+            for j in near_minus:
                 s += c[k - j]
-            for j, x in other:
+            for j, x in near_other:
                 s -= x * c[k - j]
             c[k] = s
-    return tuple(c[_BLOCK:])
+    return tuple(c[pad:])
+
+
+def _split(exponents: list[int]) -> tuple[list[int], list[int]]:
+    """Sorted exponents below _BLOCK, and those at or above it."""
+    i = bisect.bisect_left(exponents, _BLOCK)
+    return exponents[:i], exponents[i:]
 
 
 def _digits(coeffs: tuple[int, ...], d: int) -> str:

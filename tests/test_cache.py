@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import etaq.eta as eta
@@ -110,6 +112,17 @@ def test_cache_info_counts_each_kind_of_request():
     eta._expand_quotient_cached.cache_clear()
     assert cache_info() == dict.fromkeys(
         ("hits", "prefix_hits", "misses", "entries", "bytes", "evictions"), 0)
+
+
+def test_cache_bytes_are_the_getsizeof_sum():
+    # Windows of big coefficients (1/f1^3), of small ones and zeros (f1^4
+    # f5^4 and its factors) and a spread reduced window (G = F(q^2)).
+    for factors, order in (({1: -3}, 500), ({1: 4, 5: 4}, 300), ({2: 4, 10: 4}, 400)):
+        expand_quotient(factors, order)
+    windows = [window for window, _ in eta._expand_quotient_cached._windows.values()]
+    assert len(windows) == cache_info()["entries"] >= 3
+    assert cache_info()["bytes"] == sum(
+        sys.getsizeof(w.coeffs) + sum(map(sys.getsizeof, w.coeffs)) for w in windows)
 
 
 def test_factors_and_reduced_quotients_are_shared():

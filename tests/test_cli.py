@@ -355,6 +355,16 @@ def test_product_past_the_packed_digit_cap_is_usage_error(capsys, monkeypatch):
     assert "above the cap of 1000" in err
 
 
+def test_division_past_the_work_cap_is_usage_error(capsys):
+    # 91 divisions by theta series at the largest order: refused before any.
+    expr = "f13*" + "*".join(f"f{m}^-8" for m in range(1, 12)) + "*f12^-3"
+    assert main(["expand", expr, "--order", str(MAX_ORDER)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"91 divisions by theta series on {MAX_ORDER} terms need 200180000 term "
+            f"operations, above the cap of {eta._MAX_DIVISION_WORK}") in err
+
+
 def test_run_raises_system_exit(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["etaq", "expand", "f1", "--order", "5"])
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 import etaq.congruences as congruences
@@ -19,8 +22,17 @@ from etaq.congruences import (
     verify_zero_family_structurally,
     zero_family_claim,
 )
+from etaq.eta import gen_target
 from etaq.sequences import sequence_values
-from etaq.series import FAIL, INSUFFICIENT, PASS, SKIPPED, LaurentSeries, compare
+from etaq.series import (
+    FAIL,
+    INSUFFICIENT,
+    PASS,
+    SKIPPED,
+    LaurentSeries,
+    compare,
+    two_adic_valuation,
+)
 
 
 def test_claim_arithmetic():
@@ -127,6 +139,33 @@ def test_verify_congruence_detects_false_exact_zero():
     assert report.witness == {
         "n": -1, "exponent": 0, "value": "1", "v2": 0,
     }
+
+
+def _reference_congruence(claim, order):
+    """verify_congruence one coefficient at a time, through ``__getitem__``."""
+    series = gen_target(claim.target, order)
+    for n in range(-1, order):
+        e = claim.step * n + claim.residue
+        if e >= series.prec:
+            break
+        value = series[e]
+        v = two_adic_valuation(value)
+        if v < (math.inf if claim.required_valuation is None else claim.required_valuation):
+            return FAIL, {"n": n, "exponent": e, "value": str(value),
+                          "v2": "inf" if value == 0 else int(v)}
+    return PASS, None
+
+
+def test_verify_congruence_matches_per_coefficient_reference():
+    # Passing and failing claims, exact-zero and valuation ones, and
+    # progressions whose first exponents lie below the window.
+    rng = random.Random(31)
+    for _ in range(120):
+        claim = CongruenceClaim(rng.choice(("M", "TSTAR", "PSTAR")), rng.randint(1, 16),
+                                rng.randint(-20, 40), rng.choice((None, 0, 1, 2, 3, 5)), "x")
+        order = rng.randint(41, 300)
+        report = verify_congruence(claim, order)
+        assert (report.status, report.witness) == _reference_congruence(claim, order)
 
 
 def test_verify_congruence_insufficient_when_unreachable():

@@ -9,6 +9,7 @@ import pytest
 import etaq.eta as eta
 import prop_support as props
 
+from etaq.cli import MAX_ORDER
 from etaq.eta import (
     QuotientParseError,
     TARGETS,
@@ -308,3 +309,42 @@ def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch)
     assert _full_length_work(monkeypatch, factors, 700) == (1, 1)
     for order in (1, 2, 6, 7, 8, 97):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
+
+
+class _Dividing(Exception):
+    """Raised in place of the divisions: their planned work passed the cap."""
+
+
+@pytest.fixture
+def plan_only(monkeypatch):
+    """Stop each mixed-sign expansion right after its division plan."""
+    plan = eta._divisor_thetas
+
+    def planned(divisors, order):
+        plan(divisors, order)
+        raise _Dividing(order)
+
+    monkeypatch.setattr(eta, "_divisor_thetas", planned)
+    eta._expand_quotient_cached.cache_clear()
+    yield
+    eta._expand_quotient_cached.cache_clear()
+
+
+@pytest.mark.parametrize("order, refused", ((19249, False), (19250, True)))
+def test_division_work_cap_boundary(order, refused, plan_only):
+    # f2 f1^-8 f3^-2 divides 8 times by theta(3, 1) and twice by theta(9, 3);
+    # each division takes N times theta's nonzero terms below q^N: 39,999,422
+    # term operations at N = 19249 and 40,001,500 at N = 19250.
+    with pytest.raises(eta.DivisionTooLarge if refused else _Dividing) as exc:
+        expand_quotient({1: -8, 2: 1, 3: -2}, order)
+    if refused:
+        assert str(exc.value) == ("10 divisions by theta series on 19250 terms need 40001500 "
+                                  "term operations, above the cap of 40000000")
+
+
+def test_battery_quotients_plan_under_the_division_cap(plan_only):
+    # At the CLI's largest order: EQ213's heaviest quotient (20.9M term
+    # operations, the most of `verify all --kmax 8`), and the targets.
+    for factors in ({1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}, TARGETS["M"], TARGETS["TSTAR"]):
+        with pytest.raises(_Dividing):
+            expand_quotient(factors, MAX_ORDER)

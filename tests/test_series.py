@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import etaq.eta as eta
 from etaq.series import (
     FAIL,
     INSUFFICIENT,
@@ -132,17 +133,18 @@ def test_invert_errors():
         series(0, 1, 1).invert(0)
 
 
-def _loop_invert(a, n_terms):
-    """The per-coefficient reciprocal loop, O(n_terms * support): the
-    reference for ``invert``, which divides by the same recurrence in blocks."""
-    i0 = next(i for i, c in enumerate(a.coeffs) if c)
-    lead = a.coeffs[i0]
-    length = min(n_terms, a.prec - a.offset - i0)
-    b = a.coeffs[i0:i0 + length]
-    out = [lead] + [0] * (length - 1)
-    for n in range(1, length):
-        out[n] = -lead * sum(b[j] * out[n - j] for j in range(1, n + 1))
-    return LaurentSeries(-(a.offset + i0), tuple(out))
+def _loop_divide(a, b):
+    """The per-coefficient division loop, one output at a time over every
+    nonzero divisor term: the reference for ``a / b`` and ``invert``,
+    which run the same recurrence in blocks."""
+    i0 = next(i for i, c in enumerate(b.coeffs) if c)
+    lead = b.coeffs[i0]
+    n = min(len(a.coeffs), len(b.coeffs) - i0)
+    terms = [(j, x) for j, x in enumerate(b.coeffs[i0:i0 + n]) if x and j]
+    out = []
+    for k in range(n):
+        out.append(lead * (a.coeffs[k] - sum(x * out[k - j] for j, x in terms if j <= k)))
+    return LaurentSeries(a.offset - b.offset - i0, tuple(out))
 
 
 def _unit_led(rng, max_len):
@@ -158,7 +160,7 @@ def test_invert_matches_the_loop_on_dense_series():
     for _ in range(60):
         a = _unit_led(rng, 300)
         n_terms = rng.randint(1, 320)
-        assert a.invert(n_terms) == _loop_invert(a, n_terms)
+        assert a.invert(n_terms) == _loop_divide(LaurentSeries.one(n_terms), a)
 
 
 def test_division_window_and_product_with_offsets():
@@ -181,6 +183,43 @@ def test_division_window_and_product_with_offsets():
         assert longer.coeffs[:len(quotient.coeffs)] == quotient.coeffs
 
 
+def _thetas(n):
+    """Theta divisors on n terms: f1 = theta(3, 1); theta(10, 1), with a
+    term at exactly q^64; theta(10, 5), whose terms at 5 j^2 are +-2 (the
+    first past 64 at q^80); and -f1, led by -1."""
+    f1 = eta._theta(3, 1, n)
+    return [f1, eta._theta(10, 1, n), eta._theta(10, 5, n), -f1]
+
+
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 127, 128, 129, 2000))
+def test_division_matches_the_loop_at_block_boundaries(n):
+    # Windows ending one short of, at and one past a block of 64 outputs,
+    # by theta divisors and, up to 129 terms, by dense ones (a term at
+    # every j, 63 and 127 included); numerators and divisors with offsets.
+    assert eta._theta(10, 1, 65).coeffs[64] == 1
+    assert eta._theta(10, 5, 81).coeffs[80] == 2
+    rng = random.Random(n)
+    divisors = _thetas(n)
+    if n <= 129:
+        divisors.append(LaurentSeries(0, (1,) + tuple(rng.choice((-2, -1, 1, 3))
+                                                     for _ in range(n - 1))))
+    for b in divisors:
+        for a_offset, b_offset in ((0, 0), (-5, 3), (7, -2)):
+            a = LaurentSeries(a_offset, tuple(rng.randint(-99, 99) for _ in range(n)))
+            quotient = a / b.shift(b_offset)
+            assert quotient == _loop_divide(a, b.shift(b_offset))
+            assert quotient.offset == a_offset - b_offset
+            assert len(quotient.coeffs) == n
+
+
+@pytest.mark.parametrize("p, a, n", ((10, 1, 65), (3, 1, 58), (3, 1, 71), (3, 1, 1963)))
+def test_division_by_theta_with_its_last_term_at_the_window_end(p, a, n):
+    theta = eta._theta(p, a, n)
+    assert theta.coeffs[n - 1] != 0
+    for numerator in (LaurentSeries.one(n), LaurentSeries(0, tuple(range(1, n + 1)))):
+        assert numerator / theta == _loop_divide(numerator, theta)
+
+
 def test_division_errors_with_offsets():
     a = series(-3, 1, 2, 3)
     with pytest.raises(NonUnitLeadingCoefficient):
@@ -191,6 +230,20 @@ def test_division_errors_with_offsets():
         a / series(-1, 0, 0, 0)
     with pytest.raises(TypeError):
         a / 2
+
+
+def test_extract_matches_per_index_reference():
+    rng = random.Random(23)
+    for _ in range(300):
+        a = LaurentSeries(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 40))))
+        m, r = rng.randint(1, 12), rng.randint(-15, 30)
+        exponents = [e for e in range(a.offset, a.prec) if (e - r) % m == 0]
+        if not exponents:
+            with pytest.raises(EmptyWindow):
+                a.extract(m, r)
+            continue
+        expected = LaurentSeries((exponents[0] - r) // m, tuple(a[e] for e in exponents))
+        assert a.extract(m, r) == expected
 
 
 def test_extract_basic():
