@@ -136,15 +136,11 @@ def _print_reports(args: argparse.Namespace, reports: list[Report],
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        return _usage_error(f"--order must be >= 1, got {args.order}")
     _print_series(expand_quotient(args.factors, args.order))
     return EXIT_OK
 
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        return _usage_error(f"--order must be >= 1, got {args.order}")
     series = expand_quotient(args.factors, args.order)
     _print_series(series.extract(args.step, args.residue))
     return EXIT_OK

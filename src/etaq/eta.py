@@ -23,15 +23,16 @@ period and every a of a quotient.  If g > 1 the quotient is a series in
 q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
 spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
-theta(5, 2) at half length.  A single factor at g = 1 is theta, or
-1/theta when e < 0, raised to |e|.  A quotient with factors of both signs
-expands the rest first and then divides that window by theta once per
-unit of each negative exponent e >= -_DIVIDE_MAX: theta is sparse, so a
-division costs N times its support and no wide product.  The target
-M = f2^5 f5^5 / (f1 f10) is f2^5 f5^5 divided by theta(3, 1) and by
-theta(30, 10).  Other quotients of several factors split along their gcd
-tree: the factors sharing a g > 1 are one quotient, built at ceil(N/g)
-terms, and only its join with the rest costs N terms (``_expand_reduced``).
+theta(5, 2) at half length.  At g = 1 each sign has one rule.  A quotient
+with a negative factor expands its positive factors first (1 when it has
+none) and then divides that window by theta once per unit of each
+negative exponent: theta is sparse, so a division costs N times its
+support and no wide product.  The target M = f2^5 f5^5 / (f1 f10) is
+f2^5 f5^5 divided by theta(3, 1) and by theta(30, 10), and 1/f1^3 is 1
+divided by theta(3, 1) three times.  Positive factors multiply along
+their gcd tree: the factors sharing a g > 1 are one quotient, built at
+ceil(N/g) terms, and only its join with the rest costs N terms
+(``_expand_reduced``); a single factor is theta raised to e.
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
 quotient with g = 1 (a single factor or a product), holding the longest
@@ -144,21 +145,12 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
     return _expand_quotient_cached(items, order)
 
 
-# Largest |e| of a negative factor that a quotient with factors of both
-# signs divides by, one theta at a time; a larger |e| multiplies by the
-# power of 1/theta instead.  |e| divisions cost |e| N times theta's
-# support; the power costs a few products whose digit width grows with
-# |e|.  Over f1, f2, f4, f5, f8, f10, f20 and f40 to the power -e, each
-# times f3^5 at order 2000, the summed times broke even at |e| = 8 and
-# 10 (division took 0.76 of the product time at |e| = 6, 1.41 at 16).
-_DIVIDE_MAX = 8
-
 # Most term operations one quotient's divisions may take: dividing a
 # window of N terms by theta takes N times theta's nonzero terms below
 # q^N.  At the CLI's largest order ``verify all --kmax 8`` plans at most
 # 20.9M (EQ213's f1^2 f4^2 f10^6 / (f2^2 f5^6 f20^2)) and ``oracle
-# cross-check`` 6.1M; ``expand "f2*f1^-8"`` plans 37.0M and takes about
-# 2.5 s.  ``"f13*f1^-8*...*f12^-3"`` would plan 200M, 91 divisions.
+# cross-check`` 6.1M; ``expand "f1^-8"`` plans 37.0M and takes about
+# 2.3 s, while ``"f1^-9"`` would plan 41.6M and ``"f1^-100"`` 462M.
 _MAX_DIVISION_WORK = 40_000_000
 
 
@@ -186,17 +178,17 @@ def _divisor_thetas(divisors: list[tuple[tuple[int, int], int]],
 def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     """``_expand`` of a quotient with g = 1, on a cache miss.
 
-    A quotient with factors of both signs expands the factors other than
-    its divisors (theta^e with -_DIVIDE_MAX <= e < 0), then divides that
-    window by each divisor's theta, |e| times.  Otherwise three or more
-    factors split along their gcd tree.  Of the g > 1 that divide the p
-    and a of the factors S, 1 < |S| < all, the one with the largest
-    |S| (1 - 1/g) wins, ties to the larger g; the rest splits again.
+    A quotient with a negative factor expands its positive factors (1
+    when it has none), then divides that window by each divisor's theta,
+    |e| times.  Otherwise three or more factors split along their gcd
+    tree.  Of the g > 1 that divide the p and a of the factors S,
+    1 < |S| < all, the one with the largest |S| (1 - 1/g) wins, ties to
+    the larger g; the rest splits again.
     """
-    divisors = [x for x in items if -_DIVIDE_MAX <= x[1] < 0]
-    if divisors and any(e > 0 for _, e in items):
+    divisors = [x for x in items if x[1] < 0]
+    if divisors:
         thetas = _divisor_thetas(divisors, order)
-        window = _expand(tuple(x for x in items if x not in divisors), order)
+        window = _expand(tuple(x for x in items if x[1] > 0), order)
         for theta, e in thetas:
             for _ in range(e):
                 window = window / theta
@@ -213,10 +205,7 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     if len(items) > 1:
         return functools.reduce(operator.mul, (_expand((item,), order) for item in items))
     [((p, a), e)] = items
-    base = _theta(p, a, order)
-    if e < 0:
-        base = base.invert(order)
-    return _pow(base, abs(e))
+    return _pow(_theta(p, a, order), e)
 
 
 # Bytes of cached coefficient objects (each int and each coefficient
@@ -300,8 +289,8 @@ def expand_quotient(factors: Mapping[int, int], order: int) -> LaurentSeries:
     """prod_m f_m^{e_m} on [0, order) for a mapping {period: exponent}.
 
     The empty mapping gives the constant series 1.  Negative exponents
-    invert the corresponding factor; the constant term of the result is
-    always 1, so the window is [0, order) exactly.
+    divide by the corresponding factor; the constant term of the result
+    is always 1, so the window is [0, order) exactly.
     """
     _validate_quotient(factors)
     if order < 1:

@@ -302,8 +302,10 @@ _CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 
 # Most digits one packed operand of a product may have.  ``verify all
 # --kmax 8`` packs at most 2.44M (n = 20000, d = 122) at the CLI's largest
-# order; ``expand "f1^-20" --order 20000`` would pack 18.3M and take about
-# 12 s and 186 MB, and ``"f1^-100"`` 40 s and 372 MB.
+# order.  Negative powers are divided, never multiplied, so an ``expand``
+# within the CLI's exponent cap stays far below: ``"f1^100" --order 20000``
+# packs 1.98M.  A library call such as ``expand_quotient({1: 1000},
+# 20000)`` stops at 8.02M (d = 401).
 _MAX_PACKED_DIGITS = 8_000_000
 
 # The lowest int <-> str digit limit CPython accepts; no limit refuses a

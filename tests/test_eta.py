@@ -78,25 +78,21 @@ def test_expand_quotient_matches_oracle_on_random_quotients(factors):
 
 
 def _mixed_sign_quotients(count, seed):
-    """Seeded quotients with factors of both signs; exponents reach past
-    ``eta._DIVIDE_MAX`` so both the division and the product path run."""
+    """Seeded quotients with a negative factor, to be divided by theta:
+    most also have a positive factor, and some have none."""
     rng = random.Random(seed)
     periods = (1, 2, 3, 4, 5, 7, 8, 10, 20, 40)
     exponents = [e for e in range(-12, 9) if e]
     quotients = []
     while len(quotients) < count:
         factors = {m: rng.choice(exponents) for m in rng.sample(periods, rng.randint(2, 4))}
-        if min(factors.values()) < 0 < max(factors.values()):
+        if min(factors.values()) < 0:
             quotients.append(dict(sorted(factors.items())))
     return quotients
 
 
-MIXED_SIGN = _mixed_sign_quotients(24, 1301)
-
-
-def test_mixed_sign_draws_reach_both_sides_of_the_crossover():
-    negative = [e for factors in MIXED_SIGN for e in factors.values() if e < 0]
-    assert min(negative) < -eta._DIVIDE_MAX <= max(negative)
+# 24 draws have factors of both signs and 10 only negative ones.
+MIXED_SIGN = _mixed_sign_quotients(34, 1301)
 
 
 @pytest.mark.parametrize("factors", MIXED_SIGN, ids=str)
@@ -311,13 +307,22 @@ def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch)
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
 
 
+def test_negative_factors_divide_whatever_the_other_signs(monkeypatch):
+    # Each theta^e with e < 0 is |e| divisions, with or without a positive
+    # factor; a quotient of negative factors only divides 1, and f2^5 is
+    # f1^5 spread from half the length.
+    assert _full_length_work(monkeypatch, {1: -3}, 500) == (0, 3)
+    assert _full_length_work(monkeypatch, {1: -3, 4: -2}, 500) == (0, 5)
+    assert _full_length_work(monkeypatch, {1: -12, 2: 5}, 500) == (0, 12)
+
+
 class _Dividing(Exception):
     """Raised in place of the divisions: their planned work passed the cap."""
 
 
 @pytest.fixture
 def plan_only(monkeypatch):
-    """Stop each mixed-sign expansion right after its division plan."""
+    """Stop each expansion with a negative factor right after its division plan."""
     plan = eta._divisor_thetas
 
     def planned(divisors, order):
@@ -330,16 +335,25 @@ def plan_only(monkeypatch):
     eta._expand_quotient_cached.cache_clear()
 
 
-@pytest.mark.parametrize("order, refused", ((19249, False), (19250, True)))
-def test_division_work_cap_boundary(order, refused, plan_only):
-    # f2 f1^-8 f3^-2 divides 8 times by theta(3, 1) and twice by theta(9, 3);
-    # each division takes N times theta's nonzero terms below q^N: 39,999,422
-    # term operations at N = 19249 and 40,001,500 at N = 19250.
-    with pytest.raises(eta.DivisionTooLarge if refused else _Dividing) as exc:
-        expand_quotient({1: -8, 2: 1, 3: -2}, order)
-    if refused:
-        assert str(exc.value) == ("10 divisions by theta series on 19250 terms need 40001500 "
-                                  "term operations, above the cap of 40000000")
+# Each division takes N times theta's nonzero terms below q^N.  f2 f1^-8
+# f3^-2 divides 8 times by theta(3, 1) and twice by theta(9, 3): 39,999,422
+# term operations at N = 19249 and 40,001,500 at N = 19250.  f1^-9 divides
+# 9 times by theta(3, 1): 39,999,636 at N = 19493 and 40,001,688 at 19494.
+_CAP_CASES = (({1: -8, 2: 1, 3: -2}, 19249, None),
+              ({1: -8, 2: 1, 3: -2}, 19250, "10 divisions by theta series on 19250 terms "
+                                            "need 40001500 term operations"),
+              ({1: -9}, 19493, None),
+              ({1: -9}, 19494, "9 divisions by theta series on 19494 terms "
+                               "need 40001688 term operations"))
+
+
+@pytest.mark.parametrize("factors, order, refusal", _CAP_CASES,
+                         ids=[f"{order}-{refusal is not None}" for _, order, refusal in _CAP_CASES])
+def test_division_work_cap_boundary(factors, order, refusal, plan_only):
+    with pytest.raises(_Dividing if refusal is None else eta.DivisionTooLarge) as exc:
+        expand_quotient(factors, order)
+    if refusal is not None:
+        assert str(exc.value) == f"{refusal}, above the cap of 40000000"
 
 
 def test_battery_quotients_plan_under_the_division_cap(plan_only):
