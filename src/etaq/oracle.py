@@ -1,11 +1,17 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Partition counts come from a parts-accumulation dynamic program.  Eta
-products and k(q) come from one exact recurrence on the exponents a_d of
-their literal (1 - q^d) factors, F = prod_{d>=1} (1 - q^d)^{a_d}: with
-s_k = -sum_{d | k} d a_d, F_0 = 1 and n F_n = sum_{k=1}^{n} s_k F_{n-k}
-(Apostol, Introduction to Analytic Number Theory, Thm 14.8).  Each
-division by n is exact; a remainder raises ``ArithmeticError``.
+Partition counts come from a parts-accumulation dynamic program, which
+divides by each (1 - q^d) in turn.  Eta products and k(q) come from one
+exact recurrence on the exponents a_d of their literal (1 - q^d) factors,
+F = prod_{d>=1} (1 - q^d)^{a_d}: with s_k = -sum_{d | k} d a_d, F_0 = 1
+and n F_n = sum_{k=1}^{n} s_k F_{n-k} (Apostol, Introduction to Analytic
+Number Theory, Thm 14.8).  Each division by n is exact; a remainder
+raises ``ArithmeticError``.
+
+In ``cross_check`` the partition program is the oracle for 1/f1 (the
+EULER_P row and the inversion row) and for the p(mn+r) rows.  The
+recurrence runs once for f1, whose spread f1(q^m) checks every f_m row,
+and once each for M, T*, P* and k.
 
 The recurrence shares nothing with :mod:`etaq.eta` or the product kernel
 of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import eta
 from .identities import MIN_ORDER
@@ -72,8 +78,16 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
     for m, e in sorted(factors.items()):  # a_d = sum_{m | gd} e_m on ceil(order/g) terms
         for d in range(m // g, len(a), m // g):
             a[d] += e
+    return _spread(_euler_product(a), g, order)
+
+
+def _spread(f: Sequence[int], m: int, order: int) -> LaurentSeries:
+    """sum_i f[i] q^(m i) on [0, order), from the first ceil(order/m) terms of f.
+
+    With f the coefficients of F(q), this is F(q^m); f_m is f1 spread by m.
+    """
     c = [0] * order
-    c[::g] = _euler_product(a)
+    c[::m] = f[:-(-order // m)]
     return LaurentSeries(0, tuple(c))
 
 
@@ -107,29 +121,39 @@ def cross_check(order: int) -> list[Report]:
     program), and the classical partition congruences
     p(5n+4) == 0 mod 5, p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a
     sanity gate on the oracle itself.
+
+    Each oracle sequence is built once.  The partition dynamic program
+    checks the EULER_P row, the 1/f1 row and the three p(mn+r) rows.  One
+    run of the product recurrence for f1 checks every f_m row, as f1
+    spread by m.  M, T*, P* and k each run the recurrence on their own
+    factors.
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
     checks: list[Report] = []
+    counts = partition_counts(order)
+    partitions = LaurentSeries(0, tuple(counts))
 
+    f1 = direct_eta_product({1: 1}, order).coeffs
     for m in _CHECK_PERIODS:
         checks.append(_agreement(
             f"f{m}: pentagonal expansion vs factor-by-factor product", order,
-            eta.expand_f(m, order), direct_eta_product({m: 1}, order)))
+            eta.expand_f(m, order), _spread(f1, m, order)))
 
     for tag in sorted(eta.TARGETS):
+        factors = eta.TARGETS[tag]
         checks.append(_agreement(
             f"{tag}: quotient expander vs factor-by-factor product", order,
-            eta.gen_target(tag, order), direct_eta_product(eta.TARGETS[tag], order)))
+            eta.gen_target(tag, order),
+            partitions if factors == {1: -1} else direct_eta_product(factors, order)))
 
     checks.append(_agreement(
         "k: theta quotient vs factor-by-factor product", order,
         eta.expand_k(order), direct_k(order)))
 
-    counts = partition_counts(order)
     checks.append(_agreement(
         "1/f1: series inversion vs partition dynamic program", order,
-        eta.expand_f(1, order).invert(order), LaurentSeries(0, tuple(counts))))
+        eta.expand_f(1, order).invert(order), partitions))
 
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
         ns = range(residue, order, modulus)

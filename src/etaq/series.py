@@ -291,9 +291,8 @@ class LaurentSeries:
 
     def dump(self) -> str:
         """Text form: a header line, then one decimal coefficient per line."""
-        lines = [f"offset={self.offset} prec={self.prec}"]
-        lines.extend(str(c) for c in self.coeffs)
-        return "\n".join(lines)
+        return (f"offset={self.offset} prec={self.prec}"
+                + "\n%d" * len(self.coeffs)) % self.coeffs
 
 
 # Exact integer arithmetic: a result that needs rounding raises Inexact.

@@ -223,6 +223,74 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
         eta._expand_quotient_cached.cache_clear()
 
 
+def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
+    # p(n) comes from one partition program and every f_m from one f1
+    # recurrence; only M, P* and T* run the recurrence on their own factors.
+    products, partitions = [], []
+
+    def counting_product(factors, order, real=oracle.direct_eta_product):
+        products.append(tuple(sorted(factors.items())))
+        return real(factors, order)
+
+    def counting_partitions(order, real=oracle.partition_counts):
+        partitions.append(order)
+        return real(order)
+
+    monkeypatch.setattr(oracle, "direct_eta_product", counting_product)
+    monkeypatch.setattr(oracle, "partition_counts", counting_partitions)
+    checks = cross_check(120)
+    assert all(check.status == PASS for check in checks)
+    assert partitions == [120]
+    # So never {1: -1}, never a single period m > 1, never the same factors twice.
+    assert sorted(products) == sorted(
+        [((1, 1),)] + [tuple(sorted(eta.TARGETS[tag].items()))
+                       for tag in ("M", "PSTAR", "TSTAR")])
+
+
+def _corrupt_one_row(monkeypatch, name, hit, exponent):
+    """Patch eta.<name> to add 1 at q^exponent where hit(args); run cross_check."""
+    real = getattr(eta, name)
+
+    def broken(*args):
+        s = real(*args)
+        if hit(*args):
+            coeffs = list(s.coeffs)
+            coeffs[exponent - s.offset] += 1
+            return LaurentSeries(s.offset, coeffs)
+        return s
+
+    monkeypatch.setattr(eta, name, broken)
+    return [c for c in cross_check(60) if c.status != PASS]
+
+
+def test_cross_check_flags_a_defect_in_the_euler_p_expansion(monkeypatch):
+    # Negative control for the row whose oracle is the partition program.
+    flagged = _corrupt_one_row(
+        monkeypatch, "gen_target", lambda tag, order: tag == "EULER_P", 23)
+    assert [c.label for c in flagged] == [
+        "EULER_P: quotient expander vs factor-by-factor product"]
+    assert flagged[0].status == FAIL
+    assert flagged[0].witness == {"exponent": 23, "lhs": "1256", "rhs": "1255"}
+
+
+def test_cross_check_flags_a_defect_in_f5(monkeypatch):
+    # Negative control for a row whose oracle is f1 spread by 5: f5 has
+    # coefficient -1 at q^10 (f1's at q^2), which the defect turns into 0.
+    flagged = _corrupt_one_row(
+        monkeypatch, "expand_f", lambda m, order: m == 5, 10)
+    assert [c.label for c in flagged] == [
+        "f5: pentagonal expansion vs factor-by-factor product"]
+    assert flagged[0].status == FAIL
+    assert flagged[0].witness == {"exponent": 10, "lhs": "0", "rhs": "-1"}
+
+
+@pytest.mark.parametrize("m", oracle._CHECK_PERIODS)
+def test_spread_of_f1_is_the_single_period_product(m):
+    for order in (1, 2, 97, 301):
+        f1 = direct_eta_product({1: 1}, order).coeffs
+        assert oracle._spread(f1, m, order) == direct_eta_product({m: 1}, order)
+
+
 def test_check_periods_cover_catalog_and_targets():
     # cross_check promises a row for every period the catalog reads.
     catalog = {int(m) for definition in CATALOG.values()

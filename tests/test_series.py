@@ -327,6 +327,20 @@ def test_dump_format():
     assert s.dump() == "offset=-1 prec=2\n3\n0\n-12"
 
 
+@pytest.mark.parametrize("offset", (-7, -1, 0, 3))
+def test_dump_matches_line_join(offset):
+    # dump formats every coefficient with one %; the text must equal the
+    # header and str() of each coefficient joined by newlines.
+    rng = random.Random(offset)
+    coeffs = [0, -1, 1, 10**19, -10**19 - 1, 2**64, -(3**80)] + [
+        rng.randrange(-10**30, 10**30) for _ in range(50)] + [0]
+    s = LaurentSeries(offset, tuple(coeffs))
+    assert s.dump() == "\n".join(
+        [f"offset={offset} prec={offset + len(coeffs)}"] + [str(c) for c in coeffs])
+    one = LaurentSeries(offset, (-5,))
+    assert one.dump() == f"offset={offset} prec={offset + 1}\n-5"
+
+
 def test_from_terms_validates_window():
     with pytest.raises(ValueError):
         LaurentSeries.from_terms({5: 1}, 0, 3)
