@@ -43,7 +43,6 @@ from .identities import (
 )
 from .sequences import (
     closed_form_C,
-    seq_value,
     sequence_values,
     verify_closed_forms,
     verify_valuations,
@@ -99,7 +98,6 @@ __all__ = [
     "parse_quotient",
     "partition_counts",
     "rhs_series",
-    "seq_value",
     "sequence_values",
     "theorem_11_claims",
     "theorem_12_claims",

@@ -1,22 +1,33 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Partition counts come from a parts-accumulation dynamic program, which
-divides by each (1 - q^d) in turn.  Eta products and k(q) come from one
-exact recurrence on the exponents a_d of their literal (1 - q^d) factors,
-F = prod_{d>=1} (1 - q^d)^{a_d}: with s_k = -sum_{d | k} d a_d, F_0 = 1
-and n F_n = sum_{k=1}^{n} s_k F_{n-k} (Apostol, Introduction to Analytic
-Number Theory, Thm 14.8).  Each division by n is exact; a remainder
-raises ``ArithmeticError``.
+Three algorithms, none of them the fast expander's:
 
-In ``cross_check`` the partition program is the oracle for 1/f1 (the
-EULER_P row and the inversion row) and for the p(mn+r) rows.  The
-recurrence runs once for f1, whose spread f1(q^m) checks every f_m row,
-and once each for M, T*, P* and k.
+* Partition counts sum the Durfee-square series (Andrews, The Theory of
+  Partitions, 1976, ch. 2)
+  sum_n p(n) q^n = sum_{k>=0} q^(k^2) / (q;q)_k^2,
+  building 1/(q;q)_k^2 from 1/(q;q)_{k-1}^2 by two in-place divisions by
+  (1 - q^k), each on the order - k^2 terms that can still reach the
+  window: about (4/3) N^(3/2) term operations.
+* f1 = (q;q)_inf sums Euler's series
+  (q;q)_inf = sum_{k>=0} (-1)^k q^(k(k+1)/2) / (q;q)_k
+  in the same way, one division by (1 - q^k) per term: about N^(3/2).
+* Eta products and k(q) come from one exact recurrence on the exponents
+  a_d of their literal (1 - q^d) factors, F = prod_{d>=1} (1 - q^d)^{a_d}:
+  with s_k = -sum_{d | k} d a_d, F_0 = 1 and n F_n = sum_{k=1}^{n} s_k
+  F_{n-k} (Apostol, Introduction to Analytic Number Theory, Thm 14.8).
+  Each division by n is exact; a remainder raises ``ArithmeticError``.
+  One product is an N^2/2 convolution.
 
-The recurrence shares nothing with :mod:`etaq.eta` or the product kernel
+In ``cross_check`` the Durfee sum is the oracle for 1/f1 (the EULER_P
+row and the inversion row) and for the p(mn+r) rows.  Euler's series
+gives f1, whose spread f1(q^m) checks every f_m row.  The recurrence runs
+once each for M, T*, P* and k.
+
+None of them shares anything with :mod:`etaq.eta` or the product kernel
 of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
-Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert``.  Its
-inputs are divisor sums of factor exponents, never a series' coefficients.
+Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert``.  The
+recurrence's inputs are divisor sums of factor exponents, never a
+series' coefficients.
 """
 
 from __future__ import annotations
@@ -41,14 +52,30 @@ def _over_binomial(c: list[int], d: int) -> None:
 
 
 def partition_counts(order: int) -> list[int]:
-    """p(0), ..., p(order-1) by accumulating one part size at a time."""
+    """p(0), ..., p(order-1) by the Durfee-square series sum_k q^(k^2)/(q;q)_k^2."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    dp = [0] * order
-    dp[0] = 1
-    for part in range(1, order):
-        _over_binomial(dp, part)
-    return dp
+    t = [1] + [0] * (order - 1)  # 1/(q;q)_k^2 on the order - k^2 terms that reach the window
+    p = t[:]
+    for k in range(1, math.isqrt(order - 1) + 1):
+        del t[order - k * k:]
+        _over_binomial(t, k)
+        _over_binomial(t, k)
+        p[k * k:] = map(operator.add, p[k * k:], t)
+    return p
+
+
+def _f1(order: int) -> list[int]:
+    """(q;q)_inf on [0, order) by Euler's series sum_k (-1)^k q^(k(k+1)/2)/(q;q)_k."""
+    t = [1] + [0] * (order - 1)  # 1/(q;q)_k on the order - k(k+1)/2 terms that reach the window
+    f = t[:]
+    k = 1
+    while (start := k * (k + 1) // 2) < order:
+        del t[order - start:]
+        _over_binomial(t, k)
+        f[start:] = map(operator.sub if k % 2 else operator.add, f[start:], t)
+        k += 1
+    return f
 
 
 def _euler_product(a: list[int]) -> list[int]:
@@ -117,16 +144,23 @@ def cross_check(order: int) -> list[Report]:
     Covers every period used by the identity catalog (each f_m through
     the quotient expander, the path the verifiers use), all four named
     generating targets, k(q) (the theta quotient against its literal
-    product), the inversion path (1/f1 against the partition dynamic
-    program), and the classical partition congruences
-    p(5n+4) == 0 mod 5, p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a
-    sanity gate on the oracle itself.
+    product), the inversion path (1/f1 against the partition counts), and
+    the classical partition congruences p(5n+4) == 0 mod 5,
+    p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a sanity gate on the
+    oracle itself.
 
-    Each oracle sequence is built once.  The partition dynamic program
-    checks the EULER_P row, the 1/f1 row and the three p(mn+r) rows.  One
-    run of the product recurrence for f1 checks every f_m row, as f1
-    spread by m.  M, T*, P* and k each run the recurrence on their own
-    factors.
+    Each oracle sequence is built once, by one of three algorithms:
+
+    * the Durfee-square sum (``partition_counts``, about N^(3/2) term
+      operations) checks the EULER_P row, the 1/f1 row and the three
+      p(mn+r) rows;
+    * Euler's series for f1 (``_f1``, about N^(3/2)) checks every f_m
+      row, as f1 spread by m;
+    * the divisor-sum recurrence (``direct_eta_product`` and
+      ``direct_k``, N^2/2 each) checks the M, T*, P* and k rows.
+
+    The row labels predate the two series sums and are kept as they are,
+    so the printed rows stay the same.
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
@@ -134,7 +168,7 @@ def cross_check(order: int) -> list[Report]:
     counts = partition_counts(order)
     partitions = LaurentSeries(0, tuple(counts))
 
-    f1 = direct_eta_product({1: 1}, order).coeffs
+    f1 = _f1(order)
     for m in _CHECK_PERIODS:
         checks.append(_agreement(
             f"f{m}: pentagonal expansion vs factor-by-factor product", order,

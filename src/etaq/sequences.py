@@ -44,11 +44,6 @@ def sequence_values(family: str, kmax: int) -> list[int]:
     return values[:kmax + 1]
 
 
-def seq_value(family: str, k: int) -> int:
-    """P_k of one family."""
-    return sequence_values(family, k)[k]
-
-
 def closed_form_C(k: int) -> int:
     """C_k from 4-periodicity: (-64)^(k//4) times (1, -4, 8, 0)[k % 4]."""
     if k < 0:
@@ -99,7 +94,6 @@ def verify_closed_forms(kmax: int) -> Report:
 
 __all__ = [
     "closed_form_C",
-    "seq_value",
     "sequence_values",
     "verify_closed_forms",
     "verify_valuations",

@@ -24,7 +24,7 @@ from etaq.identities import catalog_ids, identity_sides, verify_all_identities
 from etaq.oracle import cross_check
 from etaq.sequences import (
     closed_form_C,
-    seq_value,
+    sequence_values,
     verify_closed_forms,
     verify_valuations,
 )
@@ -107,11 +107,10 @@ def test_criterion_5_deep_families_and_exact_zeros():
 def test_criterion_6_sequence_families():
     assert verify_valuations(64).status == PASS
     assert verify_closed_forms(64).status == PASS
+    c_values = sequence_values("C", 64)
     for k in range(65):
-        assert seq_value("C", k) == closed_form_C(k), k
-    assert seq_value("C", 2) == 8
-    assert seq_value("C", 3) == 0
-    assert seq_value("C", 4) == -64
+        assert c_values[k] == closed_form_C(k), k
+    assert c_values[2:5] == [8, 0, -64]
     print("criterion 6: PASS - exact valuations k-1 through k=64; "
           "closed form for C through k=64 with C_2=8, C_3=0, C_4=-64")
 

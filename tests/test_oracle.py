@@ -3,7 +3,9 @@
 The oracle's product recurrence is checked against the literal product
 it replaced, which multiplies in one (1 - q^d) factor at a time, and
 against digests that the literal product recorded in
-``perfbench/reference.json``.
+``perfbench/reference.json``.  The Durfee-square sum for p(n) is checked
+against the parts-accumulation program it replaced, and Euler's series
+for f1 against the product recurrence.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def test_partition_counts_validation():
         partition_counts(0)
 
 
+def test_partition_counts_thousand():
+    assert partition_counts(1001)[1000] == 24061467864032622473692149727991
+
+
 def times_binomial(c: list[int], d: int) -> None:
     """c *= (1 - q^d) in place; both slices are read before the write."""
     c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
@@ -75,6 +81,14 @@ def literal_eta_product(factors: dict[int, int], order: int) -> list[int]:
         for _ in range(abs(e)):
             for d in range(m, order, m):
                 step(c, d)
+    return c
+
+
+def parts_accumulation(order: int) -> list[int]:
+    """p(0), ..., p(order-1) by dividing 1 by (1 - q^d) for each part size d."""
+    c = [1] + [0] * (order - 1)
+    for d in range(1, order):
+        over_binomial(c, d)
     return c
 
 
@@ -108,6 +122,22 @@ def test_recurrence_with_periods_at_or_past_the_order(factors):
     for order in (1, 2, 60, 100, 150, 151):
         assert list(direct_eta_product(factors, order).coeffs) == literal_eta_product(
             factors, order)
+
+
+def test_durfee_sum_matches_parts_accumulation_at_every_order():
+    # Orders 1..200 cross every k^2 boundary up to 14^2.
+    reference = parts_accumulation(200)
+    for order in range(1, 201):
+        assert partition_counts(order) == reference[:order], order
+    assert partition_counts(2000) == parts_accumulation(2000)
+
+
+def test_euler_series_matches_product_recurrence_at_every_order():
+    # Orders 1..300 cross every triangular number k(k+1)/2 up to k = 24.
+    reference = list(direct_eta_product({1: 1}, 300).coeffs)
+    for order in range(1, 301):
+        assert oracle._f1(order) == reference[:order], order
+    assert oracle._f1(2000) == list(direct_eta_product({1: 1}, 2000).coeffs)
 
 
 def test_recurrence_matches_literal_k_at_every_order():
@@ -224,9 +254,9 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
 
 
 def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
-    # p(n) comes from one partition program and every f_m from one f1
-    # recurrence; only M, P* and T* run the recurrence on their own factors.
-    products, partitions = [], []
+    # p(n) comes from one Durfee sum and every f_m from one Euler series
+    # for f1; only M, P* and T* run the product recurrence.
+    products, partitions, f1s = [], [], []
 
     def counting_product(factors, order, real=oracle.direct_eta_product):
         products.append(tuple(sorted(factors.items())))
@@ -236,15 +266,51 @@ def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
         partitions.append(order)
         return real(order)
 
+    def counting_f1(order, real=oracle._f1):
+        f1s.append(order)
+        return real(order)
+
     monkeypatch.setattr(oracle, "direct_eta_product", counting_product)
     monkeypatch.setattr(oracle, "partition_counts", counting_partitions)
+    monkeypatch.setattr(oracle, "_f1", counting_f1)
     checks = cross_check(120)
     assert all(check.status == PASS for check in checks)
     assert partitions == [120]
-    # So never {1: -1}, never a single period m > 1, never the same factors twice.
+    assert f1s == [120]
+    # So never {1: 1} or {1: -1}, never a single period m > 1, never the
+    # same factors twice.
     assert sorted(products) == sorted(
-        [((1, 1),)] + [tuple(sorted(eta.TARGETS[tag].items()))
-                       for tag in ("M", "PSTAR", "TSTAR")])
+        tuple(sorted(eta.TARGETS[tag].items())) for tag in ("M", "PSTAR", "TSTAR"))
+
+
+def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
+    # Negative control for both series sums: skipping the division by
+    # (1 - q^3) drops two factors from every Durfee term k >= 3 (first
+    # seen at q^(9+3)) and one from every Euler term k >= 3 (at q^(6+3)).
+    # The product recurrence does not call _over_binomial, so its rows pass.
+    real = oracle._over_binomial
+    monkeypatch.setattr(oracle, "_over_binomial",
+                        lambda c, d: None if d == 3 else real(c, d))
+    flagged = {c.label: c for c in cross_check(60) if c.status != PASS}
+    assert all(c.status == FAIL for c in flagged.values())
+    assert sorted(flagged) == sorted([
+        "f1: pentagonal expansion vs factor-by-factor product",
+        "f2: pentagonal expansion vs factor-by-factor product",
+        "f4: pentagonal expansion vs factor-by-factor product",
+        "f5: pentagonal expansion vs factor-by-factor product",
+        "EULER_P: quotient expander vs factor-by-factor product",
+        "1/f1: series inversion vs partition dynamic program",
+        "p(5n+4) == 0 mod 5",
+        "p(7n+5) == 0 mod 7",
+        "p(11n+6) == 0 mod 11",
+    ])
+    assert flagged["f1: pentagonal expansion vs factor-by-factor product"].witness == {
+        "exponent": 9, "lhs": "0", "rhs": "1"}
+    partition_witness = {"exponent": 12, "lhs": "77", "rhs": "75"}
+    assert flagged["EULER_P: quotient expander vs factor-by-factor product"].witness == \
+        partition_witness
+    assert flagged["1/f1: series inversion vs partition dynamic program"].witness == \
+        partition_witness
 
 
 def _corrupt_one_row(monkeypatch, name, hit, exponent):
@@ -287,7 +353,7 @@ def test_cross_check_flags_a_defect_in_f5(monkeypatch):
 @pytest.mark.parametrize("m", oracle._CHECK_PERIODS)
 def test_spread_of_f1_is_the_single_period_product(m):
     for order in (1, 2, 97, 301):
-        f1 = direct_eta_product({1: 1}, order).coeffs
+        f1 = oracle._f1(order)
         assert oracle._spread(f1, m, order) == direct_eta_product({m: 1}, order)
 
 

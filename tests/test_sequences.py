@@ -8,7 +8,6 @@ import pytest
 
 from etaq.sequences import (
     closed_form_C,
-    seq_value,
     sequence_values,
     verify_closed_forms,
     verify_valuations,
@@ -29,7 +28,7 @@ def test_frozen_heads():
 def test_seq_value_agrees_with_iteration():
     for family in ("A", "B", "C"):
         values = sequence_values(family, 20)
-        assert [seq_value(family, k) for k in range(21)] == values
+        assert [sequence_values(family, k)[k] for k in range(21)] == values
 
 
 def test_forcing_term_cancels_in_difference():
@@ -56,16 +55,16 @@ def test_closed_form_C_values():
 def test_family_C_vanishes_on_residue_three():
     for k in range(41):
         if k % 4 == 3:
-            assert seq_value("C", k) == 0
+            assert sequence_values("C", k)[k] == 0
         else:
-            assert seq_value("C", k) != 0
+            assert sequence_values("C", k)[k] != 0
 
 
 def test_valuation_pattern_explicitly():
     for family in ("A", "B"):
         for k in range(1, 33):
-            assert two_adic_valuation(seq_value(family, k)) == k - 1
-    assert two_adic_valuation(seq_value("C", 3)) is math.inf
+            assert two_adic_valuation(sequence_values(family, k)[k]) == k - 1
+    assert two_adic_valuation(sequence_values("C", 3)[3]) is math.inf
 
 
 def test_verify_valuations_passes():
