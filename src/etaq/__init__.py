@@ -3,8 +3,8 @@
 Expands eta-quotient generating functions as exact integer coefficient
 windows, verifies a catalog of series identities and 2-power dissection /
 congruence families against them, and cross-checks the expander with an
-independent oracle: a partition dynamic program and Euler's divisor-sum
-recurrence for products of (1 - q^d) factors.
+independent oracle: the Durfee-square sum for p(n), Euler's series for f1,
+and Euler's divisor-sum recurrence for products of (1 - q^d) factors.
 """
 
 from .series import (

@@ -6,8 +6,8 @@ generating function, and states that it equals
 
     P_l * q^{-1} F  -  8 P_{l-1} * G  (+ 5 * 2^l * H for M and T*)
 
-with F = f1^4 f5^4, G = f2^4 f10^4, H = f1 f2 f5^3 f10^3, and P the
-family A, B, or C from :mod:`etaq.sequences` according to the target.
+with F, G, H read from catalog entry EQ210 (the M case at l = 1) and P
+the family A, B, or C from :mod:`etaq.sequences` according to the target.
 The congruence claims are its coefficientwise consequences: on the
 progression of one level, every coefficient is divisible by a stated
 power of two, or vanishes outright.  Rows 1.1 and 1.2 are the M and T*
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eta import TARGET_NAMES, TARGETS, expand_quotient, gen_target
-from .identities import _series
+from .eta import TARGET_NAMES, gen_target
+from .identities import Term, _series, rhs_terms
 from .sequences import sequence_values
 from .series import (
     FAIL,
@@ -38,10 +38,7 @@ from .series import (
 TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
 # T*'s base dissection starts at an even argument, one below M's and P*'s.
 _RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
-
-_F_QUOTIENT = TARGETS["PSTAR"]  # F = f1^4 f5^4 generates P*
-_G_QUOTIENT = {2: 4, 10: 4}
-_H_QUOTIENT = {1: 1, 2: 1, 5: 3, 10: 3}
+_BASIS = [(1, s, j, factors) for _, s, j, factors in rhs_terms("EQ210")]
 
 
 def _progression(target: str, level: int) -> tuple[int, int]:
@@ -88,16 +85,16 @@ def lhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     return gen_target(claim.target, order).extract(claim.step, claim.residue)
 
 
-def _rhs_window(claim: DissectionClaim, values: list[int], order: int) -> LaurentSeries:
-    """P_k q^-1 F - 8 P_(k-1) G (+ 5*2^k H), P = values, by the catalog's evaluator."""
-    prev, lead = values[claim.k - 1:claim.k + 1]
-    forced = [(5 << claim.k, 0, 0, _H_QUOTIENT)] if claim.target != "PSTAR" else []
-    return _series([(lead, -1, 0, _F_QUOTIENT), (-8 * prev, 0, 0, _G_QUOTIENT)] + forced, order)
+def _rhs_terms(target: str, k: int, values: list[int]) -> list[Term]:
+    """P_k q^-1 F - 8 P_(k-1) G (+ 5*2^k H but for P*), P = values; zero terms stay."""
+    scales = (values[k], -8 * values[k - 1], 5 << k)[:2 if target == "PSTAR" else 3]
+    return [(a * c, s, j, factors) for a, (c, s, j, factors) in zip(scales, _BASIS)]
 
 
 def rhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     """The recurrence combination of F, G, H claimed to equal the lhs."""
-    return _rhs_window(claim, sequence_values(TARGET_FAMILY[claim.target], claim.k), order)
+    values = sequence_values(TARGET_FAMILY[claim.target], claim.k)
+    return _series(_rhs_terms(claim.target, claim.k, values), order)
 
 
 def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) -> Report:
@@ -121,7 +118,7 @@ def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) ->
     if claim.k == 2 and claim.target in ("M", "TSTAR"):
         fam = TARGET_FAMILY[claim.target]
         other = "B" if fam == "A" else "A"
-        swapped = _rhs_window(claim, sequence_values(other, 2), order)
+        swapped = _series(_rhs_terms(claim.target, 2, sequence_values(other, 2)), order)
         alt = compare(lhs, swapped, min_overlap=required)
         # F = 1 + O(q), so each window's q^-1 coefficient is its lead P_2.
         note = (f"k=2 lead labeling: {fam}_2={rhs[-1]} -> {outcome.status}, "
@@ -249,7 +246,7 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
     """
     zero = zero_family_claim(k)
     rhs = rhs_series(DissectionClaim("PSTAR", 4 * k + 3), order)
-    expected = ((-64) ** (k + 1) * expand_quotient(_G_QUOTIENT, order)
+    expected = ((-64) ** (k + 1) * _series(_BASIS[1:2], order)
                 + LaurentSeries.from_terms({}, -1, order))
     structural = Report.of(
         f"1.7-structural[k={k}]",
@@ -299,7 +296,7 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
         values = {t: sequence_values(f, kmax) for t, f in TARGET_FAMILY.items()}
         dissections, inductions, previous = [], [], {}
         for claim in (DissectionClaim(t, k) for k in range(1, kmax + 1) for t in values):
-            rhs = _rhs_window(claim, values[claim.target], order)
+            rhs = _series(_rhs_terms(claim.target, claim.k, values[claim.target]), order)
             dissections.append(verify_dissection(claim, order, rhs))
             if claim.k > 1:
                 inductions.append(verify_induction_step(DissectionClaim(

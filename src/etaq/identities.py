@@ -200,6 +200,15 @@ def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
     return _read_sides(CATALOG[tag].statement, order)
 
 
+def rhs_terms(tag: str) -> list[Term]:
+    """The rhs of one catalog statement as its terms (c, s, j, {m: e_m})."""
+    rhs = _REMARK.sub("", CATALOG[tag].statement).split(" = ")[1]
+    terms = _evaluate(ast.parse(_python_syntax(rhs), mode="eval").body, MIN_ORDER)
+    if not isinstance(terms, list):
+        raise ValueError(f"the rhs of {tag} is a series, not a list of terms")
+    return terms
+
+
 def verify_identity(tag: str, order: int) -> Report:
     """Compare both sides coefficientwise, requiring order // 2 overlap.
 
@@ -221,6 +230,7 @@ __all__ = [
     "IdentityDefinition",
     "catalog_ids",
     "identity_sides",
+    "rhs_terms",
     "verify_all_identities",
     "verify_identity",
 ]

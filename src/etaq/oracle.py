@@ -158,9 +158,6 @@ def cross_check(order: int) -> list[Report]:
       row, as f1 spread by m;
     * the divisor-sum recurrence (``direct_eta_product`` and
       ``direct_k``, N^2/2 each) checks the M, T*, P* and k rows.
-
-    The row labels predate the two series sums and are kept as they are,
-    so the printed rows stay the same.
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
@@ -171,22 +168,21 @@ def cross_check(order: int) -> list[Report]:
     f1 = _f1(order)
     for m in _CHECK_PERIODS:
         checks.append(_agreement(
-            f"f{m}: pentagonal expansion vs factor-by-factor product", order,
+            f"f{m}: pentagonal expansion vs Euler's series", order,
             eta.expand_f(m, order), _spread(f1, m, order)))
 
-    for tag in sorted(eta.TARGETS):
-        factors = eta.TARGETS[tag]
-        checks.append(_agreement(
-            f"{tag}: quotient expander vs factor-by-factor product", order,
-            eta.gen_target(tag, order),
-            partitions if factors == {1: -1} else direct_eta_product(factors, order)))
+    for tag, factors in sorted(eta.TARGETS.items()):
+        name, expected = (("Durfee-square sum", partitions) if factors == {1: -1} else
+                          ("divisor-sum recurrence", direct_eta_product(factors, order)))
+        checks.append(_agreement(f"{tag}: quotient expander vs {name}", order,
+                                 eta.gen_target(tag, order), expected))
 
     checks.append(_agreement(
-        "k: theta quotient vs factor-by-factor product", order,
+        "k: theta quotient vs divisor-sum recurrence", order,
         eta.expand_k(order), direct_k(order)))
 
     checks.append(_agreement(
-        "1/f1: series inversion vs partition dynamic program", order,
+        "1/f1: series inversion vs Durfee-square sum", order,
         eta.expand_f(1, order).invert(order), partitions))
 
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):

@@ -234,7 +234,7 @@ def test_oracle_text(capsys):
     assert main(["oracle", "cross-check", "--order", "32"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith("[PASS]") for line in lines)
-    assert any("partition dynamic program" in line for line in lines)
+    assert any("Durfee-square sum" in line for line in lines)
 
 
 def test_oracle_json(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
@@ -23,6 +24,7 @@ from etaq.congruences import (
     zero_family_claim,
 )
 from etaq.eta import gen_target
+from etaq.identities import _series, rhs_terms
 from etaq.sequences import sequence_values
 from etaq.series import (
     FAIL,
@@ -94,9 +96,62 @@ def test_swapped_family_rhs_fails():
     # window rejects the other family's lead coefficient.
     claim = DissectionClaim("M", 2)
     lhs = lhs_series(claim, 400)
-    swapped = congruences._rhs_window(claim, sequence_values("B", 2), 400)
+    swapped = _series(congruences._rhs_terms("M", 2, sequence_values("B", 2)), 400)
     assert swapped[-1] == 6
     assert compare(lhs, swapped, min_overlap=8).status == FAIL
+
+
+# The catalog's typed level-1 dissections and the target each one states.
+LEVEL_ONE = (("L22", "PSTAR"), ("EQ210", "M"), ("EQ211", "TSTAR"))
+
+
+def _rule_at_level_one(target):
+    """The nonzero terms (c, s, j, {m: e_m}) of the dissection rule at k = 1."""
+    values = sequence_values(congruences.TARGET_FAMILY[target], 1)
+    return [term for term in congruences._rhs_terms(target, 1, values) if term[0]]
+
+
+def _level_one_mismatches():
+    return [tag for tag, target in LEVEL_ONE if rhs_terms(tag) != _rule_at_level_one(target)]
+
+
+@pytest.mark.parametrize("tag,target", LEVEL_ONE)
+def test_level_one_statements_are_instances_of_the_rule(tag, target):
+    # Symbolic: term lists are compared, no window is expanded.
+    assert rhs_terms(tag) == _rule_at_level_one(target)
+
+
+def test_basis_is_read_from_eq210():
+    assert congruences._BASIS == [(1, -1, 0, {1: 4, 5: 4}), (1, 0, 0, {2: 4, 10: 4}),
+                                  (1, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
+
+
+def test_a_slip_in_the_basis_fails_a_dissection_row(monkeypatch):
+    # Negative control: G = f2^4 f10^3 instead of f2^4 f10^4.
+    f, (c, s, j, g), h = congruences._BASIS
+    monkeypatch.setattr(congruences, "_BASIS", [f, (c, s, j, {**g, 10: 3}), h])
+    claim = DissectionClaim("M", 2)
+    report = verify_dissection(claim, 400, rhs_series(claim, 400))
+    assert report.status == FAIL
+    assert report.witness == {"exponent": 10, "lhs": "-128", "rhs": "-136"}
+    # EQ211's G coefficient is -8 B_0 = 0, so only L22 and EQ210 see G.
+    assert _level_one_mismatches() == ["L22", "EQ210"]
+
+
+def test_a_slip_in_the_rule_fails_the_instances_and_a_dissection_row(monkeypatch):
+    # Negative control: the rule with -7 P_(k-1) G in place of -8 P_(k-1) G.
+    source = inspect.getsource(congruences._rhs_terms)
+    assert source.count("-8 *") == 1
+    namespace = dict(vars(congruences))
+    exec(source.replace("-8 *", "-7 *"), namespace)
+    monkeypatch.setattr(congruences, "_rhs_terms", namespace["_rhs_terms"])
+    assert _level_one_mismatches() == ["L22", "EQ210"]
+    claim = DissectionClaim("M", 2)
+    report = verify_dissection(claim, 400, rhs_series(claim, 400))
+    assert report.status == FAIL
+    assert report.witness == {"exponent": 0, "lhs": "20", "rhs": "21"}
+    failed = {r.label for r in verify_theorem("3.1", 400, 2) if r.status == FAIL}
+    assert "dissection[M,k=1]" in failed and "dissection[TSTAR,k=2]" in failed
 
 
 def _induction(target, k, order):

@@ -198,7 +198,7 @@ def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
         checks = {c.label: c for c in cross_check(40)}
     finally:
         eta._expand_quotient_cached.cache_clear()
-    row = checks["k: theta quotient vs factor-by-factor product"]
+    row = checks["k: theta quotient vs divisor-sum recurrence"]
     assert row.status == FAIL
     assert row.witness == {"exponent": 10, "lhs": "3", "rhs": "1"}
     assert [label for label, c in checks.items() if c.status != PASS] == [row.label]
@@ -227,7 +227,7 @@ def test_cross_check_catches_seeded_defect_in_reduced_theta(monkeypatch):
         checks = {c.label: c for c in cross_check(order)}
     finally:
         eta._expand_quotient_cached.cache_clear()
-    row = checks["f5: pentagonal expansion vs factor-by-factor product"]
+    row = checks["f5: pentagonal expansion vs Euler's series"]
     assert row.status == FAIL
     assert row.witness == {"exponent": 10, "lhs": "0", "rhs": "-1"}
 

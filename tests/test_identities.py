@@ -14,6 +14,7 @@ from etaq.identities import (
     _read_sides,
     catalog_ids,
     identity_sides,
+    rhs_terms,
     verify_all_identities,
     verify_identity,
 )
@@ -223,3 +224,12 @@ def test_bare_integer_side_takes_the_other_window():
     assert (lhs.offset, lhs.prec) == (rhs.offset, rhs.prec) == (-1, 39)
     lhs, rhs = _read_sides("5 = f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3)", 40)
     assert (lhs.offset, lhs.prec, lhs[0]) == (-1, 39, 5)
+
+
+def test_rhs_terms_reads_a_symbolic_rhs_and_refuses_a_series():
+    # A trailing [...] remark, as on EQ24, is not part of the rhs.
+    assert rhs_terms("EQ211") == [(1, -1, 0, {1: 4, 5: 4}), (10, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
+    assert rhs_terms("EQ24") == [(1, 1, 0, {1: 1, 10: 5}), (-1, 1, 2, {1: 1, 10: 5})]
+    # EQ29 squares a sum, so its rhs needs a series.
+    with pytest.raises(ValueError, match="EQ29"):
+        rhs_terms("EQ29")

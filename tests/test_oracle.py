@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-import etaq.congruences as congruences
 import etaq.eta as eta
 import etaq.identities as identities
 import etaq.oracle as oracle
@@ -218,7 +217,7 @@ def test_cross_check_validation():
 def test_cross_check_report_dict():
     payload = cross_check(40)[0].to_dict()
     assert payload == {
-        "label": "f1: pentagonal expansion vs factor-by-factor product",
+        "label": "f1: pentagonal expansion vs Euler's series",
         "status": PASS, "claim": None, "order": 40,
         "checked": {"from": 0, "to": 39, "points": 40},
         "witness": None, "note": None,
@@ -294,22 +293,22 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
     flagged = {c.label: c for c in cross_check(60) if c.status != PASS}
     assert all(c.status == FAIL for c in flagged.values())
     assert sorted(flagged) == sorted([
-        "f1: pentagonal expansion vs factor-by-factor product",
-        "f2: pentagonal expansion vs factor-by-factor product",
-        "f4: pentagonal expansion vs factor-by-factor product",
-        "f5: pentagonal expansion vs factor-by-factor product",
-        "EULER_P: quotient expander vs factor-by-factor product",
-        "1/f1: series inversion vs partition dynamic program",
+        "f1: pentagonal expansion vs Euler's series",
+        "f2: pentagonal expansion vs Euler's series",
+        "f4: pentagonal expansion vs Euler's series",
+        "f5: pentagonal expansion vs Euler's series",
+        "EULER_P: quotient expander vs Durfee-square sum",
+        "1/f1: series inversion vs Durfee-square sum",
         "p(5n+4) == 0 mod 5",
         "p(7n+5) == 0 mod 7",
         "p(11n+6) == 0 mod 11",
     ])
-    assert flagged["f1: pentagonal expansion vs factor-by-factor product"].witness == {
+    assert flagged["f1: pentagonal expansion vs Euler's series"].witness == {
         "exponent": 9, "lhs": "0", "rhs": "1"}
     partition_witness = {"exponent": 12, "lhs": "77", "rhs": "75"}
-    assert flagged["EULER_P: quotient expander vs factor-by-factor product"].witness == \
+    assert flagged["EULER_P: quotient expander vs Durfee-square sum"].witness == \
         partition_witness
-    assert flagged["1/f1: series inversion vs partition dynamic program"].witness == \
+    assert flagged["1/f1: series inversion vs Durfee-square sum"].witness == \
         partition_witness
 
 
@@ -334,7 +333,7 @@ def test_cross_check_flags_a_defect_in_the_euler_p_expansion(monkeypatch):
     flagged = _corrupt_one_row(
         monkeypatch, "gen_target", lambda tag, order: tag == "EULER_P", 23)
     assert [c.label for c in flagged] == [
-        "EULER_P: quotient expander vs factor-by-factor product"]
+        "EULER_P: quotient expander vs Durfee-square sum"]
     assert flagged[0].status == FAIL
     assert flagged[0].witness == {"exponent": 23, "lhs": "1256", "rhs": "1255"}
 
@@ -345,7 +344,7 @@ def test_cross_check_flags_a_defect_in_f5(monkeypatch):
     flagged = _corrupt_one_row(
         monkeypatch, "expand_f", lambda m, order: m == 5, 10)
     assert [c.label for c in flagged] == [
-        "f5: pentagonal expansion vs factor-by-factor product"]
+        "f5: pentagonal expansion vs Euler's series"]
     assert flagged[0].status == FAIL
     assert flagged[0].witness == {"exponent": 10, "lhs": "0", "rhs": "-1"}
 
@@ -368,13 +367,16 @@ def test_check_periods_cover_catalog_and_targets():
 
 def test_every_battery_quotient_matches_the_oracle(monkeypatch, capsys):
     # Collect every quotient `verify all` expands, then check each one
-    # against the independent product recurrence from a cold cache.
+    # against the independent product recurrence from a cold cache.  The
+    # catalog and the dissection rows (F, G and H included) all expand
+    # their quotients through the catalog's evaluator.
     seen = set()
-    for module in (congruences, identities):
-        def recording(factors, order, real=module.expand_quotient):
-            seen.add(tuple(sorted(factors.items())))
-            return real(factors, order)
-        monkeypatch.setattr(module, "expand_quotient", recording)
+
+    def recording(factors, order, real=identities.expand_quotient):
+        seen.add(tuple(sorted(factors.items())))
+        return real(factors, order)
+
+    monkeypatch.setattr(identities, "expand_quotient", recording)
     main(["verify", "all", "--order", "500", "--kmax", "8"])
     capsys.readouterr()
     assert len(seen) == 31
