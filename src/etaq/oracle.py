@@ -1,6 +1,7 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Three algorithms, none of them the fast expander's:
+Two series sums, and products built from them, none of them the fast
+expander's algorithm:
 
 * Partition counts sum the Durfee-square series (Andrews, The Theory of
   Partitions, 1976, ch. 2)
@@ -11,23 +12,27 @@ Three algorithms, none of them the fast expander's:
 * f1 = (q;q)_inf sums Euler's series
   (q;q)_inf = sum_{k>=0} (-1)^k q^(k(k+1)/2) / (q;q)_k
   in the same way, one division by (1 - q^k) per term: about N^(3/2).
-* Eta products and k(q) come from one exact recurrence on the exponents
-  a_d of their literal (1 - q^d) factors, F = prod_{d>=1} (1 - q^d)^{a_d}:
-  with s_k = -sum_{d | k} d a_d, F_0 = 1 and n F_n = sum_{k=1}^{n} s_k
-  F_{n-k} (Apostol, Introduction to Analytic Number Theory, Thm 14.8).
-  Each division by n is exact; a remainder raises ``ArithmeticError``.
-  One product is an N^2/2 convolution.
+* Eta products prod f_m^{e_m} are built from those two windows on the
+  window reduced by the gcd of the periods.  p spread by the smallest
+  period m0 with e < 0 is 1/f_m0.  Each other negative unit divides by
+  (1 - q^d) for d = m, 2m, ..., about N^2/(2m) term operations.  Each
+  positive unit adds one shifted copy of the product per nonzero term of
+  f1 spread by m (about 2 sqrt(2N/3m) of them), about N^(3/2)/sqrt(m).
+* k(q) is its literal product q prod_{d>=1} (1 - q^d)^{a_d}, with a_d
+  = +1, -1 or 0 by d mod 10: one shifted subtraction or one division by
+  (1 - q^d) per factor, about 0.4 N^2 term operations in all.
 
 In ``cross_check`` the Durfee sum is the oracle for 1/f1 (the EULER_P
 row and the inversion row) and for the p(mn+r) rows.  Euler's series
-gives f1, whose spread f1(q^m) checks every f_m row.  The recurrence runs
-once each for M, T*, P* and k.
+gives f1, whose spread f1(q^m) checks every f_m row.  The M, T* and P*
+rows are products of those same two windows; the k row is its literal
+product.
 
 None of them shares anything with :mod:`etaq.eta` or the product kernel
 of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
-Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert``.  The
-recurrence's inputs are divisor sums of factor exponents, never a
-series' coefficients.
+Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert`` or
+division.  Products are built one (1 - q^d) factor or one f1 term at a
+time, never by multiplying or dividing two series.
 """
 
 from __future__ import annotations
@@ -78,34 +83,62 @@ def _f1(order: int) -> list[int]:
     return f
 
 
-def _euler_product(a: list[int]) -> list[int]:
-    """prod_{d>=1} (1 - q^d)^{a[d]} on [0, len(a)); a[0] is ignored."""
-    s = [0] * len(a)
-    for d in range(1, len(a)):
-        if a[d]:  # s_k -= d a_d at every multiple k of d
-            s[d::d] = [x - d * a[d] for x in s[d::d]]
-    f = [1]
-    for n in range(1, len(a)):
-        q, r = divmod(sum(map(operator.mul, f, s[n:0:-1])), n)
-        if r:
-            raise ArithmeticError(f"inexact division by {n} at q^{n}")
-        f.append(q)
-    return f[:len(a)]  # the empty window stays empty
+def _eta_product(factors: Mapping[int, int], order: int,
+                 f1: Sequence[int], p: Sequence[int]) -> LaurentSeries:
+    """prod f_m^{e_m} on [0, order) from windows of f1 and p = 1/f1.
+
+    On the window reduced by g, the gcd of the periods, each reduced
+    period m needs the first ceil(n/m) terms of f1 (if e_m > 0) or of p
+    (if e_m < 0), n = ceil(order/g).  The smallest negative period m0
+    starts the product as p spread by m0, which is 1/f_m0; every other
+    negative unit divides by (1 - q^d) for d = m, 2m, ...; every positive
+    unit adds or subtracts one shifted copy of the product per nonzero
+    term of f1 spread by m (each such term is +1 or -1, by Euler's
+    pentagonal number theorem).
+    """
+    g = math.gcd(*factors) or 1
+    n = -(-order // g)
+    units = sorted((m // g, e) for m, e in factors.items())
+    negative = [(m, -e) for m, e in units if e < 0]
+    positive = [(m, e) for m, e in units if e > 0]
+    if negative:
+        m0, e0 = negative[0]
+        out = list(_spread(p, m0, n).coeffs)
+        negative[0] = (m0, e0 - 1)
+    else:
+        out = [1] + [0] * (n - 1)
+    for m, e in negative:
+        for _ in range(e):
+            for d in range(m, n, m):
+                _over_binomial(out, d)
+    for m, e in positive:
+        terms = [(m * i, operator.add if v > 0 else operator.sub)
+                 for i, v in enumerate(f1[1:-(-n // m)], 1) if v]
+        for _ in range(e):
+            c = out[:]
+            for j, op in terms:
+                out[j:] = map(op, out[j:], c[:n - j])
+    return _spread(out, g, order)
 
 
 def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
-    """prod f_m^{e_m} on [0, order): a series in q^g, g the gcd of the periods."""
+    """prod f_m^{e_m} on [0, order): a series in q^g, g the gcd of the periods.
+
+    Builds f1 and p only on the terms the reduced periods reach.
+    """
     for m, e in factors.items():
         if m < 1:
             raise ValueError(f"period must be >= 1, got {m}")
+        if not isinstance(e, int):
+            raise ValueError(f"exponent of f{m} must be an integer, got {e!r}")
         if e == 0:
             raise ValueError(f"exponent of f{m} must be nonzero")
-    g = math.gcd(*factors) or 1
-    a = [0] * -(-order // g)
-    for m, e in sorted(factors.items()):  # a_d = sum_{m | gd} e_m on ceil(order/g) terms
-        for d in range(m // g, len(a), m // g):
-            a[d] += e
-    return _spread(_euler_product(a), g, order)
+    # The smallest period of each sign reaches ceil(order/m) terms of f1 or p.
+    f1_terms, p_terms = (max((-(-order // m) for m, e in factors.items() if e * sign > 0),
+                             default=0) for sign in (1, -1))
+    f1 = _f1(f1_terms) if f1_terms else []
+    p = partition_counts(p_terms) if p_terms else []
+    return _eta_product(factors, order, f1, p)
 
 
 def _spread(f: Sequence[int], m: int, order: int) -> LaurentSeries:
@@ -123,11 +156,21 @@ _K_EXPONENT = {1: 1, 2: 1, 8: 1, 9: 1, 3: -1, 4: -1, 6: -1, 7: -1}
 
 
 def direct_k(order: int) -> LaurentSeries:
-    """k(q) on [1, order): q prod (1 - q^d)^{a_d} with a_d = _K_EXPONENT[d % 10]."""
+    """k(q) on [1, order): q prod (1 - q^d)^{a_d} with a_d = _K_EXPONENT[d % 10].
+
+    The literal product, one (1 - q^d) factor at a time: a subtraction of
+    the product shifted by d when a_d = 1, a division when a_d = -1.
+    """
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    return LaurentSeries(1, tuple(_euler_product(
-        [_K_EXPONENT.get(d % 10, 0) for d in range(order - 1)])))
+    c = [1] + [0] * (order - 2)
+    for d in range(1, order - 1):
+        a = _K_EXPONENT.get(d % 10)
+        if a == 1:
+            c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
+        elif a == -1:
+            _over_binomial(c, d)
+    return LaurentSeries(1, tuple(c))
 
 
 def _agreement(name: str, order: int, a: LaurentSeries, b: LaurentSeries) -> Report:
@@ -149,15 +192,17 @@ def cross_check(order: int) -> list[Report]:
     p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a sanity gate on the
     oracle itself.
 
-    Each oracle sequence is built once, by one of three algorithms:
+    Each oracle sequence is built once:
 
     * the Durfee-square sum (``partition_counts``, about N^(3/2) term
       operations) checks the EULER_P row, the 1/f1 row and the three
       p(mn+r) rows;
     * Euler's series for f1 (``_f1``, about N^(3/2)) checks every f_m
       row, as f1 spread by m;
-    * the divisor-sum recurrence (``direct_eta_product`` and
-      ``direct_k``, N^2/2 each) checks the M, T*, P* and k rows.
+    * ``_eta_product`` builds M, T* and P* from those two windows (about
+      N^2/(2m) per negative unit after the first, N^(3/2)/sqrt(m) per
+      positive one), and ``direct_k`` builds k(q) as its literal
+      product, about 0.4 N^2.
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
@@ -173,12 +218,12 @@ def cross_check(order: int) -> list[Report]:
 
     for tag, factors in sorted(eta.TARGETS.items()):
         name, expected = (("Durfee-square sum", partitions) if factors == {1: -1} else
-                          ("divisor-sum recurrence", direct_eta_product(factors, order)))
+                          ("Euler-series product", _eta_product(factors, order, f1, counts)))
         checks.append(_agreement(f"{tag}: quotient expander vs {name}", order,
                                  eta.gen_target(tag, order), expected))
 
     checks.append(_agreement(
-        "k: theta quotient vs divisor-sum recurrence", order,
+        "k: theta quotient vs literal product", order,
         eta.expand_k(order), direct_k(order)))
 
     checks.append(_agreement(

@@ -3,7 +3,7 @@ compare.
 
 Every case is checked against a reference written here, one exponent at
 a time, with seeded random operands.  One test checks the product end to
-end against the oracle's product recurrence, which shares no algorithm
+end against the oracle's Euler-series product, which shares no algorithm
 with the kernel.  The kernel's tests also run in CI under
 ``python -X int_max_str_digits=640``, the lowest int <-> str limit
 CPython accepts.

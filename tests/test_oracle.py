@@ -1,11 +1,13 @@
 """Tests for the brute-force oracle and the cross-check harness.
 
-The oracle's product recurrence is checked against the literal product
-it replaced, which multiplies in one (1 - q^d) factor at a time, and
-against digests that the literal product recorded in
-``perfbench/reference.json``.  The Durfee-square sum for p(n) is checked
-against the parts-accumulation program it replaced, and Euler's series
-for f1 against the product recurrence.
+The oracle's Euler-series products and its literal k(q) product are
+checked against two references that share nothing with them: Euler's
+divisor-sum recurrence, which reads only divisor sums of the factor
+exponents, and the literal product that multiplies in one (1 - q^d)
+factor at a time; and against digests that the literal product recorded
+in ``perfbench/reference.json``.  The Durfee-square sum for p(n) is
+checked against the parts-accumulation program it replaced, and Euler's
+series for f1 against the divisor-sum recurrence.
 """
 
 from __future__ import annotations
@@ -83,6 +85,40 @@ def literal_eta_product(factors: dict[int, int], order: int) -> list[int]:
     return c
 
 
+def divisor_sum_product(a: list[int]) -> list[int]:
+    """prod_{d>=1} (1 - q^d)^{a[d]} on [0, len(a)); a[0] is ignored.
+
+    With s_k = -sum_{d | k} d a_d, F_0 = 1 and n F_n = sum_{k=1}^{n} s_k
+    F_{n-k} (Apostol, Introduction to Analytic Number Theory, Thm 14.8).
+    Each division by n is exact; a remainder raises ``ArithmeticError``.
+    """
+    s = [0] * len(a)
+    for d in range(1, len(a)):
+        if a[d]:  # s_k -= d a_d at every multiple k of d
+            s[d::d] = [x - d * a[d] for x in s[d::d]]
+    f = [1]
+    for n in range(1, len(a)):
+        q, r = divmod(sum(map(operator.mul, f, s[n:0:-1])), n)
+        if r:
+            raise ArithmeticError(f"inexact division by {n} at q^{n}")
+        f.append(q)
+    return f[:len(a)]  # the empty window stays empty
+
+
+def divisor_sum_eta_product(factors: dict[int, int], order: int) -> list[int]:
+    """prod f_m^{e_m} on [0, order) with a_d = sum_{m | d} e_m."""
+    a = [0] * order
+    for m, e in factors.items():
+        for d in range(m, order, m):
+            a[d] += e
+    return divisor_sum_product(a)
+
+
+def divisor_sum_k(order: int) -> list[int]:
+    """k(q) on [1, order) with a_d read from the oracle's exponents by d mod 10."""
+    return divisor_sum_product([oracle._K_EXPONENT.get(d % 10, 0) for d in range(order - 1)])
+
+
 def parts_accumulation(order: int) -> list[int]:
     """p(0), ..., p(order-1) by dividing 1 by (1 - q^d) for each part size d."""
     c = [1] + [0] * (order - 1)
@@ -105,8 +141,9 @@ def literal_k(order: int) -> list[int]:
 @pytest.mark.parametrize("factors", props.random_quotients(18, 8), ids=str)
 def test_recurrence_matches_literal_product(factors):
     for order in (1, 2, 97, 240):
-        assert list(direct_eta_product(factors, order).coeffs) == literal_eta_product(
-            factors, order)
+        coeffs = list(direct_eta_product(factors, order).coeffs)
+        assert coeffs == literal_eta_product(factors, order)
+        assert coeffs == divisor_sum_eta_product(factors, order)
 
 
 def test_random_quotients_cover_reduced_quotients():
@@ -119,8 +156,9 @@ def test_random_quotients_cover_reduced_quotients():
 @pytest.mark.parametrize("factors", ({60: 3}, {1: -2, 200: 1}, {100: -1, 150: 4}, {}))
 def test_recurrence_with_periods_at_or_past_the_order(factors):
     for order in (1, 2, 60, 100, 150, 151):
-        assert list(direct_eta_product(factors, order).coeffs) == literal_eta_product(
-            factors, order)
+        coeffs = list(direct_eta_product(factors, order).coeffs)
+        assert coeffs == literal_eta_product(factors, order)
+        assert coeffs == divisor_sum_eta_product(factors, order)
 
 
 def test_durfee_sum_matches_parts_accumulation_at_every_order():
@@ -133,17 +171,20 @@ def test_durfee_sum_matches_parts_accumulation_at_every_order():
 
 def test_euler_series_matches_product_recurrence_at_every_order():
     # Orders 1..300 cross every triangular number k(k+1)/2 up to k = 24.
-    reference = list(direct_eta_product({1: 1}, 300).coeffs)
+    reference = divisor_sum_eta_product({1: 1}, 300)
     for order in range(1, 301):
         assert oracle._f1(order) == reference[:order], order
-    assert oracle._f1(2000) == list(direct_eta_product({1: 1}, 2000).coeffs)
+    assert oracle._f1(2000) == divisor_sum_eta_product({1: 1}, 2000)
 
 
 def test_recurrence_matches_literal_k_at_every_order():
     literal = literal_k(300)
+    assert literal == divisor_sum_k(300)
     for order in range(2, 301):
         k = direct_k(order)
         assert (k.offset, list(k.coeffs)) == (1, literal[:order - 1])
+        assert list(k.coeffs) == divisor_sum_k(order), order
+    assert list(direct_k(2000).coeffs) == divisor_sum_k(2000)
 
 
 def test_recurrence_matches_digests_recorded_from_literal_products():
@@ -159,13 +200,25 @@ def test_recurrence_matches_digests_recorded_from_literal_products():
 
 
 def test_inexact_division_raises(monkeypatch):
-    # Tripwire: a non-integral exponent makes n F_n indivisible by n, and
-    # the recurrence must raise rather than floor.
+    # Tripwire on the reference: a non-integral exponent makes n F_n
+    # indivisible by n, and the recurrence must raise rather than floor.
     monkeypatch.setitem(oracle._K_EXPONENT, 3, Fraction(-1, 2))
     with pytest.raises(ArithmeticError, match="inexact division by 3 at q\\^3"):
-        direct_k(40)
+        divisor_sum_k(40)
     with pytest.raises(ArithmeticError, match="inexact division"):
-        direct_eta_product({1: Fraction(1, 3)}, 10)
+        divisor_sum_eta_product({1: Fraction(1, 3)}, 10)
+
+
+@pytest.mark.parametrize("exponent", (Fraction(1, 3), 0.5, "1"))
+def test_direct_eta_product_refuses_a_non_integer_exponent(monkeypatch, exponent):
+    # Refused before any work: neither oracle sequence is built.
+    def unreachable(order):
+        raise AssertionError("built an oracle sequence for a refused exponent")
+
+    monkeypatch.setattr(oracle, "_f1", unreachable)
+    monkeypatch.setattr(oracle, "partition_counts", unreachable)
+    with pytest.raises(ValueError, match="exponent of f2 must be an integer"):
+        direct_eta_product({1: 1, 2: exponent}, 10)
 
 
 def test_direct_eta_product_single_factor():
@@ -254,12 +307,12 @@ def test_cross_check_catches_seeded_defect(monkeypatch):
 
 def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
     # p(n) comes from one Durfee sum and every f_m from one Euler series
-    # for f1; only M, P* and T* run the product recurrence.
+    # for f1; M, P* and T* are built once each from those two windows.
     products, partitions, f1s = [], [], []
 
-    def counting_product(factors, order, real=oracle.direct_eta_product):
+    def counting_product(factors, order, f1, p, real=oracle._eta_product):
         products.append(tuple(sorted(factors.items())))
-        return real(factors, order)
+        return real(factors, order, f1, p)
 
     def counting_partitions(order, real=oracle.partition_counts):
         partitions.append(order)
@@ -269,7 +322,7 @@ def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
         f1s.append(order)
         return real(order)
 
-    monkeypatch.setattr(oracle, "direct_eta_product", counting_product)
+    monkeypatch.setattr(oracle, "_eta_product", counting_product)
     monkeypatch.setattr(oracle, "partition_counts", counting_partitions)
     monkeypatch.setattr(oracle, "_f1", counting_f1)
     checks = cross_check(120)
@@ -286,7 +339,8 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
     # Negative control for both series sums: skipping the division by
     # (1 - q^3) drops two factors from every Durfee term k >= 3 (first
     # seen at q^(9+3)) and one from every Euler term k >= 3 (at q^(6+3)).
-    # The product recurrence does not call _over_binomial, so its rows pass.
+    # M, T* and P* are built from those two windows, and k(q)'s literal
+    # product divides by (1 - q^3) itself (first seen at q^(1+3)).
     real = oracle._over_binomial
     monkeypatch.setattr(oracle, "_over_binomial",
                         lambda c, d: None if d == 3 else real(c, d))
@@ -298,6 +352,10 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
         "f4: pentagonal expansion vs Euler's series",
         "f5: pentagonal expansion vs Euler's series",
         "EULER_P: quotient expander vs Durfee-square sum",
+        "M: quotient expander vs Euler-series product",
+        "PSTAR: quotient expander vs Euler-series product",
+        "TSTAR: quotient expander vs Euler-series product",
+        "k: theta quotient vs literal product",
         "1/f1: series inversion vs Durfee-square sum",
         "p(5n+4) == 0 mod 5",
         "p(7n+5) == 0 mod 7",
@@ -310,6 +368,49 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
         partition_witness
     assert flagged["1/f1: series inversion vs Durfee-square sum"].witness == \
         partition_witness
+    assert flagged["M: quotient expander vs Euler-series product"].witness == {
+        "exponent": 12, "lhs": "-48", "rhs": "-50"}
+    assert flagged["PSTAR: quotient expander vs Euler-series product"].witness == {
+        "exponent": 9, "lhs": "20", "rhs": "24"}
+    assert flagged["TSTAR: quotient expander vs Euler-series product"].witness == {
+        "exponent": 9, "lhs": "-10", "rhs": "-5"}
+    assert flagged["k: theta quotient vs literal product"].witness == {
+        "exponent": 4, "lhs": "2", "rhs": "1"}
+
+
+def test_cross_check_flags_a_skipped_f1_term_in_the_sparse_pass(monkeypatch):
+    # Negative control for the products' multiplication pass: it reads f1
+    # without its q^5 term, while the f_m rows read the intact window.
+    real = oracle._eta_product
+
+    def broken(factors, order, f1, p):
+        return real(factors, order, [0 if i == 5 else v for i, v in enumerate(f1)], p)
+
+    monkeypatch.setattr(oracle, "_eta_product", broken)
+    flagged = [c for c in cross_check(60) if c.status != PASS]
+    assert all(c.status == FAIL for c in flagged)
+    assert {c.label: c.witness for c in flagged} == {
+        "M: quotient expander vs Euler-series product":
+            {"exponent": 10, "lhs": "22", "rhs": "17"},
+        "PSTAR: quotient expander vs Euler-series product":
+            {"exponent": 5, "lhs": "-8", "rhs": "-12"},
+        "TSTAR: quotient expander vs Euler-series product":
+            {"exponent": 5, "lhs": "-5", "rhs": "-10"},
+    }
+
+
+def test_cross_check_flags_a_skipped_factor_in_the_literal_k(monkeypatch):
+    # Negative control for k(q)'s literal product: dropping its division
+    # by (1 - q^13) first shows at q^(1+13).  At order 60 neither series
+    # sum nor the M and T* divisions reach d = 13.
+    real = oracle._over_binomial
+    monkeypatch.setattr(oracle, "_over_binomial",
+                        lambda c, d: None if d == 13 else real(c, d))
+    flagged = {c.label: c for c in cross_check(60) if c.status != PASS}
+    assert list(flagged) == ["k: theta quotient vs literal product"]
+    assert flagged["k: theta quotient vs literal product"].status == FAIL
+    assert flagged["k: theta quotient vs literal product"].witness == {
+        "exponent": 14, "lhs": "6", "rhs": "5"}
 
 
 def _corrupt_one_row(monkeypatch, name, hit, exponent):
@@ -353,7 +454,8 @@ def test_cross_check_flags_a_defect_in_f5(monkeypatch):
 def test_spread_of_f1_is_the_single_period_product(m):
     for order in (1, 2, 97, 301):
         f1 = oracle._f1(order)
-        assert oracle._spread(f1, m, order) == direct_eta_product({m: 1}, order)
+        assert list(oracle._spread(f1, m, order).coeffs) == divisor_sum_eta_product(
+            {m: 1}, order)
 
 
 def test_check_periods_cover_catalog_and_targets():
@@ -367,7 +469,7 @@ def test_check_periods_cover_catalog_and_targets():
 
 def test_every_battery_quotient_matches_the_oracle(monkeypatch, capsys):
     # Collect every quotient `verify all` expands, then check each one
-    # against the independent product recurrence from a cold cache.  The
+    # against the oracle's Euler-series product from a cold cache.  The
     # catalog and the dissection rows (F, G and H included) all expand
     # their quotients through the catalog's evaluator.
     seen = set()
