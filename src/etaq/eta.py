@@ -29,10 +29,11 @@ none) and then divides that window by theta once per unit of each
 negative exponent: theta is sparse, so a division costs N times its
 support and no wide product.  The target M = f2^5 f5^5 / (f1 f10) is
 f2^5 f5^5 divided by theta(3, 1) and by theta(30, 10), and 1/f1^3 is 1
-divided by theta(3, 1) three times.  Positive factors multiply along
-their gcd tree: the factors sharing a g > 1 are one quotient, built at
-ceil(N/g) terms, and only its join with the rest costs N terms
-(``_expand_reduced``); a single factor is theta raised to e.
+divided by theta(3, 1) three times.  Positive factors are peeled off
+one at a time (``_expand_reduced``): the factor with the smallest
+gcd(p, a) is expanded alone, the rest as one quotient, which this rule
+reduces by the rest's own g, and only their product costs N terms; a
+single factor is theta raised to e.
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
 quotient with g = 1 (a single factor or a product), holding the longest
@@ -61,9 +62,7 @@ cache's counters.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 import sys
 from collections import OrderedDict
@@ -180,10 +179,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
     A quotient with a negative factor expands its positive factors (1
     when it has none), then divides that window by each divisor's theta,
-    |e| times.  Otherwise three or more factors split along their gcd
-    tree.  Of the g > 1 that divide the p and a of the factors S,
-    1 < |S| < all, the one with the largest |S| (1 - 1/g) wins, ties to
-    the larger g; the rest splits again.
+    |e| times.  Otherwise the factor with the smallest gcd(p, a), the
+    first of equals, is multiplied by the rest expanded as one quotient;
+    a single factor is theta raised to e.
     """
     divisors = [x for x in items if x[1] < 0]
     if divisors:
@@ -193,17 +191,12 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
             for _ in range(e):
                 window = window / theta
         return window
-    gcds: set[int] = set()  # the gcd of every nonempty set of factors' p and a
-    for (p, a), _ in items:
-        gcds |= {math.gcd(p, a, c) for c in gcds | {0}}
-    groups = [(len(s) * (g - 1) / g, g, s) for g in gcds if 1 < len(
-        s := tuple(x for x in items if math.gcd(*x[0]) % g == 0)) < len(items)]
-    if groups:
-        shared = max(groups)[2]
-        rest = tuple(x for x in items if x not in shared)
-        return _expand(shared, order) * _expand(rest, order)
     if len(items) > 1:
-        return functools.reduce(operator.mul, (_expand((item,), order) for item in items))
+        # The factor with the smallest gcd has the longest window, so expanding
+        # it first lets a later reduced factor with its key read a cached prefix.
+        first = min(items, key=lambda x: math.gcd(*x[0]))
+        rest = tuple(x for x in items if x != first)
+        return _expand((first,), order) * _expand(rest, order)
     [((p, a), e)] = items
     return _pow(_theta(p, a, order), e)
 

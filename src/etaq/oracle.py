@@ -127,9 +127,9 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
     Builds f1 and p only on the terms the reduced periods reach.
     """
     for m, e in factors.items():
-        if m < 1:
-            raise ValueError(f"period must be >= 1, got {m}")
-        if not isinstance(e, int):
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"period must be a positive integer, got {m!r}")
+        if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent of f{m} must be an integer, got {e!r}")
         if e == 0:
             raise ValueError(f"exponent of f{m} must be nonzero")

@@ -261,9 +261,9 @@ def test_parse_quotient_errors():
         parse_quotient("g1^2")
 
 
-def _full_length_work(monkeypatch, factors, order):
-    """Series-by-series products and divisions of ``order`` coefficients
-    made by a cold expansion of ``factors``, which must match the oracle."""
+def _cold_work(monkeypatch, factors, order):
+    """The lengths of the series-by-series products and divisions made by
+    a cold expansion of ``factors``, which must match the oracle."""
     real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
     products, quotients = [], []
 
@@ -285,16 +285,36 @@ def _full_length_work(monkeypatch, factors, order):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
     finally:
         eta._expand_quotient_cached.cache_clear()
+    return products, quotients
+
+
+def _full_length_work(monkeypatch, factors, order):
+    """Products and divisions of ``order`` coefficients made by a cold
+    expansion of ``factors``."""
+    products, quotients = _cold_work(monkeypatch, factors, order)
     return products.count(order), quotients.count(order)
 
 
+# EQ213's squared term: f1^2 f4^2 f10^6 divided by theta ten times.
+_EQ213_HEAVIEST = {1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}
+
+
 def test_gcd_tree_multiplies_shared_factors_at_reduced_length(monkeypatch):
-    # EQ213's squared term is f1^2 f4^2 f10^6 divided by theta ten times,
-    # and f4^2 f10^6 is a series in q^2, so only f1^2 and its join with
-    # f4^2 f10^6 are taken at full length; factor by factor it takes six.
-    factors = {1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}
-    products, _ = _full_length_work(monkeypatch, factors, 2000)
+    # f1^2 has the smallest gcd and is peeled off first; the rest,
+    # f4^2 f10^6, is a series in q^2 expanded as f2^2 f5^6 at half the
+    # length.  So only f1^2 and its product with the rest are taken at
+    # full length; factor by factor it takes six.
+    products, _ = _full_length_work(monkeypatch, _EQ213_HEAVIEST, 2000)
     assert products <= 3
+
+
+def test_peeled_factor_serves_a_later_reduced_factor_from_its_prefix(monkeypatch):
+    # f1^2 at 2000 terms comes first, so the rest's f4^2, which is f1^2
+    # at 500 terms, is its cached prefix, not a seventh product.  The
+    # six: f1^2 at 2000 terms, f10^6 as f1^6 at 200 (three products),
+    # the rest's join at 1000 and the last product at 2000.
+    products, _ = _cold_work(monkeypatch, _EQ213_HEAVIEST, 2000)
+    assert (len(products), sum(products)) == (6, 5600)
 
 
 def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch):

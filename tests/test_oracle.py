@@ -209,16 +209,28 @@ def test_inexact_division_raises(monkeypatch):
         divisor_sum_eta_product({1: Fraction(1, 3)}, 10)
 
 
-@pytest.mark.parametrize("exponent", (Fraction(1, 3), 0.5, "1"))
-def test_direct_eta_product_refuses_a_non_integer_exponent(monkeypatch, exponent):
-    # Refused before any work: neither oracle sequence is built.
+def _refuse_oracle_sequences(monkeypatch):
     def unreachable(order):
-        raise AssertionError("built an oracle sequence for a refused exponent")
+        raise AssertionError("built an oracle sequence for a refused factor")
 
     monkeypatch.setattr(oracle, "_f1", unreachable)
     monkeypatch.setattr(oracle, "partition_counts", unreachable)
+
+
+@pytest.mark.parametrize("exponent", (Fraction(1, 3), 0.5, "1", True))
+def test_direct_eta_product_refuses_a_non_integer_exponent(monkeypatch, exponent):
+    # Refused before any work: neither oracle sequence is built.
+    _refuse_oracle_sequences(monkeypatch)
     with pytest.raises(ValueError, match="exponent of f2 must be an integer"):
         direct_eta_product({1: 1, 2: exponent}, 10)
+
+
+@pytest.mark.parametrize("period", (True, 1.5, 2.0, "2", 0))
+def test_direct_eta_product_refuses_a_non_integer_period(monkeypatch, period):
+    # As eta.expand_quotient does: {True: 2} is not f1^2.
+    _refuse_oracle_sequences(monkeypatch)
+    with pytest.raises(ValueError, match="period must be a positive integer"):
+        direct_eta_product({period: 2}, 10)
 
 
 def test_direct_eta_product_single_factor():
