@@ -37,7 +37,6 @@ from .eta import (
 )
 from .identities import (
     CATALOG,
-    catalog_ids,
     identity_sides,
     verify_all_identities,
     verify_identity,
@@ -85,7 +84,6 @@ __all__ = [
     "SKIPPED",
     "SeriesError",
     "TARGETS",
-    "catalog_ids",
     "closed_form_C",
     "compare",
     "cross_check",

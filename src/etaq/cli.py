@@ -174,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("verify identity requires --id")
         if args.id not in identities.CATALOG:
             return _usage_error(f"unknown identity id {args.id!r}; known ids: "
-                                + ", ".join(identities.catalog_ids()))
+                                + ", ".join(identities.CATALOG))
         reports = [identities.verify_identity(args.id, args.order)]
     elif args.scope == "theorem":
         if args.id is None:

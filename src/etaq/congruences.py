@@ -4,15 +4,14 @@ The level-l dissection of a target extracts the progression with step
 2^l and residue 2^(l+1) + offset (-2 for T*, -1 for M and P*) from its
 generating function, and states that it equals
 
-    P_l * q^{-1} F  -  8 P_{l-1} * G  (+ 5 * 2^l * H for M and T*)
+    v_l . (q^-1 F, G, H)  =  P_l q^-1 F  -  8 P_(l-1) G  (+ 5 * 2^l H for M and T*)
 
-with F, G, H read from catalog entry EQ210 (the M case at l = 1) and P
-the family A, B, or C from :mod:`etaq.sequences` according to the target.
-The congruence claims are its coefficientwise consequences: on the
-progression of one level, every coefficient is divisible by a stated
-power of two, or vanishes outright.  Rows 1.1 and 1.2 are the M and T*
-levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3, and row 1.7 the odd
-half of the P* level 4k+3.  Theorem 3.1 builds each level's rhs once.
+with the basis and v_l, the coordinates of the target's family A, B or C,
+from :mod:`etaq.sequences`.  The congruence claims are its coefficientwise
+consequences: on the progression of one level, every coefficient is
+divisible by a stated power of two, or vanishes outright.  Rows 1.1 and
+1.2 are the M and T* levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3,
+and row 1.7 the odd half of the P* level 4k+3.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eta import TARGET_NAMES, gen_target
-from .identities import Term, _series, rhs_terms
-from .sequences import sequence_values
+from .identities import Term, _series
+from .sequences import BASIS, Vector, levels
 from .series import (
     FAIL,
     INSUFFICIENT,
@@ -38,7 +37,6 @@ from .series import (
 TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
 # T*'s base dissection starts at an even argument, one below M's and P*'s.
 _RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
-_BASIS = [(1, s, j, factors) for _, s, j, factors in rhs_terms("EQ210")]
 
 
 def _progression(target: str, level: int) -> tuple[int, int]:
@@ -85,16 +83,14 @@ def lhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     return gen_target(claim.target, order).extract(claim.step, claim.residue)
 
 
-def _rhs_terms(target: str, k: int, values: list[int]) -> list[Term]:
-    """P_k q^-1 F - 8 P_(k-1) G (+ 5*2^k H but for P*), P = values; zero terms stay."""
-    scales = (values[k], -8 * values[k - 1], 5 << k)[:2 if target == "PSTAR" else 3]
-    return [(a * c, s, j, factors) for a, (c, s, j, factors) in zip(scales, _BASIS)]
+def _rhs_terms(v: Vector) -> list[Term]:
+    """v . BASIS less its zero G and H terms; q^-1 F (s < 0) sets the sum's window, so stays."""
+    return [(a, s, j, factors) for a, (_, s, j, factors) in zip(v, BASIS) if a or s < 0]
 
 
 def rhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
-    """The recurrence combination of F, G, H claimed to equal the lhs."""
-    values = sequence_values(TARGET_FAMILY[claim.target], claim.k)
-    return _series(_rhs_terms(claim.target, claim.k, values), order)
+    """The combination v_k . BASIS claimed to equal the lhs."""
+    return _series(_rhs_terms(levels(TARGET_FAMILY[claim.target], claim.k)[-1]), order)
 
 
 def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) -> Report:
@@ -118,7 +114,7 @@ def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) ->
     if claim.k == 2 and claim.target in ("M", "TSTAR"):
         fam = TARGET_FAMILY[claim.target]
         other = "B" if fam == "A" else "A"
-        swapped = _series(_rhs_terms(claim.target, 2, sequence_values(other, 2)), order)
+        swapped = _series(_rhs_terms(levels(other, 2)[1]), order)
         alt = compare(lhs, swapped, min_overlap=required)
         # F = 1 + O(q), so each window's q^-1 coefficient is its lead P_2.
         note = (f"k=2 lead labeling: {fam}_2={rhs[-1]} -> {outcome.status}, "
@@ -246,7 +242,7 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
     """
     zero = zero_family_claim(k)
     rhs = rhs_series(DissectionClaim("PSTAR", 4 * k + 3), order)
-    expected = ((-64) ** (k + 1) * _series(_BASIS[1:2], order)
+    expected = ((-64) ** (k + 1) * _series(BASIS[1:2], order)
                 + LaurentSeries.from_terms({}, -1, order))
     structural = Report.of(
         f"1.7-structural[k={k}]",
@@ -276,7 +272,7 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
     1.2: the five P* families for k = 0..kmax; a row whose progression
          has no coefficient below the order is reported as skipped.
     3.1: the dissections for k = 1..kmax and induction steps k -> k+1
-         for k < kmax, one recurrence per family and one rhs per level.
+         for k < kmax, one run of levels per family and one rhs per level.
     """
     if theorem_id == "1.1":
         return [verify_congruence(c, order, min_points=5)
@@ -293,10 +289,10 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
                     note=f"first coefficient q^{first} lies beyond the window"))
         return reports
     if theorem_id == "3.1":
-        values = {t: sequence_values(f, kmax) for t, f in TARGET_FAMILY.items()}
+        vs = {t: levels(f, kmax) for t, f in TARGET_FAMILY.items()}
         dissections, inductions, previous = [], [], {}
-        for claim in (DissectionClaim(t, k) for k in range(1, kmax + 1) for t in values):
-            rhs = _series(_rhs_terms(claim.target, claim.k, values[claim.target]), order)
+        for claim in (DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs):
+            rhs = _series(_rhs_terms(vs[claim.target][claim.k - 1]), order)
             dissections.append(verify_dissection(claim, order, rhs))
             if claim.k > 1:
                 inductions.append(verify_induction_step(DissectionClaim(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 
 from .eta import TARGET_NAMES, TARGETS, expand_f, expand_k, expand_quotient
 from .series import LaurentSeries, Report, compare
@@ -153,42 +152,32 @@ def _read_sides(statement: str, order: int) -> tuple[LaurentSeries, LaurentSerie
         raise ValueError(f"cannot read identity {statement!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class IdentityDefinition:
-    tag: str
-    statement: str
-
-
-CATALOG: dict[str, IdentityDefinition] = {tag: IdentityDefinition(tag, text) for tag, text in (
-    ("EQ21", "f2^5/f10 = f1^5/f5 + 5q f1^2 f2 f10^3/f5^2"),
-    ("EQ22", "f1/f5 = f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2)"),
-    ("EQ23", "f1 f5^3 = f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2)"
-             " + 2q^2 f4 f20^3 - q^3 f4^4 f10 f40^2/(f2 f8^2)"),
-    ("EQ24", "k f2 f5^5 = q f1 f10^5 (1 - k^2)   [cleared form of"
-             " f2 f5^5/(q f1 f10^5) = 1/k - k]"),
-    ("EQ25", "k f2^4 f5^2 = q f1^2 f10^4 (1 + k - k^2)   [cleared form of"
-             " f2^4 f5^2/(q f1^2 f10^4) = 1/k + 1 - k]"),
-    ("EQ26", "k f1^3 f5 = q f2 f10^3 (1 - 4k - k^2)   [cleared form of"
-             " f1^3 f5/(q f2 f10^3) = 1/k - 4 - k]"),
-    ("EQ27", "f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3) = 5"),
-    ("EQ28", "f1 f2 f5^5 = f2^4 f5^2 f10 - q f1^2 f10^5"),
-    ("EQ29", "f1 f5^3 = f2^3 f10 - q (f10^5/f2)"
-             " (f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2"),
-    ("NEGQ", "prod (1 - (-q)^n) = f2^3/(f1 f4)"),
-    ("L22", "sum_{n>=-1} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4"),
-    ("EQ210", "sum_{n>=-1} M(2n+3) q^n = f1^4 f5^4/q - 8 f2^4 f10^4 + 10 f1 f2 f5^3 f10^3"),
-    ("EQ211", "sum_{n>=-1} T*(2n+2) q^n = f1^4 f5^4/q + 10 f1 f2 f5^3 f10^3"),
-    ("EQ212_ODDFREE", "extract(f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2) + 2q^2 f4 f20^3"
-                      " - q^3 f4^4 f10 f40^2/(f2 f8^2), 2, 0) = f1^3 f5 + 2q f2 f10^3"),
-    ("EQ213_ODDFREE", "extract((f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2, 2, 0)"
-                      " = (f1 f4 f10^3/(f2 f5^3 f20))^2 + q (f2^2 f20/(f4 f5^2))^2"),
-)}
+CATALOG: dict[str, str] = {
+    "EQ21": "f2^5/f10 = f1^5/f5 + 5q f1^2 f2 f10^3/f5^2",
+    "EQ22": "f1/f5 = f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2)",
+    "EQ23": "f1 f5^3 = f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2)"
+            " + 2q^2 f4 f20^3 - q^3 f4^4 f10 f40^2/(f2 f8^2)",
+    "EQ24": "k f2 f5^5 = q f1 f10^5 (1 - k^2)   [cleared form of"
+            " f2 f5^5/(q f1 f10^5) = 1/k - k]",
+    "EQ25": "k f2^4 f5^2 = q f1^2 f10^4 (1 + k - k^2)   [cleared form of"
+            " f2^4 f5^2/(q f1^2 f10^4) = 1/k + 1 - k]",
+    "EQ26": "k f1^3 f5 = q f2 f10^3 (1 - 4k - k^2)   [cleared form of"
+            " f1^3 f5/(q f2 f10^3) = 1/k - 4 - k]",
+    "EQ27": "f2^4 f5^2/(q f1^2 f10^4) - f1^3 f5/(q f2 f10^3) = 5",
+    "EQ28": "f1 f2 f5^5 = f2^4 f5^2 f10 - q f1^2 f10^5",
+    "EQ29": "f1 f5^3 = f2^3 f10 - q (f10^5/f2)"
+            " (f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2",
+    "NEGQ": "prod (1 - (-q)^n) = f2^3/(f1 f4)",
+    "L22": "sum_{n>=-1} P*(2n+3) q^n = -4 f1^4 f5^4/q - 8 f2^4 f10^4",
+    "EQ210": "sum_{n>=-1} M(2n+3) q^n = f1^4 f5^4/q - 8 f2^4 f10^4 + 10 f1 f2 f5^3 f10^3",
+    "EQ211": "sum_{n>=-1} T*(2n+2) q^n = f1^4 f5^4/q + 10 f1 f2 f5^3 f10^3",
+    "EQ212_ODDFREE": "extract(f2^3 f10 - q f2 f8^2 f20^6/(f4^2 f10 f40^2) + 2q^2 f4 f20^3"
+                     " - q^3 f4^4 f10 f40^2/(f2 f8^2), 2, 0) = f1^3 f5 + 2q f2 f10^3",
+    "EQ213_ODDFREE": "extract((f2 f8 f20^3/(f4 f10^3 f40) - q f4^2 f40/(f8 f10^2))^2, 2, 0)"
+                     " = (f1 f4 f10^3/(f2 f5^3 f20))^2 + q (f2^2 f20/(f4 f5^2))^2",
+}
 
 MIN_ORDER = 16
-
-
-def catalog_ids() -> tuple[str, ...]:
-    return tuple(CATALOG)
 
 
 def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
@@ -197,15 +186,15 @@ def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
         raise ValueError(f"unknown identity id {tag!r}")
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
-    return _read_sides(CATALOG[tag].statement, order)
+    return _read_sides(CATALOG[tag], order)
 
 
-def rhs_terms(tag: str) -> list[Term]:
-    """The rhs of one catalog statement as its terms (c, s, j, {m: e_m})."""
-    rhs = _REMARK.sub("", CATALOG[tag].statement).split(" = ")[1]
+def rhs_terms(statement: str) -> list[Term]:
+    """The rhs of one statement as its terms (c, s, j, {m: e_m})."""
+    rhs = _REMARK.sub("", statement).split(" = ")[1]
     terms = _evaluate(ast.parse(_python_syntax(rhs), mode="eval").body, MIN_ORDER)
     if not isinstance(terms, list):
-        raise ValueError(f"the rhs of {tag} is a series, not a list of terms")
+        raise ValueError(f"the rhs of {statement!r} is a series, not a list of terms")
     return terms
 
 
@@ -216,7 +205,7 @@ def verify_identity(tag: str, order: int) -> Report:
     windows genuinely hold only about half as many coefficients.
     """
     lhs, rhs = identity_sides(tag, order)
-    return Report.of(tag, CATALOG[tag].statement, order,
+    return Report.of(tag, CATALOG[tag], order,
                      compare(lhs, rhs, min_overlap=order // 2))
 
 
@@ -227,8 +216,6 @@ def verify_all_identities(order: int) -> list[Report]:
 __all__ = [
     "CATALOG",
     "MIN_ORDER",
-    "IdentityDefinition",
-    "catalog_ids",
     "identity_sides",
     "rhs_terms",
     "verify_all_identities",

@@ -1,47 +1,66 @@
-"""The constant-recursive integer families behind the 2-power dissections.
+"""Theorem 3.1's levels as coordinates on one basis, and the families A, B, C.
 
-All three families satisfy P_k = -4 P_{k-1} - 8 P_{k-2}, families A and B
-with the extra forcing term 5 * 2^{k-1}:
-
-    A: A_0 = 1, A_1 = 1   (lead coefficients of the M dissections)
-    B: B_0 = 0, B_1 = 1   (lead coefficients of the T* dissections)
-    C: C_0 = 1, C_1 = -4  (lead coefficients of the P* dissections,
-                           homogeneous)
-
-A and B have exact 2-adic valuation k - 1 for k >= 1, which is what turns
-each dissection into a 2-power congruence.  C is 4-periodic up to the
-factor -64: C_{k+4} = -64 C_k.
+Level k of the M, T* and P* dissections is v_k . BASIS, with BASIS =
+(q^-1 F, G, H) read from the terms of EQ210.  The step T(X) =
+extract(q^-2 X, 2, 0) to the next level maps the basis into its span, so
+v_k = U^(k-1) v_1 for the integer matrix U whose columns are T(q^-1 F)
+(L22's rhs), T(G) = q^-1 F (as G(q) = F(q^2)) and T(H) (T_OF_H), and
+v_1 is read from EQ210 (family A, for M), EQ211 (B, T*) or L22 (C, P*).
+P_k = v_k[0] and -8 P_0 = v_1[1].  A and B have exact 2-adic valuation
+k - 1 for k >= 1, which turns each dissection into a 2-power congruence,
+and C_{k+4} = -64 C_k.
 """
 
 from __future__ import annotations
 
+from .identities import CATALOG, Term, rhs_terms
 from .series import FAIL, PASS, Report, two_adic_valuation
 
-_INITIALS: dict[str, tuple[int, int]] = {"A": (1, 1), "B": (0, 1), "C": (1, -4)}
-_FORCED: dict[str, bool] = {"A": True, "B": True, "C": False}
+Vector = tuple[int, int, int]
+
+BASIS: list[Term] = [(1, s, j, factors) for _, s, j, factors in rhs_terms(CATALOG["EQ210"])]
+# The image of H under T, the one column of U that no catalog entry states.
+T_OF_H = "extract(f1 f2 f5^3 f10^3/q^2, 2, 0) = f1^4 f5^4/q + 2 f1 f2 f5^3 f10^3"
 
 _C_CLOSED_BASE = (1, -4, 8, 0)
 
 
-def _check_family(family: str) -> None:
-    if family not in _INITIALS:
+def coordinates(terms: list[Term]) -> Vector:
+    """The coordinates of a sum of terms on BASIS; a term outside it raises."""
+    v = [0, 0, 0]
+    for c, s, j, factors in terms:
+        if (1, s, j, factors) not in BASIS:
+            raise ValueError(f"{c} q^{s} k^{j} {factors} is not a multiple of q^-1 F, G or H")
+        v[BASIS.index((1, s, j, factors))] += c
+    return tuple(v)
+
+
+def _matrix() -> tuple[Vector, ...]:
+    """The rows of U, whose columns are T(q^-1 F), T(G) and T(H)."""
+    return tuple(zip(coordinates(rhs_terms(CATALOG["L22"])), (1, 0, 0),
+                     coordinates(rhs_terms(T_OF_H))))
+
+
+U = _matrix()
+_LEVEL_ONE = {family: coordinates(rhs_terms(CATALOG[tag]))
+              for family, tag in (("A", "EQ210"), ("B", "EQ211"), ("C", "L22"))}
+
+
+def levels(family: str, kmax: int) -> list[Vector]:
+    """v_1, ..., v_kmax for one family: v_1 from its statement, then U v."""
+    if family not in _LEVEL_ONE:
         raise ValueError(f"unknown family {family!r}; expected A, B, or C")
+    vs = [_LEVEL_ONE[family]]
+    while len(vs) < kmax:
+        vs.append(tuple(sum(u * x for u, x in zip(row, vs[-1])) for row in U))
+    return vs[:kmax]
 
 
 def sequence_values(family: str, kmax: int) -> list[int]:
-    """P_0, ..., P_kmax by direct iteration of the recurrence."""
-    _check_family(family)
+    """P_0, ..., P_kmax: P_0 from v_1[1] = -8 P_0, and P_k = v_k[0]."""
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    p0, p1 = _INITIALS[family]
-    forced = _FORCED[family]
-    values = [p0, p1]
-    for k in range(2, kmax + 1):
-        nxt = -4 * values[k - 1] - 8 * values[k - 2]
-        if forced:
-            nxt += 5 << (k - 1)
-        values.append(nxt)
-    return values[:kmax + 1]
+    return [-levels(family, 1)[0][1] // 8] + [v[0] for v in levels(family, kmax)]
 
 
 def closed_form_C(k: int) -> int:

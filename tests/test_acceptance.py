@@ -20,7 +20,7 @@ from etaq.congruences import (
     zero_family_claim,
 )
 from etaq.eta import gen_target
-from etaq.identities import catalog_ids, identity_sides, verify_all_identities
+from etaq.identities import CATALOG, identity_sides, verify_all_identities
 from etaq.oracle import cross_check
 from etaq.sequences import (
     closed_form_C,
@@ -131,7 +131,7 @@ def _perturbed(series: LaurentSeries, exponent: int) -> LaurentSeries:
 
 
 def test_criterion_8_negative_controls():
-    for tag in catalog_ids():
+    for tag in CATALOG:
         lhs, rhs = identity_sides(tag, 64)
         e0 = max(lhs.offset, rhs.offset)
         outcome = compare(lhs, _perturbed(rhs, e0), min_overlap=1)

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import etaq.congruences as congruences
+import etaq.sequences as sequences
 from etaq.congruences import (
     CongruenceClaim,
     DissectionClaim,
@@ -24,8 +25,8 @@ from etaq.congruences import (
     zero_family_claim,
 )
 from etaq.eta import gen_target
-from etaq.identities import _series, rhs_terms
-from etaq.sequences import sequence_values
+from etaq.identities import CATALOG, _read_sides, _series, rhs_terms
+from etaq.sequences import coordinates, levels
 from etaq.series import (
     FAIL,
     INSUFFICIENT,
@@ -82,6 +83,12 @@ def test_dissections_pass():
             assert report.witness is None
 
 
+def test_a_zero_lead_keeps_the_rhs_window():
+    # C_3 = 0, yet level 3's rhs keeps the window [-1, order - 1) of q^-1 F.
+    rhs = rhs_series(DissectionClaim("PSTAR", 3), 64)
+    assert (rhs.offset, rhs.prec, rhs[-1]) == (-1, 63, 0)
+
+
 def test_level_two_lead_labeling_notes():
     m = _dissection("M", 2, 400)
     assert m.note == "k=2 lead labeling: A_2=-2 -> pass, swapped B_2=6 -> fail"
@@ -96,7 +103,7 @@ def test_swapped_family_rhs_fails():
     # window rejects the other family's lead coefficient.
     claim = DissectionClaim("M", 2)
     lhs = lhs_series(claim, 400)
-    swapped = _series(congruences._rhs_terms("M", 2, sequence_values("B", 2)), 400)
+    swapped = _series(congruences._rhs_terms(levels("B", 2)[1]), 400)
     assert swapped[-1] == 6
     assert compare(lhs, swapped, min_overlap=8).status == FAIL
 
@@ -105,53 +112,62 @@ def test_swapped_family_rhs_fails():
 LEVEL_ONE = (("L22", "PSTAR"), ("EQ210", "M"), ("EQ211", "TSTAR"))
 
 
-def _rule_at_level_one(target):
-    """The nonzero terms (c, s, j, {m: e_m}) of the dissection rule at k = 1."""
-    values = sequence_values(congruences.TARGET_FAMILY[target], 1)
-    return [term for term in congruences._rhs_terms(target, 1, values) if term[0]]
-
-
-def _level_one_mismatches():
-    return [tag for tag, target in LEVEL_ONE if rhs_terms(tag) != _rule_at_level_one(target)]
+def _outside_the_basis():
+    """The level-1 statements with a term that is no multiple of a basis element."""
+    outside = []
+    for tag, _ in LEVEL_ONE:
+        try:
+            coordinates(rhs_terms(CATALOG[tag]))
+        except ValueError:
+            outside.append(tag)
+    return outside
 
 
 @pytest.mark.parametrize("tag,target", LEVEL_ONE)
-def test_level_one_statements_are_instances_of_the_rule(tag, target):
-    # Symbolic: term lists are compared, no window is expanded.
-    assert rhs_terms(tag) == _rule_at_level_one(target)
+def test_level_one_statements_lie_in_the_basis(tag, target):
+    # Symbolic: the target's level 1 is its statement's coordinates times
+    # the basis, with every nonzero term kept and none added.
+    v = levels(congruences.TARGET_FAMILY[target], 1)[0]
+    assert [term for term in congruences._rhs_terms(v) if term[0]] == rhs_terms(CATALOG[tag])
 
 
 def test_basis_is_read_from_eq210():
-    assert congruences._BASIS == [(1, -1, 0, {1: 4, 5: 4}), (1, 0, 0, {2: 4, 10: 4}),
-                                  (1, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
+    assert sequences.BASIS == [(1, -1, 0, {1: 4, 5: 4}), (1, 0, 0, {2: 4, 10: 4}),
+                               (1, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
+    assert congruences.BASIS is sequences.BASIS
 
 
 def test_a_slip_in_the_basis_fails_a_dissection_row(monkeypatch):
     # Negative control: G = f2^4 f10^3 instead of f2^4 f10^4.
-    f, (c, s, j, g), h = congruences._BASIS
-    monkeypatch.setattr(congruences, "_BASIS", [f, (c, s, j, {**g, 10: 3}), h])
+    f, (c, s, j, g), h = sequences.BASIS
+    slipped = [f, (c, s, j, {**g, 10: 3}), h]
+    monkeypatch.setattr(sequences, "BASIS", slipped)
+    monkeypatch.setattr(congruences, "BASIS", slipped)
     claim = DissectionClaim("M", 2)
     report = verify_dissection(claim, 400, rhs_series(claim, 400))
     assert report.status == FAIL
     assert report.witness == {"exponent": 10, "lhs": "-128", "rhs": "-136"}
-    # EQ211's G coefficient is -8 B_0 = 0, so only L22 and EQ210 see G.
-    assert _level_one_mismatches() == ["L22", "EQ210"]
+    # EQ211 has no G term, so only L22 and EQ210 leave the slipped basis.
+    assert _outside_the_basis() == ["L22", "EQ210"]
 
 
-def test_a_slip_in_the_rule_fails_the_instances_and_a_dissection_row(monkeypatch):
-    # Negative control: the rule with -7 P_(k-1) G in place of -8 P_(k-1) G.
-    source = inspect.getsource(congruences._rhs_terms)
-    assert source.count("-8 *") == 1
-    namespace = dict(vars(congruences))
-    exec(source.replace("-8 *", "-7 *"), namespace)
-    monkeypatch.setattr(congruences, "_rhs_terms", namespace["_rhs_terms"])
-    assert _level_one_mismatches() == ["L22", "EQ210"]
+def test_a_slip_in_t_of_h_fails_its_window_and_a_dissection_row(monkeypatch):
+    # Negative control: T(H) = q^-1 F + 3 H in place of q^-1 F + 2 H.
+    assert sequences.T_OF_H.count("+ 2 f1") == 1
+    edited = sequences.T_OF_H.replace("+ 2 f1", "+ 3 f1")
+    outcome = compare(*_read_sides(edited, 400), min_overlap=150)
+    assert (outcome.status, outcome.witness) == (FAIL, (0, -2, -1))
+    monkeypatch.setattr(sequences, "T_OF_H", edited)
+    monkeypatch.setattr(sequences, "U", sequences._matrix())
+    assert sequences.U == ((-4, 1, 1), (-8, 0, 0), (0, 0, 3))
     claim = DissectionClaim("M", 2)
     report = verify_dissection(claim, 400, rhs_series(claim, 400))
     assert report.status == FAIL
-    assert report.witness == {"exponent": 0, "lhs": "20", "rhs": "21"}
+    assert report.witness == {"exponent": 0, "lhs": "20", "rhs": "30"}
+    # P*'s levels have no H term, so only the M and T* rows of level 2 see it.
     failed = {r.label for r in verify_theorem("3.1", 400, 2) if r.status == FAIL}
-    assert "dissection[M,k=1]" in failed and "dissection[TSTAR,k=2]" in failed
+    assert failed == {"dissection[M,k=2]", "dissection[TSTAR,k=2]",
+                      "induction[M,k=1->2]", "induction[TSTAR,k=1->2]"}
 
 
 def _induction(target, k, order):
@@ -305,6 +321,32 @@ def test_theorem_12_claim_table():
         assert z == zero_family_claim(k)
 
 
+def _valuation_mismatches(claims):
+    """Labels of the claims whose typed valuation is not the least v2 of the
+    coordinates of their level, the level being log2 of the step."""
+    top = max(c.step for c in claims).bit_length() - 1
+    # Level 0 is q^-1 F itself; only P*'s row 1.3[k=0] reads it.
+    vs = {t: [(1, 0, 0)] + levels(f, top) for t, f in congruences.TARGET_FAMILY.items()}
+    return [c.label for c in claims if c.required_valuation is not None
+            and c.required_valuation != min(map(two_adic_valuation,
+                                                vs[c.target][c.step.bit_length() - 1]))]
+
+
+def test_typed_valuations_are_the_least_v2_of_the_level_coordinates():
+    assert _valuation_mismatches(theorem_11_claims(64)) == []
+    assert _valuation_mismatches(theorem_12_claims(16)) == []
+
+
+def test_a_wrong_valuation_table_entry_is_caught():
+    # Negative control: 6k + 4 in place of 6k + 3 for the rows 1.5.
+    source = inspect.getsource(congruences.theorem_12_claims)
+    assert source.count("(0, 2, 3, 6)") == 1
+    namespace = dict(vars(congruences))
+    exec(source.replace("(0, 2, 3, 6)", "(0, 2, 4, 6)"), namespace)
+    assert _valuation_mismatches(namespace["theorem_12_claims"](16)) == [
+        f"1.5[k={k}]" for k in range(17)]
+
+
 def test_theorem_11_passes():
     reports = verify_theorem("1.1", 1200, 6)
     assert len(reports) == 12
@@ -360,9 +402,9 @@ def test_theorem_31_rows_match_per_claim_calls(order, kmax, statuses):
 
 
 def test_theorem_31_builds_each_rhs_once(monkeypatch):
-    # One recurrence run per family plus one per k = 2 swapped labeling,
+    # One run of levels per family plus one per k = 2 swapped labeling,
     # and one rhs window per (target, level) plus the two swapped windows.
-    calls = {"recurrence": 0, "window": 0}
+    calls = {"levels": 0, "window": 0}
 
     def counted(kind, real):
         def wrapper(*args):
@@ -370,14 +412,12 @@ def test_theorem_31_builds_each_rhs_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    recurrence = counted("recurrence", sequence_values)
-    monkeypatch.setattr(congruences, "sequence_values", recurrence)
-    monkeypatch.setattr("etaq.sequences.sequence_values", recurrence)
+    monkeypatch.setattr(congruences, "levels", counted("levels", levels))
     monkeypatch.setattr(congruences, "_series", counted("window", congruences._series))
     kmax = 8
     reports = verify_theorem("3.1", 400, kmax)
     assert len(reports) == 3 * kmax + 3 * (kmax - 1)
-    assert calls == {"recurrence": 3 + 2, "window": 3 * kmax + 2}
+    assert calls == {"levels": 3 + 2, "window": 3 * kmax + 2}
 
 
 def test_theorem_unknown_id():

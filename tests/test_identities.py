@@ -10,9 +10,7 @@ from etaq.eta import expand_k, expand_quotient
 from etaq.identities import (
     CATALOG,
     MIN_ORDER,
-    IdentityDefinition,
     _read_sides,
-    catalog_ids,
     identity_sides,
     rhs_terms,
     verify_all_identities,
@@ -28,8 +26,8 @@ ALL_IDS = (
 
 
 def test_catalog_ids_fixed():
-    assert catalog_ids() == ALL_IDS
-    assert all(CATALOG[tag].statement for tag in ALL_IDS)
+    assert tuple(CATALOG) == ALL_IDS
+    assert all(isinstance(CATALOG[tag], str) and CATALOG[tag] for tag in ALL_IDS)
 
 
 def test_all_identities_pass():
@@ -114,7 +112,7 @@ def test_verify_identity_report_shape():
     report = verify_identity("EQ22", 64)
     payload = report.to_dict()
     assert payload == {
-        "label": "EQ22", "status": PASS, "claim": CATALOG["EQ22"].statement,
+        "label": "EQ22", "status": PASS, "claim": CATALOG["EQ22"],
         "order": 64, "checked": {"from": 0, "to": 63, "points": 64},
         "witness": None, "note": None,
     }
@@ -183,12 +181,12 @@ def test_sides_read_from_the_statement_match_frozen_digests(tag, order):
 ))
 def test_one_token_edit_of_a_statement_fails_with_a_witness(tag, old, new, witness,
                                                             monkeypatch):
-    statement = CATALOG[tag].statement
+    statement = CATALOG[tag]
     assert statement.count(old) == 1
     edited = statement.replace(old, new)
     outcome = compare(*_read_sides(edited, 300), min_overlap=150)
     assert (outcome.status, outcome.witness) == (FAIL, witness)
-    monkeypatch.setitem(CATALOG, tag, IdentityDefinition(tag, edited))
+    monkeypatch.setitem(CATALOG, tag, edited)
     report = verify_identity(tag, 300)
     assert (report.status, report.claim) == (FAIL, edited)
     assert report.witness == {"exponent": witness[0], "lhs": str(witness[1]),
@@ -228,8 +226,10 @@ def test_bare_integer_side_takes_the_other_window():
 
 def test_rhs_terms_reads_a_symbolic_rhs_and_refuses_a_series():
     # A trailing [...] remark, as on EQ24, is not part of the rhs.
-    assert rhs_terms("EQ211") == [(1, -1, 0, {1: 4, 5: 4}), (10, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
-    assert rhs_terms("EQ24") == [(1, 1, 0, {1: 1, 10: 5}), (-1, 1, 2, {1: 1, 10: 5})]
+    assert rhs_terms(CATALOG["EQ211"]) == [(1, -1, 0, {1: 4, 5: 4}),
+                                           (10, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
+    assert rhs_terms(CATALOG["EQ24"]) == [(1, 1, 0, {1: 1, 10: 5}), (-1, 1, 2, {1: 1, 10: 5})]
     # EQ29 squares a sum, so its rhs needs a series.
-    with pytest.raises(ValueError, match="EQ29"):
-        rhs_terms("EQ29")
+    with pytest.raises(ValueError, match="is a series") as info:
+        rhs_terms(CATALOG["EQ29"])
+    assert repr(CATALOG["EQ29"]) in str(info.value)

@@ -472,8 +472,8 @@ def test_spread_of_f1_is_the_single_period_product(m):
 
 def test_check_periods_cover_catalog_and_targets():
     # cross_check promises a row for every period the catalog reads.
-    catalog = {int(m) for definition in CATALOG.values()
-               for m in re.findall(r"\bf([1-9]\d*)\b", definition.statement)}
+    catalog = {int(m) for statement in CATALOG.values()
+               for m in re.findall(r"\bf([1-9]\d*)\b", statement)}
     targets = {m for factors in eta.TARGETS.values() for m in factors}
     assert 40 in catalog
     assert catalog | targets <= set(oracle._CHECK_PERIODS)

@@ -1,18 +1,23 @@
-"""Tests for the constant-recursive lead-coefficient families."""
+"""Tests for the level coordinates and the lead-coefficient families."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 
 import pytest
 
+import etaq.sequences as sequences
+from etaq.identities import CATALOG, _read_sides, rhs_terms
 from etaq.sequences import (
     closed_form_C,
+    coordinates,
+    levels,
     sequence_values,
     verify_closed_forms,
     verify_valuations,
 )
-from etaq.series import PASS, two_adic_valuation
+from etaq.series import PASS, compare, two_adic_valuation
 
 A_HEAD = [1, 1, -2, 20, -24, 16]
 B_HEAD = [0, 1, 6, -12, 40, 16]
@@ -23,6 +28,56 @@ def test_frozen_heads():
     assert sequence_values("A", 5) == A_HEAD
     assert sequence_values("B", 5) == B_HEAD
     assert sequence_values("C", 8) == C_HEAD
+
+
+def _recurrence(family, kmax):
+    """P_0, ..., P_kmax from P_k = -4 P_(k-1) - 8 P_(k-2) (+ 5 * 2^(k-1) for A
+    and B), with the initial values typed by hand: the reference for U."""
+    p0, p1 = {"A": (1, 1), "B": (0, 1), "C": (1, -4)}[family]
+    values = [p0, p1]
+    for k in range(2, kmax + 1):
+        nxt = -4 * values[k - 1] - 8 * values[k - 2]
+        if family != "C":
+            nxt += 5 << (k - 1)
+        values.append(nxt)
+    return values[:kmax + 1]
+
+
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_sequence_values_match_the_recurrence(family):
+    assert sequence_values(family, 200) == _recurrence(family, 200)
+    assert [sequence_values(family, k) for k in (0, 1, 2)] == [
+        _recurrence(family, k) for k in (0, 1, 2)]
+
+
+def test_matrix_is_read_from_l22_and_t_of_h():
+    assert sequences.U == ((-4, 1, 1), (-8, 0, 0), (0, 0, 2))
+    assert [levels(f, 1)[0] for f in "ABC"] == [(1, -8, 10), (1, 0, 10), (-4, -8, 0)]
+    assert levels("A", 3) == [(1, -8, 10), (-2, -8, 20), (20, 16, 40)]
+    assert levels("C", 0) == []
+
+
+def test_t_of_h_holds_on_a_window():
+    lhs, rhs = _read_sides(sequences.T_OF_H, 1000)
+    outcome = compare(lhs, rhs, min_overlap=400)
+    assert outcome.status == PASS
+    assert outcome.overlap >= 400
+
+
+def test_a_term_outside_the_basis_raises():
+    # f2^4 f10^3 is no multiple of q^-1 F, G or H; it must not be read as a zero coordinate.
+    with pytest.raises(ValueError, match="not a multiple of q\\^-1 F, G or H"):
+        coordinates(rhs_terms("x = f1^4 f5^4/q - 8 f2^4 f10^3"))
+    assert coordinates(rhs_terms(CATALOG["EQ211"])) == (1, 0, 10)
+
+
+def test_a_level_one_statement_outside_the_basis_fails_the_import(monkeypatch):
+    # A fresh copy of the module reads the edited EQ211 as it is imported.
+    edited = CATALOG["EQ211"] + " + f2^4 f10^3"
+    monkeypatch.setitem(CATALOG, "EQ211", edited)
+    spec = importlib.util.spec_from_file_location("etaq._sequences_copy", sequences.__file__)
+    with pytest.raises(ValueError, match="not a multiple"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_seq_value_agrees_with_iteration():
