@@ -147,8 +147,6 @@ def _cmd_dissect(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
-    if args.kmax < 0:
-        return _usage_error(f"--kmax must be >= 0, got {args.kmax}")
     values = sequences.sequence_values(args.family, args.kmax)
     rows = [(k, value, two_adic_valuation(value)) for k, value in enumerate(values)]
     if args.format == "json":

@@ -23,7 +23,6 @@ from .identities import Term, _series
 from .sequences import BASIS, Vector, levels
 from .series import (
     FAIL,
-    INSUFFICIENT,
     PASS,
     SKIPPED,
     EmptyWindow,
@@ -106,9 +105,7 @@ def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) ->
     try:
         lhs = lhs_series(claim, order)
     except EmptyWindow:
-        return Report(claim.label, INSUFFICIENT, claim.describe(), order,
-                      note=(f"only 0 reachable coefficients below order {order}, "
-                            f"need {required}"))
+        return Report.scan(claim.label, claim.describe(), order, range(0), (), required)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
     if claim.k == 2 and claim.target in ("M", "TSTAR"):
@@ -172,29 +169,17 @@ def verify_congruence(claim: CongruenceClaim, order: int,
     """
     series = gen_target(claim.target, order)
     reachable = range(-1, -((claim.residue - order) // claim.step))
-    checked = None
-    if reachable:
-        checked = {"from": reachable[0], "to": reachable[-1], "points": len(reachable)}
-    required = max(1, min_points)
-    if len(reachable) < required:
-        return Report(claim.label, INSUFFICIENT, claim.describe(), order, checked,
-                      note=(f"only {len(reachable)} reachable coefficients below order "
-                            f"{order}, need {required}"))
+    need = claim.required_valuation
     # The coefficients at step*n + residue for n in reachable, as one slice;
-    # exponents below the window read its exact zeros.
-    values = series._span(claim.residue - claim.step, order)[::claim.step]
-    for n, value in zip(reachable, values):
-        if claim.required_valuation is None:
-            ok = value == 0
-        else:
-            ok = two_adic_valuation(value) >= claim.required_valuation
-        if not ok:
-            v = two_adic_valuation(value)
-            return Report(claim.label, FAIL, claim.describe(), order, checked,
-                          {"n": n, "exponent": claim.step * n + claim.residue,
-                           "value": str(value),
-                           "v2": "inf" if value == 0 else int(v)})
-    return Report(claim.label, PASS, claim.describe(), order, checked)
+    # exponents below the window read its exact zeros.  An empty progression
+    # may start past any index, so it reads no slice.
+    values = series._span(claim.residue - claim.step, order)[::claim.step] if reachable else ()
+    witnesses = ({"n": n, "exponent": claim.step * n + claim.residue,
+                  "value": str(value), "v2": two_adic_valuation(value)}
+                 for n, value in zip(reachable, values)
+                 if (value != 0 if need is None else two_adic_valuation(value) < need))
+    return Report.scan(claim.label, claim.describe(), order, reachable, witnesses,
+                       max(1, min_points))
 
 
 def theorem_11_claims(kmax: int) -> list[CongruenceClaim]:

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from . import eta
 from .identities import MIN_ORDER
-from .series import FAIL, PASS, LaurentSeries, Report, compare
+from .series import LaurentSeries, Report, compare
 
 
 def _over_binomial(c: list[int], d: int) -> None:
@@ -232,12 +232,10 @@ def cross_check(order: int) -> list[Report]:
 
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
         ns = range(residue, order, modulus)
-        witness = next(({"n": n, "value": str(counts[n]), "modulus": modulus}
-                        for n in ns if counts[n] % modulus), None)
-        checks.append(Report(
-            f"p({modulus}n+{residue}) == 0 mod {modulus}",
-            FAIL if witness else PASS, order=order,
-            checked={"from": ns[0], "to": ns[-1], "points": len(ns)}, witness=witness))
+        checks.append(Report.scan(
+            f"p({modulus}n+{residue}) == 0 mod {modulus}", None, order, ns,
+            ({"n": n, "value": str(counts[n]), "modulus": modulus}
+             for n in ns if counts[n] % modulus)))
 
     return checks
 

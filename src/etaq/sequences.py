@@ -13,8 +13,10 @@ and C_{k+4} = -64 C_k.
 
 from __future__ import annotations
 
+import itertools
+
 from .identities import CATALOG, Term, rhs_terms
-from .series import FAIL, PASS, Report, two_adic_valuation
+from .series import Report, two_adic_valuation
 
 Vector = tuple[int, int, int]
 
@@ -74,17 +76,12 @@ def verify_valuations(kmax: int) -> Report:
     """v2(A_k) == v2(B_k) == k - 1 exactly, for 1 <= k <= kmax."""
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    name = "exact 2-adic valuation v2 = k-1 for families A and B"
-    checked = {"from": 1, "to": kmax, "points": kmax}
-    for family in ("A", "B"):
-        values = sequence_values(family, kmax)
-        for k in range(1, kmax + 1):
-            v = two_adic_valuation(values[k])
-            if v != k - 1:
-                return Report(name, FAIL, checked=checked,
-                              witness={"family": family, "k": k,
-                                       "value": str(values[k]), "v2": str(v)})
-    return Report(name, PASS, checked=checked)
+    values = {family: sequence_values(family, kmax) for family in ("A", "B")}
+    ks = range(1, kmax + 1)
+    return Report.scan(
+        "exact 2-adic valuation v2 = k-1 for families A and B", None, None, ks,
+        ({"family": family, "k": k, "value": str(vs[k]), "v2": str(two_adic_valuation(vs[k]))}
+         for family, vs in values.items() for k in ks if two_adic_valuation(vs[k]) != k - 1))
 
 
 def verify_closed_forms(kmax: int) -> Report:
@@ -95,20 +92,14 @@ def verify_closed_forms(kmax: int) -> Report:
     """
     if kmax < 8:
         raise ValueError(f"kmax must be >= 8, got {kmax}")
-    name = "family C closed form and 4-step telescoping"
-    checked = {"from": 0, "to": kmax, "points": kmax + 1}
     values = sequence_values("C", kmax)
-    for k, value in enumerate(values):
-        if value != closed_form_C(k):
-            return Report(name, FAIL, checked=checked,
-                          witness={"k": k, "value": str(value),
-                                   "closed_form": str(closed_form_C(k))})
-    for k in range(kmax - 3):
-        if values[k + 4] != -64 * values[k]:
-            return Report(name, FAIL, checked=checked,
-                          witness={"k": k, "value": str(values[k + 4]),
-                                   "telescoped": str(-64 * values[k])})
-    return Report(name, PASS, checked=checked)
+    return Report.scan(
+        "family C closed form and 4-step telescoping", None, None, range(kmax + 1),
+        itertools.chain(
+            ({"k": k, "value": str(value), "closed_form": str(closed_form_C(k))}
+             for k, value in enumerate(values) if value != closed_form_C(k)),
+            ({"k": k, "value": str(values[k + 4]), "telescoped": str(-64 * values[k])}
+             for k in range(kmax - 3) if values[k + 4] != -64 * values[k])))
 
 
 __all__ = [

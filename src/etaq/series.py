@@ -433,7 +433,7 @@ class Comparison:
     witness: tuple[int, int, int] | None = None  # (exponent, left, right)
 
 
-def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 200) -> Comparison:
+def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int) -> Comparison:
     """Coefficientwise equality on [max(offsets), min(precs)).
 
     Fewer than min_overlap common exponents (or none at all) yields
@@ -451,16 +451,25 @@ def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 200) -> Compa
     return Comparison(PASS, lo, hi - 1, overlap)
 
 
+def _checked(points: range) -> dict[str, int] | None:
+    """The window a verdict rests on, or None when no point was reachable."""
+    if not points:
+        return None
+    return {"from": points[0], "to": points[-1], "points": len(points)}
+
+
 @dataclass(frozen=True)
 class Report:
     """One verdict of any verifier: an identity, a dissection, a congruence
     row, a sequence check or an oracle agreement.
 
     ``checked`` is the window the verdict rests on, ``{"from", "to",
-    "points"}``; ``witness`` is the first counterexample found (for a
-    comparison ``{"exponent", "lhs", "rhs"}``, big integers as decimal
-    strings); ``note`` says whatever else the verdict needs, such as why a
-    claim was skipped.
+    "points"}``; ``witness`` is the first counterexample found, big
+    integers as decimal strings.  A comparison (``Report.of``) names
+    ``{"exponent", "lhs", "rhs"}``; a scan (``Report.scan``) names the
+    scanned point and the value that broke the claim, such as ``{"n",
+    "exponent", "value", "v2"}`` for a congruence row.  ``note`` says
+    whatever else the verdict needs, such as why a claim was skipped.
     """
 
     label: str
@@ -481,15 +490,29 @@ class Report:
     def of(cls, label: str, claim: str | None, order: int | None,
            comparison: Comparison, note: str | None = None) -> Report:
         """The verdict of one comparison: its status, window and witness."""
-        checked = None
-        if comparison.overlap > 0:
-            checked = {"from": comparison.lo, "to": comparison.hi,
-                       "points": comparison.overlap}
         witness = None
         if comparison.witness is not None:
             e, lhs, rhs = comparison.witness
             witness = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
-        return cls(label, comparison.status, claim, order, checked, witness, note)
+        return cls(label, comparison.status, claim, order,
+                   _checked(range(comparison.lo, comparison.hi + 1)), witness, note)
+
+    @classmethod
+    def scan(cls, label: str, claim: str | None, order: int | None, points: range,
+             witnesses: Iterable[dict[str, object]], required: int = 1) -> Report:
+        """The verdict of a scan over points that stops at the first witness.
+
+        Fewer than required points is insufficient-precision; otherwise
+        the first item of the lazy witnesses fails the claim, and none
+        passes it.
+        """
+        checked = _checked(points)
+        if len(points) < required:
+            return cls(label, INSUFFICIENT, claim, order, checked,
+                       note=(f"only {len(points)} reachable coefficients below order "
+                             f"{order}, need {required}"))
+        witness = next(iter(witnesses), None)
+        return cls(label, PASS if witness is None else FAIL, claim, order, checked, witness)
 
     def to_dict(self) -> dict[str, object]:
         return dataclasses.asdict(self)

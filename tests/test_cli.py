@@ -91,7 +91,7 @@ def test_sequences_json(capsys):
 
 def test_sequences_rejects_negative_kmax(capsys):
     assert main(["sequences", "--family", "A", "--kmax", "-1"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "kmax must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_identity_single(capsys):

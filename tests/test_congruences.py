@@ -245,6 +245,11 @@ def test_verify_congruence_insufficient_when_unreachable():
     assert report.status == INSUFFICIENT
     assert report.checked is None
     assert "need 1" in report.note
+    # Level 1000 of row 1.1 starts past any index a slice could take.
+    beyond = theorem_11_claims(1000)[-2]
+    report = verify_congruence(beyond, 500, min_points=5)
+    assert (report.status, report.checked) == (INSUFFICIENT, None)
+    assert report.note == "only 0 reachable coefficients below order 500, need 5"
 
 
 @pytest.mark.parametrize("claim, order, min_points", [

@@ -388,6 +388,16 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
         "exponent": 9, "lhs": "-10", "rhs": "-5"}
     assert flagged["k: theta quotient vs literal product"].witness == {
         "exponent": 4, "lhs": "2", "rhs": "1"}
+    # The Durfee sum's counts break each classical congruence; the scan
+    # names the first exponent on the progression that is off.
+    for label, witness, checked in (
+            ("p(5n+4) == 0 mod 5", {"n": 19, "value": "358", "modulus": 5},
+             {"from": 4, "to": 59, "points": 12}),
+            ("p(7n+5) == 0 mod 7", {"n": 12, "value": "75", "modulus": 7},
+             {"from": 5, "to": 54, "points": 8}),
+            ("p(11n+6) == 0 mod 11", {"n": 28, "value": "1591", "modulus": 11},
+             {"from": 6, "to": 50, "points": 5})):
+        assert (flagged[label].witness, flagged[label].checked) == (witness, checked)
 
 
 def test_cross_check_flags_a_skipped_f1_term_in_the_sparse_pass(monkeypatch):

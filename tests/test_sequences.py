@@ -17,7 +17,7 @@ from etaq.sequences import (
     verify_closed_forms,
     verify_valuations,
 )
-from etaq.series import PASS, compare, two_adic_valuation
+from etaq.series import FAIL, PASS, compare, two_adic_valuation
 
 A_HEAD = [1, 1, -2, 20, -24, 16]
 B_HEAD = [0, 1, 6, -12, 40, 16]
@@ -127,6 +127,47 @@ def test_verify_valuations_passes():
     assert check.status == PASS
     assert check.witness is None
     assert check.to_dict()["checked"] == {"from": 1, "to": 64, "points": 64}
+
+
+def _edited(real, edits):
+    """sequence_values with values[k] replaced by edits[(family, k)]."""
+    def values(family, kmax):
+        out = real(family, kmax)
+        for (f, k), value in edits.items():
+            if f == family:
+                out[k] = value
+        return out
+    return values
+
+
+def test_verify_valuations_names_the_first_value_off(monkeypatch):
+    # B_3 = -12 has v2 = 2; doubling it gives v2 = 3.  A's rows run first,
+    # so an A_5 edit (16 -> 32) further along still comes first.
+    real = sequences.sequence_values
+    monkeypatch.setattr(sequences, "sequence_values", _edited(real, {("B", 3): -24}))
+    check = verify_valuations(64)
+    assert check.status == FAIL
+    assert check.checked == {"from": 1, "to": 64, "points": 64}
+    assert check.witness == {"family": "B", "k": 3, "value": "-24", "v2": "3"}
+    monkeypatch.setattr(sequences, "sequence_values",
+                        _edited(real, {("A", 5): 32, ("B", 3): -24}))
+    assert verify_valuations(64).witness == {"family": "A", "k": 5, "value": "32", "v2": "5"}
+
+
+def test_verify_closed_forms_names_the_first_value_off(monkeypatch):
+    edited = _edited(sequences.sequence_values, {("C", 6): -511})
+    monkeypatch.setattr(sequences, "sequence_values", edited)
+    check = verify_closed_forms(64)
+    assert check.status == FAIL
+    assert check.checked == {"from": 0, "to": 64, "points": 65}
+    assert check.witness == {"k": 6, "value": "-511", "closed_form": "-512"}
+    # A closed form that agrees with the edit leaves the telescoping step,
+    # C_6 == -64 C_2 = -512, to catch it.
+    values = edited("C", 64)
+    monkeypatch.setattr(sequences, "closed_form_C", values.__getitem__)
+    check = verify_closed_forms(64)
+    assert check.status == FAIL
+    assert check.witness == {"k": 2, "value": "-511", "telescoped": "-512"}
 
 
 def test_verify_closed_forms_passes():
