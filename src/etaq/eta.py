@@ -6,9 +6,17 @@ Every factor is a Jacobi triple product
                 = sum_{j in Z} (-1)^j q^{p j (j-1)/2 + a j},   0 < a < p,
 
 keyed by (p, a).  It is sparse (about 2 sqrt(2N/p) nonzero terms below
-q^N), and ``_theta`` is the only place that generates one.  The eta
-product f_m = prod_{n>=1} (1 - q^{m n}) is theta(3m, m), whose
-exponents m j (3j - 1)/2 are the pentagonal numbers spread by m; the
+q^N; half as many for p = 2a, whose terms pair up as +-2), and
+``_theta`` is the only place that generates one.  The eta product f_m =
+prod_{n>=1} (1 - q^{m n}) is theta(3m, m), whose exponents m j (3j -
+1)/2 are the pentagonal numbers spread by m.  Two more triple products
+are quotients of them,
+
+    theta(2m, m) = f_m^2 / f_2m = sum_j (-1)^j q^{m j^2},
+    theta(4m, m) = f_m f_4m / f_2m,
+
+and Jacobi's identity gives the cube f_m^3 = sum_{n>=0} (-1)^n (2n+1)
+q^{m n(n+1)/2} (``_cube``), which has fewer terms than f_m itself.  The
 multiplier
 
     k(q) = q * prod_{n>=1} (1-q^{10n-9})(1-q^{10n-8})(1-q^{10n-2})(1-q^{10n-1})
@@ -23,17 +31,24 @@ period and every a of a quotient.  If g > 1 the quotient is a series in
 q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
 spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
-theta(5, 2) at half length.  At g = 1 each sign has one rule.  A quotient
-with a negative factor expands its positive factors first (1 when it has
-none) and then divides that window by theta once per unit of each
-negative exponent: theta is sparse, so a division costs N times its
-support and no wide product.  The target M = f2^5 f5^5 / (f1 f10) is
-f2^5 f5^5 divided by theta(3, 1) and by theta(30, 10), and 1/f1^3 is 1
-divided by theta(3, 1) three times.  Positive factors are peeled off
-one at a time (``_expand_reduced``): the factor with the smallest
-gcd(p, a) is expanded alone, the rest as one quotient, which this rule
-reduces by the rest's own g, and only their product costs N terms; a
-single factor is theta raised to e.
+theta(5, 2) at half length.  At g = 1, on a cache miss, the plain
+factors are first regrouped (``_regroup``): for each period m, smallest
+first, as many theta(4m, m) and then theta(2m, m) as the signs of the
+exponents of f_m, f_2m and f_4m allow replace them.  Then each sign has
+one rule.  A quotient with a negative factor expands its positive
+factors first (1 when it has none) and then divides that window by a
+sparse series once per unit of each negative exponent, where f_m^-e
+takes e // 3 divisions by Jacobi's f_m^3 and e mod 3 by theta(3m, m):
+each division costs N times the series' support and no wide product.
+The target M = f2^5 f5^5 / (f1 f10) is f2^5 f5^3 theta(10, 5) divided
+by theta(3, 1), and 1/f1^3 is 1 divided by f1^3 once.  Positive factors
+are peeled off one at a time (``_expand_reduced``): the factor with the
+smallest gcd(p, a) is expanded alone, the rest as one quotient, which
+this rule reduces by the rest's own g, and only their product costs N
+terms; a single factor is theta raised to e, and f1^e for e >= 3 is
+(f1^3)^(e // 3) times theta(3, 1)^(e mod 3).  A cache entry is
+keyed by the quotient as requested, not as regrouped, so a hit
+regroups nothing.
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
 quotient with g = 1 (a single factor or a product), holding the longest
@@ -106,6 +121,16 @@ def _theta(period: int, a: int, length: int) -> LaurentSeries:
     return LaurentSeries(0, tuple(c))
 
 
+def _cube(m: int, length: int) -> LaurentSeries:
+    """Jacobi's f_m^3 = sum_{n>=0} (-1)^n (2n+1) q^{m n(n+1)/2} on [0, length)."""
+    c = [0] * length
+    n = 0
+    while (e := m * n * (n + 1) // 2) < length:
+        c[e] = -2 * n - 1 if n & 1 else 2 * n + 1
+        n += 1
+    return LaurentSeries(0, tuple(c))
+
+
 def _pow(s: LaurentSeries, e: int) -> LaurentSeries:
     """s**e for e >= 1 by binary exponentiation."""
     result: LaurentSeries | None = None
@@ -145,11 +170,12 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
 
 
 # Most term operations one quotient's divisions may take: dividing a
-# window of N terms by theta takes N times theta's nonzero terms below
-# q^N.  At the CLI's largest order ``verify all --kmax 8`` plans at most
-# 20.9M (EQ213's f1^2 f4^2 f10^6 / (f2^2 f5^6 f20^2)) and ``oracle
-# cross-check`` 6.1M; ``expand "f1^-8"`` plans 37.0M and takes about
-# 2.3 s, while ``"f1^-9"`` would plan 41.6M and ``"f1^-100"`` 462M.
+# window of N terms by a sparse series takes N times its nonzero terms
+# below q^N.  At the CLI's largest order ``verify all --kmax 8`` plans at
+# most 6.1M (EQ213's theta(10, 5)^2 theta(20, 5)^2) and ``oracle
+# cross-check`` 5.1M (k's theta(10, 3) theta(10, 4)); ``expand "f1^-27"``,
+# nine divisions by Jacobi's f1^3, plans 36.0M and takes about 7 s, while
+# ``"f1^-28"`` would plan 40.6M and ``"f1^-100"`` 136.6M.
 _MAX_DIVISION_WORK = 40_000_000
 
 
@@ -158,38 +184,83 @@ class DivisionTooLarge(SeriesError):
     term operations."""
 
 
-def _divisor_thetas(divisors: list[tuple[tuple[int, int], int]],
-                    order: int) -> list[tuple[LaurentSeries, int]]:
-    """(theta(p, a) on [0, order), -e) for each divisor ((p, a), e), e < 0.
+def _sparse_powers(p: int, a: int, e: int, order: int) -> list[tuple[LaurentSeries, int]]:
+    """theta(p, a)^|e| on [0, order) as (sparse series, power) pairs.
+
+    A plain factor f_m = theta(3m, m) is |e| // 3 times Jacobi's f_m^3
+    and |e| mod 3 times theta itself; any other theta is |e| times itself.
+    """
+    if p != 3 * a or abs(e) < 3:
+        return [(_theta(p, a, order), abs(e))]
+    cubes, rest = divmod(abs(e), 3)
+    powers = [(_cube(a, order), cubes)]
+    if rest:
+        powers.append((_theta(p, a, order), rest))
+    return powers
+
+
+def _division_plan(divisors: list[tuple[tuple[int, int], int]],
+                   order: int) -> list[tuple[LaurentSeries, int]]:
+    """(sparse series on [0, order), count) to divide by, for divisors ((p, a), e), e < 0.
 
     Raises ``DivisionTooLarge`` before any division when the planned
-    work, the sum of -e * order * theta's nonzero terms, passes the cap.
+    work, the sum of count * order * the series' nonzero terms, passes the cap.
     """
-    thetas = [(_theta(p, a, order), -e) for (p, a), e in divisors]
-    work = sum(e * order * (order - theta.coeffs.count(0)) for theta, e in thetas)
+    series = [x for (p, a), e in divisors for x in _sparse_powers(p, a, e, order)]
+    work = sum(count * order * (order - s.coeffs.count(0)) for s, count in series)
     if work > _MAX_DIVISION_WORK:
         raise DivisionTooLarge(
-            f"{sum(e for _, e in thetas)} divisions by theta series on {order} terms "
+            f"{sum(count for _, count in series)} divisions by sparse series on {order} terms "
             f"need {work} term operations, above the cap of {_MAX_DIVISION_WORK}")
-    return thetas
+    return series
+
+
+# theta(4m, m) = f_m f_4m / f_2m and theta(2m, m) = f_m^2 / f_2m, with the
+# exponents of f_m, f_2m and f_4m that one factor of each takes.
+_REGROUPINGS = (((4, 1), {1: 1, 4: 1, 2: -1}), ((2, 1), {1: 2, 2: -1}))
+
+
+def _regroup(items: _Items) -> _Items:
+    """``items`` with plain factors f_m = theta(3m, m) regrouped into sparser thetas.
+
+    For each period m, smallest first, as many theta(4m, m) and then
+    theta(2m, m) are taken as the signs and sizes of the exponents allow,
+    each with the sign of f_m's exponent.
+    """
+    exponents = {a: e for (p, a), e in items if p == 3 * a}
+    out = [x for x in items if x[0][0] != 3 * x[0][1]]
+    for m in sorted(exponents):
+        for (p, a), takes in _REGROUPINGS:
+            if not exponents[m]:
+                break
+            sign = 1 if exponents[m] > 0 else -1
+            t = min(exponents.get(k * m, 0) * sign // n for k, n in takes.items())
+            if t > 0:
+                for k, n in takes.items():
+                    exponents[k * m] -= sign * t * n
+                out.append(((p * m, a * m), sign * t))
+    out += [((3 * m, m), e) for m, e in exponents.items() if e]
+    return tuple(sorted(out))
 
 
 def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     """``_expand`` of a quotient with g = 1, on a cache miss.
 
-    A quotient with a negative factor expands its positive factors (1
-    when it has none), then divides that window by each divisor's theta,
-    |e| times.  Otherwise the factor with the smallest gcd(p, a), the
-    first of equals, is multiplied by the rest expanded as one quotient;
-    a single factor is theta raised to e.
+    The plain factors are first regrouped (``_regroup``).  A quotient with
+    a negative factor expands its positive factors (1 when it has none),
+    then divides that window by each divisor's sparse series.  Otherwise
+    the factor with the smallest gcd(p, a), the first of equals, is
+    multiplied by the rest expanded as one quotient; a single factor is
+    the product of its sparse series' powers.
     """
+    items = _regroup(items)
     divisors = [x for x in items if x[1] < 0]
     if divisors:
-        thetas = _divisor_thetas(divisors, order)
+        plan = _division_plan(divisors, order)
         window = _expand(tuple(x for x in items if x[1] > 0), order)
-        for theta, e in thetas:
-            for _ in range(e):
-                window = window / theta
+        for divisor, count in plan:
+            for _ in range(count):
+                window = window / divisor
         return window
     if len(items) > 1:
         # The factor with the smallest gcd has the longest window, so expanding
@@ -198,14 +269,16 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
         rest = tuple(x for x in items if x != first)
         return _expand((first,), order) * _expand(rest, order)
     [((p, a), e)] = items
-    return _pow(_theta(p, a, order), e)
+    window, *rest = [_pow(s, n) for s, n in _sparse_powers(p, a, e, order)]
+    return window * rest[0] if rest else window
 
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 2.99 MB at order
-# 2000 and 12.4 MB at order 8000, so this holds every window up to about
-# order 5400; twice as much saved no time at order 8000 and cost 1 MB RSS.
+# its least recently used windows.  ``verify all`` caches 3.54 MB at order
+# 2000 and 14.5 MB at order 8000, so this holds every window up to about
+# order 4600; twice as much saved no time at order 8000 and cost 1 MB RSS
+# when the battery cached 12.4 MB there.
 _CACHE_BYTES = 8 * 2**20
 
 

@@ -30,7 +30,9 @@ product.
 
 None of them shares anything with :mod:`etaq.eta` or the product kernel
 of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
-Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert`` or
+Jacobi cube f_m^3 = sum (-1)^n (2n+1) q^(m n(n+1)/2), no regrouping of
+f-factors into theta(2m, m) = f_m^2/f_2m or theta(4m, m) = f_m f_4m/f_2m,
+no Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert`` or
 division.  Products are built one (1 - q^d) factor or one f1 term at a
 time, never by multiplying or dividing two series.
 """
@@ -230,12 +232,15 @@ def cross_check(order: int) -> list[Report]:
         "1/f1: series inversion vs Durfee-square sum", order,
         eta.expand_f(1, order).invert(order), partitions))
 
+    # Each row scans the arguments of p, so its window counts those; a
+    # witness names the label's n and the argument apart.
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
-        ns = range(residue, order, modulus)
+        arguments = range(residue, order, modulus)
         checks.append(Report.scan(
-            f"p({modulus}n+{residue}) == 0 mod {modulus}", None, order, ns,
-            ({"n": n, "value": str(counts[n]), "modulus": modulus}
-             for n in ns if counts[n] % modulus)))
+            f"p({modulus}n+{residue}) == 0 mod {modulus}", None, order, arguments,
+            ({"n": (x - residue) // modulus, "argument": x, "value": str(counts[x]),
+              "modulus": modulus}
+             for x in arguments if counts[x] % modulus)))
 
     return checks
 

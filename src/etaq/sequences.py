@@ -73,14 +73,19 @@ def closed_form_C(k: int) -> int:
 
 
 def verify_valuations(kmax: int) -> Report:
-    """v2(A_k) == v2(B_k) == k - 1 exactly, for 1 <= k <= kmax."""
+    """v2(A_k) == v2(B_k) == k - 1 exactly, for 1 <= k <= kmax.
+
+    A witness gives v2 as an integer, as a congruence row's does, and as
+    None for a zero value, whose valuation is infinite.
+    """
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
     values = {family: sequence_values(family, kmax) for family in ("A", "B")}
     ks = range(1, kmax + 1)
     return Report.scan(
         "exact 2-adic valuation v2 = k-1 for families A and B", None, None, ks,
-        ({"family": family, "k": k, "value": str(vs[k]), "v2": str(two_adic_valuation(vs[k]))}
+        ({"family": family, "k": k, "value": str(vs[k]),
+          "v2": two_adic_valuation(vs[k]) if vs[k] else None}
          for family, vs in values.items() for k in ks if two_adic_valuation(vs[k]) != k - 1))
 
 

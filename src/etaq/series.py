@@ -30,10 +30,10 @@ Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
 sum_{j>=1} b_j c_{k-j}) (Knuth, TAOCP Vol. 2, 4.7) on blocks of 64
 outputs.  The divisor terms that reach back past the current block are
-applied to it before it starts: its -1 terms in one C-level pass that
-sums their shifted slices, its +1 terms in a second, and each wider
-term in a pass of its own; only the terms below 64 run one output at a
-time.  The cost is the window length times the divisor's support, so a
+applied to it before it starts: its -1 terms and its wider terms, each
+slice scaled by -b_j, in one C-level pass that sums their shifted
+slices, and its +1 terms in a second; only the terms below 64 run one
+output at a time.  The cost is the window length times the divisor's support, so a
 sparse divisor such as a theta series needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.
 
@@ -345,11 +345,12 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     blocks of ``_BLOCK`` outputs.  A divisor term b_j with j >= _BLOCK
     reaches a block only from outputs of earlier blocks, so all such
     terms are applied before the block starts, as C-level passes over
-    shifted slices of c: one ``map(sum, zip(...))`` adds the block's -1
-    terms to it, a second sums its +1 terms and subtracts them, and each
-    wider term takes a pass of its own.  A term reaches the block when j
-    is below the block's end, and one bisect on each sign's sorted
-    exponents picks those terms.  Their slices start at most _BLOCK - 1
+    shifted slices of c: one ``map(sum, zip(...))`` adds to it the
+    block's -1 terms and its wider terms (theta(p, p/2)'s +-2, Jacobi's
+    cube's +-(2n+1)), each slice of a wider term scaled by -b_j in C, and
+    a second sums its +1 terms and subtracts them.  A term reaches the
+    block when j is below the block's end, and one bisect on the sorted
+    exponents of each kind picks those terms.  Their slices start at most _BLOCK - 1
     outputs before the block, so _BLOCK - 1 zeros in front of c make
     every slice whole.  Only the terms below _BLOCK run one output at a
     time.  The work is len(a) times the divisor's support.
@@ -365,21 +366,22 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         (plus if x == 1 else minus if x == -1 else other).append(j)
     near_plus, far_plus = _split(plus)
     near_minus, far_minus = _split(minus)
-    near_other, far_other = ([(j, b[j]) for j in js] for js in _split(other))
+    near_other, far_other = _split(other)
+    near_other = [(j, b[j]) for j in near_other]
+    # Multiplying by -b_j in C, so that a far non-unit term joins the -1 pass.
+    scales = [(-b[j]).__mul__ for j in far_other]
     pad = _BLOCK - 1
     c = [0] * pad + list(a)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         lo, hi = start + pad, stop + pad
         terms = far_minus[:bisect.bisect_left(far_minus, stop)]
-        block = map(sum, zip(c[lo:hi], *[c[lo - j:hi - j] for j in terms]))
+        scaled = [map(scale, c[lo - j:hi - j])
+                  for j, scale in zip(far_other[:bisect.bisect_left(far_other, stop)], scales)]
+        block = map(sum, zip(c[lo:hi], *[c[lo - j:hi - j] for j in terms], *scaled))
         terms = far_plus[:bisect.bisect_left(far_plus, stop)]
         if terms:
             block = map(operator.sub, block, map(sum, zip(*[c[lo - j:hi - j] for j in terms])))
-        for j, x in far_other:
-            if j >= stop:
-                break
-            block = map(operator.sub, block, map(x.__mul__, c[lo - j:hi - j]))
         c[lo:hi] = block
         for k in range(lo, hi):
             s = c[k]

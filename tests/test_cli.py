@@ -356,12 +356,24 @@ def test_product_past_the_packed_digit_cap_is_usage_error(capsys, monkeypatch):
 
 
 def test_division_past_the_work_cap_is_usage_error(capsys):
-    # 91 divisions by theta series at the largest order: refused before any.
+    # Each f_m^-8 is two divisions by Jacobi's f_m^3 and two by theta(3m,
+    # m), and f12^-3 one by f12^3: 45 divisions at the largest order,
+    # refused before any.
     expr = "f13*" + "*".join(f"f{m}^-8" for m in range(1, 12)) + "*f12^-3"
     assert main(["expand", expr, "--order", str(MAX_ORDER)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert (f"91 divisions by theta series on {MAX_ORDER} terms need 200180000 term "
+    assert (f"45 divisions by sparse series on {MAX_ORDER} terms need 92760000 term "
+            f"operations, above the cap of {eta._MAX_DIVISION_WORK}") in err
+
+
+def test_largest_negative_power_is_still_refused(capsys):
+    # f1^-100 is 33 divisions by f1^3 and one by theta(3, 1): 136.6M term
+    # operations at the largest order.
+    assert main(["expand", "f1^-100", "--order", str(MAX_ORDER)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"34 divisions by sparse series on {MAX_ORDER} terms need 136620000 term "
             f"operations, above the cap of {eta._MAX_DIVISION_WORK}") in err
 
 

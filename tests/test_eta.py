@@ -9,7 +9,8 @@ import pytest
 import etaq.eta as eta
 import prop_support as props
 
-from etaq.cli import MAX_ORDER
+from etaq import identities
+from etaq.cli import MAX_ORDER, main
 from etaq.eta import (
     QuotientParseError,
     TARGETS,
@@ -20,7 +21,7 @@ from etaq.eta import (
     parse_quotient,
 )
 from etaq.oracle import cross_check, direct_eta_product, direct_k
-from etaq.series import FAIL, PASS, LaurentSeries
+from etaq.series import FAIL, PASS, LaurentSeries, compare
 
 # Frozen from the factor-by-factor oracle product.
 F1_13 = (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
@@ -104,6 +105,83 @@ def test_mixed_sign_quotients_match_oracle_and_are_prefix_stable(factors):
         eta._expand_quotient_cached.cache_clear()
         assert expand_quotient(factors, 2 * order).coeffs[:order] == window.coeffs, order
     eta._expand_quotient_cached.cache_clear()
+
+
+def _sparse_kinds(m):
+    """Each sparse factor the expander regroups into, as an eta quotient,
+    with the regrouped item it must become (None for Jacobi's f_m^3)."""
+    return {
+        "theta(2m,m)": ({m: 2, 2 * m: -1}, ((2 * m, m), 1)),
+        "1/theta(2m,m)": ({m: -2, 2 * m: 1}, ((2 * m, m), -1)),
+        "theta(4m,m)": ({m: 1, 2 * m: -1, 4 * m: 1}, ((4 * m, m), 1)),
+        "1/theta(4m,m)": ({m: -1, 2 * m: 1, 4 * m: -1}, ((4 * m, m), -1)),
+        "f_m^3": ({m: 3}, None),
+        "f_m^-3": ({m: -3}, None),
+        "f_m^6": ({m: 6}, None),
+        "f_m^-6": ({m: -6}, None),
+    }
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 10))
+@pytest.mark.parametrize("kind", list(_sparse_kinds(1)))
+def test_each_sparse_factor_kind_matches_oracle(kind, m, monkeypatch):
+    # Alone, and times f3, which keeps the period gcd at 1 so that the
+    # factor is built at period m; orders 63, 64 and 65 straddle the first
+    # block of the division recurrence.
+    factors, regrouped = _sparse_kinds(m)[kind]
+    cubes = []
+    real_cube = eta._cube
+
+    def recording(period, length):
+        cubes.append(period)
+        return real_cube(period, length)
+
+    monkeypatch.setattr(eta, "_cube", recording)
+    for quotient in (factors, {**factors, 3: 1}):
+        items = tuple(((3 * p, p), e) for p, e in sorted(quotient.items()))
+        if regrouped is not None:
+            companion = [((9, 3), 1)] if 3 in quotient else []
+            assert eta._regroup(items) == tuple(sorted([regrouped] + companion))
+        for order in (1, 63, 64, 65, 301, 1000):
+            eta._expand_quotient_cached.cache_clear()
+            assert expand_quotient(quotient, order) == direct_eta_product(quotient, order), \
+                (quotient, order)
+    eta._expand_quotient_cached.cache_clear()
+    assert bool(cubes) == (regrouped is None)
+
+
+def test_a_defect_in_jacobis_cube_fails_with_a_witness(monkeypatch):
+    # Negative control: Jacobi's f1^3 gets 6 for 5 at q^3.  f1^-3 is one
+    # division by it, so its first wrong coefficient is q^3.  T* = theta(2,
+    # 1) f1^3 f10^5 / f5 multiplies by it, and P*'s f1^4 is f1^3 times f1;
+    # M's f2^5 is f1^3 f1^2 at half the length, so it is off first at q^6.
+    real_cube = eta._cube
+
+    def broken(m, length):
+        s = real_cube(m, length)
+        if m != 1 or length <= 3:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[3] += 1
+        return LaurentSeries(s.offset, coeffs)
+
+    monkeypatch.setattr(eta, "_cube", broken)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        window = expand_quotient({1: -3}, 64)
+        flagged = {c.label: c.witness for c in cross_check(60) if c.status != PASS}
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    comparison = compare(window, direct_eta_product({1: -3}, 64), 1)
+    assert (comparison.status, comparison.witness) == (FAIL, (3, 21, 22))
+    assert flagged == {
+        "M: quotient expander vs Euler-series product":
+            {"exponent": 6, "lhs": "2", "rhs": "1"},
+        "PSTAR: quotient expander vs Euler-series product":
+            {"exponent": 3, "lhs": "9", "rhs": "8"},
+        "TSTAR: quotient expander vs Euler-series product":
+            {"exponent": 3, "lhs": "6", "rhs": "5"},
+    }
 
 
 def test_expand_quotient_validation():
@@ -261,11 +339,13 @@ def test_parse_quotient_errors():
         parse_quotient("g1^2")
 
 
-def _cold_work(monkeypatch, factors, order):
-    """The lengths of the series-by-series products and divisions made by
-    a cold expansion of ``factors``, which must match the oracle."""
+def _counting(monkeypatch):
+    """Wrap the series product and division; return the lists they append
+    to: each series-by-series product's length, and each division's
+    (length, work), work being the length times the divisor's nonzero
+    terms within it."""
     real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
-    products, quotients = [], []
+    products, divisions = [], []
 
     def counting_mul(self, other):
         product = real_mul(self, other)
@@ -275,17 +355,25 @@ def _cold_work(monkeypatch, factors, order):
 
     def counting_div(self, other):
         quotient = real_div(self, other)
-        quotients.append(len(quotient.coeffs))
+        n = len(quotient.coeffs)
+        divisions.append((n, n * (n - other.coeffs[:n].count(0))))
         return quotient
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
     monkeypatch.setattr(LaurentSeries, "__truediv__", counting_div)
+    return products, divisions
+
+
+def _cold_work(monkeypatch, factors, order):
+    """The lengths of the series-by-series products and divisions made by
+    a cold expansion of ``factors``, which must match the oracle."""
+    products, divisions = _counting(monkeypatch)
     eta._expand_quotient_cached.cache_clear()
     try:
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
     finally:
         eta._expand_quotient_cached.cache_clear()
-    return products, quotients
+    return products, [n for n, _ in divisions]
 
 
 def _full_length_work(monkeypatch, factors, order):
@@ -295,26 +383,38 @@ def _full_length_work(monkeypatch, factors, order):
     return products.count(order), quotients.count(order)
 
 
-# EQ213's squared term: f1^2 f4^2 f10^6 divided by theta ten times.
+# EQ213's squared term: f1^2 f4^2 f10^6 / (f2^2 f5^6 f20^2), regrouped as
+# theta(4, 1)^2 f10^2 / (theta(20, 5)^2 theta(10, 5)^2).
 _EQ213_HEAVIEST = {1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}
 
 
 def test_gcd_tree_multiplies_shared_factors_at_reduced_length(monkeypatch):
-    # f1^2 has the smallest gcd and is peeled off first; the rest,
-    # f4^2 f10^6, is a series in q^2 expanded as f2^2 f5^6 at half the
-    # length.  So only f1^2 and its product with the rest are taken at
-    # full length; factor by factor it takes six.
+    # theta(4, 1)^2 has the smallest gcd and is peeled off first; the
+    # rest, f10^2, is f1^2 at a tenth of the length.  So only theta(4,
+    # 1)^2 and its product with the rest are taken at full length; factor
+    # by factor it takes six.
     products, _ = _full_length_work(monkeypatch, _EQ213_HEAVIEST, 2000)
     assert products <= 3
 
 
+def test_regrouped_quotient_multiplies_less_and_divides_by_sparser_series(monkeypatch):
+    # f1^2 f4^2 / f2^2 is theta(4, 1)^2, f5^2 f20^2 / f10^2 is theta(20,
+    # 5)^2, and the f5^-4 f10^4 left is theta(10, 5)^-2.  Three products
+    # (theta(4, 1)^2, f1^2 at 200 terms and the join) and four divisions;
+    # the plain factors took six products and ten divisions.
+    products, quotients = _cold_work(monkeypatch, _EQ213_HEAVIEST, 2000)
+    assert (products, quotients) == ([2000, 200, 2000], [2000] * 4)
+    items = tuple(((3 * m, m), e) for m, e in sorted(_EQ213_HEAVIEST.items()))
+    assert eta._regroup(items) == (((4, 1), 2), ((10, 5), -2), ((20, 5), -2), ((30, 10), 2))
+
+
 def test_peeled_factor_serves_a_later_reduced_factor_from_its_prefix(monkeypatch):
     # f1^2 at 2000 terms comes first, so the rest's f4^2, which is f1^2
-    # at 500 terms, is its cached prefix, not a seventh product.  The
-    # six: f1^2 at 2000 terms, f10^6 as f1^6 at 200 (three products),
-    # the rest's join at 1000 and the last product at 2000.
-    products, _ = _cold_work(monkeypatch, _EQ213_HEAVIEST, 2000)
-    assert (len(products), sum(products)) == (6, 5600)
+    # at 500 terms, is its cached prefix, not a fifth product.  The four:
+    # f1^2 at 2000 terms, f10^6 as Jacobi's f1^3 squared at 200, the
+    # rest's join at 1000 and the last product at 2000.
+    products, _ = _cold_work(monkeypatch, {1: 2, 4: 2, 10: 6}, 2000)
+    assert (len(products), sum(products)) == (4, 5200)
 
 
 def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch):
@@ -328,12 +428,13 @@ def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch)
 
 
 def test_negative_factors_divide_whatever_the_other_signs(monkeypatch):
-    # Each theta^e with e < 0 is |e| divisions, with or without a positive
-    # factor; a quotient of negative factors only divides 1, and f2^5 is
-    # f1^5 spread from half the length.
-    assert _full_length_work(monkeypatch, {1: -3}, 500) == (0, 3)
-    assert _full_length_work(monkeypatch, {1: -3, 4: -2}, 500) == (0, 5)
-    assert _full_length_work(monkeypatch, {1: -12, 2: 5}, 500) == (0, 12)
+    # Each divisor is one division per unit of its power, with or without
+    # a positive factor; f_m^-3 is one division by Jacobi's f_m^3, a
+    # quotient of negative factors only divides 1, and f2^5 f1^-12 is
+    # theta(2, 1)^-5 f1^-2.
+    assert _full_length_work(monkeypatch, {1: -3}, 500) == (0, 1)
+    assert _full_length_work(monkeypatch, {1: -3, 4: -2}, 500) == (0, 3)
+    assert _full_length_work(monkeypatch, {1: -12, 2: 5}, 500) == (0, 7)
 
 
 class _Dividing(Exception):
@@ -343,28 +444,32 @@ class _Dividing(Exception):
 @pytest.fixture
 def plan_only(monkeypatch):
     """Stop each expansion with a negative factor right after its division plan."""
-    plan = eta._divisor_thetas
+    plan = eta._division_plan
 
     def planned(divisors, order):
         plan(divisors, order)
         raise _Dividing(order)
 
-    monkeypatch.setattr(eta, "_divisor_thetas", planned)
+    monkeypatch.setattr(eta, "_division_plan", planned)
     eta._expand_quotient_cached.cache_clear()
     yield
     eta._expand_quotient_cached.cache_clear()
 
 
-# Each division takes N times theta's nonzero terms below q^N.  f2 f1^-8
-# f3^-2 divides 8 times by theta(3, 1) and twice by theta(9, 3): 39,999,422
-# term operations at N = 19249 and 40,001,500 at N = 19250.  f1^-9 divides
-# 9 times by theta(3, 1): 39,999,636 at N = 19493 and 40,001,688 at 19494.
-_CAP_CASES = (({1: -8, 2: 1, 3: -2}, 19249, None),
-              ({1: -8, 2: 1, 3: -2}, 19250, "10 divisions by theta series on 19250 terms "
-                                            "need 40001500 term operations"),
-              ({1: -9}, 19493, None),
-              ({1: -9}, 19494, "9 divisions by theta series on 19494 terms "
-                               "need 40001688 term operations"))
+# Each division takes N times its series' nonzero terms below q^N.
+# f2^6 f1^-23 f5^-2 is theta(2, 1)^-6 f1^-11 f5^-2: six divisions by theta(2,
+# 1), three by Jacobi's f1^3, two by theta(3, 1) and two by theta(15, 5),
+# 2078 nonzero terms in all, so 39,999,422 term operations at N = 19249 and
+# 40,001,500 at N = 19250.  f2^2 f1^-24 f10^-4 is theta(2, 1)^-2 f1^-20
+# f10^-4: two divisions by theta(2, 1), six by f1^3, two by theta(3, 1),
+# one by f10^3 and one by theta(30, 10), 2052 terms, so 39,999,636 at N =
+# 19493 and 40,001,688 at 19494.
+_CAP_CASES = (({1: -23, 2: 6, 5: -2}, 19249, None),
+              ({1: -23, 2: 6, 5: -2}, 19250, "13 divisions by sparse series on 19250 terms "
+                                             "need 40001500 term operations"),
+              ({1: -24, 2: 2, 10: -4}, 19493, None),
+              ({1: -24, 2: 2, 10: -4}, 19494, "12 divisions by sparse series on 19494 terms "
+                                              "need 40001688 term operations"))
 
 
 @pytest.mark.parametrize("factors, order, refusal", _CAP_CASES,
@@ -376,9 +481,93 @@ def test_division_work_cap_boundary(factors, order, refusal, plan_only):
         assert str(exc.value) == f"{refusal}, above the cap of 40000000"
 
 
+def test_large_negative_powers_plan_under_the_division_cap(plan_only):
+    # Twenty divisions by theta(3, 1) on 11429 terms passed the cap; six
+    # by f1^3 and two by theta(3, 1) plan 14,354,824 term operations.
+    # So does f1^-100 on 3922 terms: 33 divisions by f1^3 and one by theta.
+    for factors, order in (({1: -20}, 11429), ({1: -100}, 3922)):
+        with pytest.raises(_Dividing):
+            expand_quotient(factors, order)
+
+
 def test_battery_quotients_plan_under_the_division_cap(plan_only):
-    # At the CLI's largest order: EQ213's heaviest quotient (20.9M term
+    # At the CLI's largest order: EQ213's heaviest quotient (6.1M term
     # operations, the most of `verify all --kmax 8`), and the targets.
     for factors in ({1: 2, 2: -2, 4: 2, 5: -6, 10: 6, 20: -2}, TARGETS["M"], TARGETS["TSTAR"]):
         with pytest.raises(_Dividing):
             expand_quotient(factors, MAX_ORDER)
+
+
+def test_cold_battery_plan_counts(monkeypatch, capsys):
+    # The plain factors took 71 products, 56 divisions and 3,280,920
+    # division term operations here.
+    products, divisions = _counting(monkeypatch)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        assert main(["verify", "all", "--order", "2000", "--kmax", "8"]) == 0
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    capsys.readouterr()
+    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (58, 26, 1_410_920)
+
+
+# (products, multiplied coefficients, division work) of each catalog
+# quotient's cold expansion at order 2000, from the expander that divided
+# and multiplied by plain factors f_m = theta(3m, m) only.
+_PLAIN_FACTOR_WORK = {
+    ((1, -2), (2, 4), (5, 2), (10, -4)): (4, 4400, 476000),
+    ((1, -1), (2, 3), (4, -1)): (2, 2000, 220000),
+    ((1, -1), (2, 5), (5, 5), (10, -1)): (4, 5000, 192000),
+    ((1, 1), (2, 1), (5, 3), (10, 3)): (5, 5200, 0),
+    ((1, 1), (2, 1), (5, 5)): (5, 5200, 0),
+    ((1, 1), (5, -1)): (0, 0, 66000),
+    ((1, 1), (5, 3)): (3, 2800, 0),
+    ((1, 1), (10, 5)): (4, 2600, 0),
+    ((1, 2), (2, -2), (4, 2), (5, -6), (10, 6), (20, -2)): (6, 5600, 664000),
+    ((1, 2), (2, 1), (5, -2), (10, 3)): (5, 5400, 132000),
+    ((1, 2), (10, 4)): (4, 4400, 0),
+    ((1, 2), (10, 5)): (5, 4600, 0),
+    ((1, 3), (2, -1), (5, 1), (10, -3)): (3, 6000, 240000),
+    ((1, 3), (5, 1)): (3, 6000, 0),
+    ((1, 4), (5, 4)): (3, 6000, 0),
+    ((1, 5), (2, -1), (5, -1), (10, 5)): (4, 8000, 168000),
+    ((1, 5), (5, -1)): (3, 6000, 66000),
+    ((2, -1), (4, 4), (8, -2), (10, 1), (40, 2)): (5, 2250, 103000),
+    ((2, -1), (10, 5)): (3, 600, 51000),
+    ((2, 1), (4, -2), (8, 2), (10, -1), (20, 6), (40, -2)): (6, 2050, 119000),
+    ((2, 1), (4, -1), (8, 1), (10, -3), (20, 3), (40, -1)): (4, 1700, 117000),
+    ((2, 1), (5, 5)): (4, 3200, 0),
+    ((2, 1), (10, 3)): (3, 1400, 0),
+    ((2, 3), (10, 1)): (3, 3000, 0),
+    ((2, 4), (4, -2), (5, -4), (20, 2)): (4, 3100, 412000),
+    ((2, 4), (5, 2)): (4, 4400, 0),
+    ((2, 4), (5, 2), (10, 1)): (5, 4800, 0),
+    ((2, 4), (10, 4)): (3, 3000, 0),
+    ((2, 5), (10, -1)): (3, 3000, 23000),
+    ((4, 1), (20, 3)): (3, 700, 0),
+    ((4, 2), (8, -1), (10, -2), (40, 1)): (2, 1000, 72000),
+}
+
+
+def test_no_catalog_quotient_does_more_work_than_with_plain_factors(monkeypatch, capsys):
+    seen = set()
+
+    def recording(factors, order, real=identities.expand_quotient):
+        seen.add(tuple(sorted(factors.items())))
+        return real(factors, order)
+
+    monkeypatch.setattr(identities, "expand_quotient", recording)
+    main(["verify", "all", "--order", "500", "--kmax", "8"])
+    capsys.readouterr()
+    assert seen == set(_PLAIN_FACTOR_WORK)
+    products, divisions = _counting(monkeypatch)
+    try:
+        for factors, before in sorted(_PLAIN_FACTOR_WORK.items()):
+            eta._expand_quotient_cached.cache_clear()
+            products.clear()
+            divisions.clear()
+            expand_quotient(dict(factors), 2000)
+            after = (len(products), sum(products), sum(w for _, w in divisions))
+            assert all(map(int.__le__, after, before)), (factors, after, before)
+    finally:
+        eta._expand_quotient_cached.cache_clear()

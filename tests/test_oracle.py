@@ -389,13 +389,14 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
     assert flagged["k: theta quotient vs literal product"].witness == {
         "exponent": 4, "lhs": "2", "rhs": "1"}
     # The Durfee sum's counts break each classical congruence; the scan
-    # names the first exponent on the progression that is off.
+    # names the first n of the label whose p(mn+r) is off, and that
+    # argument of p.  The checked window counts arguments of p.
     for label, witness, checked in (
-            ("p(5n+4) == 0 mod 5", {"n": 19, "value": "358", "modulus": 5},
+            ("p(5n+4) == 0 mod 5", {"n": 3, "argument": 19, "value": "358", "modulus": 5},
              {"from": 4, "to": 59, "points": 12}),
-            ("p(7n+5) == 0 mod 7", {"n": 12, "value": "75", "modulus": 7},
+            ("p(7n+5) == 0 mod 7", {"n": 1, "argument": 12, "value": "75", "modulus": 7},
              {"from": 5, "to": 54, "points": 8}),
-            ("p(11n+6) == 0 mod 11", {"n": 28, "value": "1591", "modulus": 11},
+            ("p(11n+6) == 0 mod 11", {"n": 2, "argument": 28, "value": "1591", "modulus": 11},
              {"from": 6, "to": 50, "points": 5})):
         assert (flagged[label].witness, flagged[label].checked) == (witness, checked)
 

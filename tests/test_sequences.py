@@ -148,10 +148,13 @@ def test_verify_valuations_names_the_first_value_off(monkeypatch):
     check = verify_valuations(64)
     assert check.status == FAIL
     assert check.checked == {"from": 1, "to": 64, "points": 64}
-    assert check.witness == {"family": "B", "k": 3, "value": "-24", "v2": "3"}
+    assert check.witness == {"family": "B", "k": 3, "value": "-24", "v2": 3}
     monkeypatch.setattr(sequences, "sequence_values",
                         _edited(real, {("A", 5): 32, ("B", 3): -24}))
-    assert verify_valuations(64).witness == {"family": "A", "k": 5, "value": "32", "v2": "5"}
+    assert verify_valuations(64).witness == {"family": "A", "k": 5, "value": "32", "v2": 5}
+    # A zero value has no finite valuation: its v2 is null in JSON.
+    monkeypatch.setattr(sequences, "sequence_values", _edited(real, {("A", 2): 0}))
+    assert verify_valuations(64).witness == {"family": "A", "k": 2, "value": "0", "v2": None}
 
 
 def test_verify_closed_forms_names_the_first_value_off(monkeypatch):
