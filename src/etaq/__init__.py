@@ -4,8 +4,8 @@ Expands eta-quotient generating functions as exact integer coefficient
 windows, verifies a catalog of series identities and 2-power dissection /
 congruence families against them, and cross-checks the expander with an
 independent oracle: the Durfee-square sum for p(n), Euler's series for f1,
-eta products built from those two sums, and k(q) as its literal product
-of (1 - q^d) factors.
+eta products built from those two sums, and k(q) from Euler's and
+Cauchy's sums for its factors (q^r; q^10)_inf.
 """
 
 from .series import (

@@ -1,40 +1,50 @@
 """Independent recomputation paths used to validate the fast expander.
 
-Two series sums, and products built from them, none of them the fast
-expander's algorithm:
+Two classical q-series sums (Andrews, The Theory of Partitions, 1976,
+ch. 2), and products built from them, none of them the fast expander's
+algorithm.  Each sum applies one infinite product (q^r; q^m)_inf to a
+window of N terms, one term of the sum at a time:
 
-* Partition counts sum the Durfee-square series (Andrews, The Theory of
-  Partitions, 1976, ch. 2)
-  sum_n p(n) q^n = sum_{k>=0} q^(k^2) / (q;q)_k^2,
-  building 1/(q;q)_k^2 from 1/(q;q)_{k-1}^2 by two in-place divisions by
-  (1 - q^k), each on the order - k^2 terms that can still reach the
-  window: about (4/3) N^(3/2) term operations.
-* f1 = (q;q)_inf sums Euler's series
-  (q;q)_inf = sum_{k>=0} (-1)^k q^(k(k+1)/2) / (q;q)_k
-  in the same way, one division by (1 - q^k) per term: about N^(3/2).
+* Euler's sum multiplies it in,
+  (q^r; q^m)_inf = sum_{n>=0} (-1)^n q^(m n(n-1)/2 + r n) / (q^m; q^m)_n,
+  building each term's 1/(q^m; q^m)_n from the last by one in-place
+  division by (1 - q^(mn)) on the terms that still reach the window:
+  about sqrt(2N/m) passes, (2 sqrt 2/3) N^(3/2)/sqrt(m) term operations.
+* Cauchy's sum divides it out,
+  1/(q^r; q^m)_inf = sum_{n>=0} q^(r n + m n(n-1)) / ((q^m; q^m)_n (q^r; q^m)_n),
+  by two such divisions per term, by (1 - q^(mn)) and (1 - q^(m(n-1)+r)):
+  about 2 sqrt(N/m) passes, (4/3) N^(3/2)/sqrt(m) term operations.
+
+From them:
+
+* Partition counts are Cauchy's sum with r = m = 1, the Durfee-square
+  series sum_n p(n) q^n = sum_{k>=0} q^(k^2) / (q;q)_k^2.
+* f1 = (q;q)_inf is Euler's sum with r = m = 1,
+  sum_{k>=0} (-1)^k q^(k(k+1)/2) / (q;q)_k.
 * Eta products prod f_m^{e_m} are built from those two windows on the
   window reduced by the gcd of the periods.  p spread by the smallest
   period m0 with e < 0 is 1/f_m0.  Each other negative unit divides by
-  (1 - q^d) for d = m, 2m, ..., about N^2/(2m) term operations.  Each
-  positive unit adds one shifted copy of the product per nonzero term of
-  f1 spread by m (about 2 sqrt(2N/3m) of them), about N^(3/2)/sqrt(m).
-* k(q) is its literal product q prod_{d>=1} (1 - q^d)^{a_d}, with a_d
-  = +1, -1 or 0 by d mod 10: one shifted subtraction or one division by
-  (1 - q^d) per factor, about 0.4 N^2 term operations in all.
+  f_m = (q^m; q^m)_inf with Cauchy's sum, about (4/3) N^(3/2)/sqrt(m).
+  Each positive unit adds one shifted copy of the product per nonzero
+  term of f1 spread by m (about 2 sqrt(2N/3m) of them), about
+  N^(3/2)/sqrt(m).
+* k(q) = q prod_r (q^r; q^10)_inf^{a_r}, with a_r = +1 for r = 1, 2, 8, 9
+  and -1 for r = 3, 4, 6, 7: four Euler sums and four Cauchy sums, about
+  3 N^(3/2) term operations in all.
 
 In ``cross_check`` the Durfee sum is the oracle for 1/f1 (the EULER_P
 row and the inversion row) and for the p(mn+r) rows.  Euler's series
 gives f1, whose spread f1(q^m) checks every f_m row.  The M, T* and P*
-rows are products of those same two windows; the k row is its literal
-product.
+rows are products of those same two windows; the k row is its Euler and
+Cauchy product.
 
 None of them shares anything with :mod:`etaq.eta` or the product kernel
-of :mod:`etaq.series`: no theta series, no pentagonal numbers, no
+of :mod:`etaq.series`: no theta series, no pentagonal expansion, no
 Jacobi cube f_m^3 = sum (-1)^n (2n+1) q^(m n(n+1)/2), no regrouping of
 f-factors into theta(2m, m) = f_m^2/f_2m or theta(4m, m) = f_m f_4m/f_2m,
 no Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert`` or
-division.  Products are built one (1 - q^d) factor or one f1 term at a
-time, never by multiplying or dividing two series.
+division.  Products are built one (1 - q^d) division, one term of a sum
+or one f1 term at a time, never by multiplying or dividing two series.
 """
 
 from __future__ import annotations
@@ -58,30 +68,56 @@ def _over_binomial(c: list[int], d: int) -> None:
         c[i:i + d] = map(operator.add, c[i:i + d], c[i - d:i])
 
 
+def _times_pochhammer(c: list[int], r: int, m: int) -> None:
+    """c *= (q^r; q^m)_inf in place, by Euler's sum.
+
+    (q^r; q^m)_inf = sum_{n>=0} (-1)^n q^(s_n) / (q^m; q^m)_n with
+    s_n = m n(n-1)/2 + r n.  Step n divides the tail t = c/(q^m; q^m)_(n-1),
+    cut to the len(c) - s_n terms that reach the window, by (1 - q^(mn))
+    and adds or subtracts it at q^(s_n): about sqrt(2 len(c)/m) passes.
+    """
+    t = c[:]
+    n = 1
+    while (s := m * n * (n - 1) // 2 + r * n) < len(c):
+        del t[len(c) - s:]
+        _over_binomial(t, m * n)
+        c[s:] = map(operator.sub if n % 2 else operator.add, c[s:], t)
+        n += 1
+
+
+def _over_pochhammer(c: list[int], r: int, m: int) -> None:
+    """c /= (q^r; q^m)_inf in place, by Cauchy's sum.
+
+    1/(q^r; q^m)_inf = sum_{n>=0} q^(s_n) / ((q^m; q^m)_n (q^r; q^m)_n)
+    with s_n = r n + m n(n-1).  Step n divides the tail, cut to the
+    len(c) - s_n terms that reach the window, by (1 - q^(mn)) and by
+    (1 - q^(m(n-1)+r)) and adds it at q^(s_n): about 2 sqrt(len(c)/m)
+    passes.  With r = m = 1 this is the Durfee-square sum
+    sum_n q^(n^2) / (q;q)_n^2.
+    """
+    t = c[:]
+    n = 1
+    while (s := r * n + m * n * (n - 1)) < len(c):
+        del t[len(c) - s:]
+        _over_binomial(t, m * n)
+        _over_binomial(t, m * (n - 1) + r)
+        c[s:] = map(operator.add, c[s:], t)
+        n += 1
+
+
 def partition_counts(order: int) -> list[int]:
-    """p(0), ..., p(order-1) by the Durfee-square series sum_k q^(k^2)/(q;q)_k^2."""
+    """p(0), ..., p(order-1) by the Durfee-square sum sum_n q^(n^2)/(q;q)_n^2."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    t = [1] + [0] * (order - 1)  # 1/(q;q)_k^2 on the order - k^2 terms that reach the window
-    p = t[:]
-    for k in range(1, math.isqrt(order - 1) + 1):
-        del t[order - k * k:]
-        _over_binomial(t, k)
-        _over_binomial(t, k)
-        p[k * k:] = map(operator.add, p[k * k:], t)
+    p = [1] + [0] * (order - 1)
+    _over_pochhammer(p, 1, 1)
     return p
 
 
 def _f1(order: int) -> list[int]:
-    """(q;q)_inf on [0, order) by Euler's series sum_k (-1)^k q^(k(k+1)/2)/(q;q)_k."""
-    t = [1] + [0] * (order - 1)  # 1/(q;q)_k on the order - k(k+1)/2 terms that reach the window
-    f = t[:]
-    k = 1
-    while (start := k * (k + 1) // 2) < order:
-        del t[order - start:]
-        _over_binomial(t, k)
-        f[start:] = map(operator.sub if k % 2 else operator.add, f[start:], t)
-        k += 1
+    """(q;q)_inf on [0, order) by Euler's sum sum_n (-1)^n q^(n(n+1)/2)/(q;q)_n."""
+    f = [1] + [0] * (order - 1)
+    _times_pochhammer(f, 1, 1)
     return f
 
 
@@ -93,10 +129,10 @@ def _eta_product(factors: Mapping[int, int], order: int,
     period m needs the first ceil(n/m) terms of f1 (if e_m > 0) or of p
     (if e_m < 0), n = ceil(order/g).  The smallest negative period m0
     starts the product as p spread by m0, which is 1/f_m0; every other
-    negative unit divides by (1 - q^d) for d = m, 2m, ...; every positive
-    unit adds or subtracts one shifted copy of the product per nonzero
-    term of f1 spread by m (each such term is +1 or -1, by Euler's
-    pentagonal number theorem).
+    negative unit divides by f_m = (q^m; q^m)_inf with Cauchy's sum;
+    every positive unit adds or subtracts one shifted copy of the product
+    per nonzero term of f1 spread by m (each such term is +1 or -1, by
+    Euler's pentagonal number theorem).
     """
     g = math.gcd(*factors) or 1
     n = -(-order // g)
@@ -111,8 +147,7 @@ def _eta_product(factors: Mapping[int, int], order: int,
         out = [1] + [0] * (n - 1)
     for m, e in negative:
         for _ in range(e):
-            for d in range(m, n, m):
-                _over_binomial(out, d)
+            _over_pochhammer(out, m, m)
     for m, e in positive:
         terms = [(m * i, operator.add if v > 0 else operator.sub)
                  for i, v in enumerate(f1[1:-(-n // m)], 1) if v]
@@ -128,6 +163,8 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
 
     Builds f1 and p only on the terms the reduced periods reach.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     for m, e in factors.items():
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"period must be a positive integer, got {m!r}")
@@ -153,25 +190,22 @@ def _spread(f: Sequence[int], m: int, order: int) -> LaurentSeries:
     return LaurentSeries(0, tuple(c))
 
 
-# a_d of k(q) by d mod 10: (1 - q^d) upstairs in d = 1,2,8,9, downstairs in 3,4,6,7.
+# a_r of k(q) = q prod_r (q^r; q^10)_inf^{a_r}, so a_d = a_(d mod 10) for each
+# (1 - q^d): upstairs in r = 1,2,8,9, downstairs in 3,4,6,7.
 _K_EXPONENT = {1: 1, 2: 1, 8: 1, 9: 1, 3: -1, 4: -1, 6: -1, 7: -1}
 
 
 def direct_k(order: int) -> LaurentSeries:
-    """k(q) on [1, order): q prod (1 - q^d)^{a_d} with a_d = _K_EXPONENT[d % 10].
+    """k(q) on [1, order): q prod_r (q^r; q^10)_inf^{a_r} with a_r = _K_EXPONENT[r].
 
-    The literal product, one (1 - q^d) factor at a time: a subtraction of
-    the product shifted by d when a_d = 1, a division when a_d = -1.
+    Euler's sum multiplies in each (q^r; q^10)_inf with a_r = 1, and
+    Cauchy's sum divides by each one with a_r = -1.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
     c = [1] + [0] * (order - 2)
-    for d in range(1, order - 1):
-        a = _K_EXPONENT.get(d % 10)
-        if a == 1:
-            c[d:] = map(operator.sub, c[d:], c[:len(c) - d])
-        elif a == -1:
-            _over_binomial(c, d)
+    for r, a in _K_EXPONENT.items():
+        (_times_pochhammer if a > 0 else _over_pochhammer)(c, r, 10)
     return LaurentSeries(1, tuple(c))
 
 
@@ -188,9 +222,9 @@ def cross_check(order: int) -> list[Report]:
 
     Covers every period used by the identity catalog (each f_m through
     the quotient expander, the path the verifiers use), all four named
-    generating targets, k(q) (the theta quotient against its literal
-    product), the inversion path (1/f1 against the partition counts), and
-    the classical partition congruences p(5n+4) == 0 mod 5,
+    generating targets, k(q) (the theta quotient against its Euler and
+    Cauchy product), the inversion path (1/f1 against the partition
+    counts), and the classical partition congruences p(5n+4) == 0 mod 5,
     p(7n+5) == 0 mod 7, p(11n+6) == 0 mod 11 as a sanity gate on the
     oracle itself.
 
@@ -201,10 +235,11 @@ def cross_check(order: int) -> list[Report]:
       p(mn+r) rows;
     * Euler's series for f1 (``_f1``, about N^(3/2)) checks every f_m
       row, as f1 spread by m;
-    * ``_eta_product`` builds M, T* and P* from those two windows (about
-      N^2/(2m) per negative unit after the first, N^(3/2)/sqrt(m) per
-      positive one), and ``direct_k`` builds k(q) as its literal
-      product, about 0.4 N^2.
+    * ``_eta_product`` builds M, T* and P* from those two windows (one
+      Cauchy sum per negative unit after the first, about
+      (4/3) N^(3/2)/sqrt(m), and N^(3/2)/sqrt(m) per positive one), and
+      ``direct_k`` builds k(q) from four Euler and four Cauchy sums on
+      (q^r; q^10)_inf, about 3 N^(3/2).
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
@@ -225,7 +260,7 @@ def cross_check(order: int) -> list[Report]:
                                  eta.gen_target(tag, order), expected))
 
     checks.append(_agreement(
-        "k: theta quotient vs literal product", order,
+        "k: theta quotient vs Euler and Cauchy series", order,
         eta.expand_k(order), direct_k(order)))
 
     checks.append(_agreement(

@@ -276,7 +276,7 @@ def test_cross_check_catches_seeded_defect_in_k(monkeypatch):
         checks = {c.label: c for c in cross_check(40)}
     finally:
         eta._expand_quotient_cached.cache_clear()
-    row = checks["k: theta quotient vs literal product"]
+    row = checks["k: theta quotient vs Euler and Cauchy series"]
     assert row.status == FAIL
     assert row.witness == {"exponent": 10, "lhs": "3", "rhs": "1"}
     assert [label for label, c in checks.items() if c.status != PASS] == [row.label]

@@ -1,13 +1,13 @@
 """Tests for the brute-force oracle and the cross-check harness.
 
-The oracle's Euler-series products and its literal k(q) product are
-checked against two references that share nothing with them: Euler's
-divisor-sum recurrence, which reads only divisor sums of the factor
-exponents, and the literal product that multiplies in one (1 - q^d)
-factor at a time; and against digests that the literal product recorded
-in ``perfbench/reference.json``.  The Durfee-square sum for p(n) is
-checked against the parts-accumulation program it replaced, and Euler's
-series for f1 against the divisor-sum recurrence.
+The oracle's Euler and Cauchy sums, and the products and k(q) built on
+them, are checked against references that share nothing with them:
+Euler's divisor-sum recurrence, which reads only divisor sums of the
+factor exponents; literal products that multiply in or divide out one
+(1 - q^d) factor at a time; and digests of literal products recorded in
+``perfbench/reference.json``.  The Durfee-square sum for p(n) is checked
+against the parts-accumulation program it replaced, and Euler's series
+for f1 against the divisor-sum recurrence.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import operator
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +139,34 @@ def literal_k(order: int) -> list[int]:
     return c
 
 
+def literal_pochhammer(c: list[int], r: int, m: int, step) -> list[int]:
+    """c times or over (q^r; q^m)_inf, one (1 - q^d) factor per d = r, r + m, ..."""
+    c = c[:]
+    for d in range(r, len(c), m):
+        step(c, d)
+    return c
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 10))
+@pytest.mark.parametrize("helper, step", (
+    (oracle._times_pochhammer, times_binomial),
+    (oracle._over_pochhammer, over_binomial),
+), ids=("euler", "cauchy"))
+def test_pochhammer_sums_match_the_literal_product(helper, step, m):
+    # Orders 1..200 cross every step boundary s_n of both sums for these m.
+    rng = random.Random(m)
+    window = [rng.randint(-9, 9) for _ in range(2000)]
+    for r in range(1, m + 1):
+        reference = literal_pochhammer(window[:200], r, m, step)
+        for order in range(1, 201):
+            c = window[:order]
+            helper(c, r, m)
+            assert c == reference[:order], (r, m, order)
+        c = window[:]
+        helper(c, r, m)
+        assert c == literal_pochhammer(window, r, m, step), (r, m)
+
+
 @pytest.mark.parametrize("factors", props.random_quotients(18, 8), ids=str)
 def test_recurrence_matches_literal_product(factors):
     for order in (1, 2, 97, 240):
@@ -231,6 +260,14 @@ def test_direct_eta_product_refuses_a_non_integer_period(monkeypatch, period):
     _refuse_oracle_sequences(monkeypatch)
     with pytest.raises(ValueError, match="period must be a positive integer"):
         direct_eta_product({period: 2}, 10)
+
+
+@pytest.mark.parametrize("order", (0, -5))
+def test_direct_eta_product_refuses_an_empty_order(monkeypatch, order):
+    # As partition_counts and eta.expand_quotient do, before any work.
+    _refuse_oracle_sequences(monkeypatch)
+    with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+        direct_eta_product({1: 1}, order)
 
 
 def test_direct_eta_product_single_factor():
@@ -351,8 +388,10 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
     # Negative control for both series sums: skipping the division by
     # (1 - q^3) drops two factors from every Durfee term k >= 3 (first
     # seen at q^(9+3)) and one from every Euler term k >= 3 (at q^(6+3)).
-    # M, T* and P* are built from those two windows, and k(q)'s literal
-    # product divides by (1 - q^3) itself (first seen at q^(1+3)).
+    # M, T* and P* are built from those two windows.  k(q)'s sums first
+    # divide by (1 - q^3) in the n = 1 term q^3/((1 - q^10)(1 - q^3)) of
+    # Cauchy's sum for 1/(q^3; q^10)_inf, whose q^(3+3) then goes missing:
+    # first seen at q^(1+3+3).  Its other sums divide by 10n and 10n - 10 + r.
     real = oracle._over_binomial
     monkeypatch.setattr(oracle, "_over_binomial",
                         lambda c, d: None if d == 3 else real(c, d))
@@ -367,7 +406,7 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
         "M: quotient expander vs Euler-series product",
         "PSTAR: quotient expander vs Euler-series product",
         "TSTAR: quotient expander vs Euler-series product",
-        "k: theta quotient vs literal product",
+        "k: theta quotient vs Euler and Cauchy series",
         "1/f1: series inversion vs Durfee-square sum",
         "p(5n+4) == 0 mod 5",
         "p(7n+5) == 0 mod 7",
@@ -386,8 +425,8 @@ def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
         "exponent": 9, "lhs": "20", "rhs": "24"}
     assert flagged["TSTAR: quotient expander vs Euler-series product"].witness == {
         "exponent": 9, "lhs": "-10", "rhs": "-5"}
-    assert flagged["k: theta quotient vs literal product"].witness == {
-        "exponent": 4, "lhs": "2", "rhs": "1"}
+    assert flagged["k: theta quotient vs Euler and Cauchy series"].witness == {
+        "exponent": 7, "lhs": "2", "rhs": "1"}
     # The Durfee sum's counts break each classical congruence; the scan
     # names the first n of the label whose p(mn+r) is off, and that
     # argument of p.  The checked window counts arguments of p.
@@ -422,18 +461,70 @@ def test_cross_check_flags_a_skipped_f1_term_in_the_sparse_pass(monkeypatch):
     }
 
 
-def test_cross_check_flags_a_skipped_factor_in_the_literal_k(monkeypatch):
-    # Negative control for k(q)'s literal product: dropping its division
-    # by (1 - q^13) first shows at q^(1+13).  At order 60 neither series
-    # sum nor the M and T* divisions reach d = 13.
+def test_cross_check_flags_a_skipped_division_in_the_cauchy_sum_for_k(monkeypatch):
+    # Negative control for k(q)'s Cauchy sums: the first division by
+    # (1 - q^13) is in the n = 2 term of 1/(q^3; q^10)_inf, at
+    # s_2 = 3*2 + 10*2*1 = 26 over (1 - q^10)(1 - q^20)(1 - q^3)(1 - q^13).
+    # Dropping it loses that term's q^(26+13), first seen at q^(1+26+13).
+    # At order 60 no other sum divides by (1 - q^13): the Durfee and Euler
+    # sums stop at q^(7^2) and q^(10*11/2), and the Cauchy sums for M and
+    # T* divide by multiples of 10 and 5.
     real = oracle._over_binomial
     monkeypatch.setattr(oracle, "_over_binomial",
                         lambda c, d: None if d == 13 else real(c, d))
     flagged = {c.label: c for c in cross_check(60) if c.status != PASS}
-    assert list(flagged) == ["k: theta quotient vs literal product"]
-    assert flagged["k: theta quotient vs literal product"].status == FAIL
-    assert flagged["k: theta quotient vs literal product"].witness == {
-        "exponent": 14, "lhs": "6", "rhs": "5"}
+    assert list(flagged) == ["k: theta quotient vs Euler and Cauchy series"]
+    assert flagged["k: theta quotient vs Euler and Cauchy series"].status == FAIL
+    assert flagged["k: theta quotient vs Euler and Cauchy series"].witness == {
+        "exponent": 40, "lhs": "23", "rhs": "22"}
+
+
+def test_cross_check_flags_an_off_by_one_second_divisor_in_cauchy_sums(monkeypatch):
+    # Negative control for the second divisor of each Cauchy step: every
+    # sum's n-th term divides by (1 - q^(mn)), then by (1 - q^(m(n-1)+r)),
+    # which this defect turns into (1 - q^(m(n-1)+r+1)).  Only Cauchy sums
+    # call _over_binomial in pairs, so every second call inside one is hit.
+    real_binomial, real_sum = oracle._over_binomial, oracle._over_pochhammer
+    calls = None  # _over_binomial calls inside the running Cauchy sum
+
+    def broken_binomial(c, d):
+        nonlocal calls
+        if calls is not None:
+            calls += 1
+            d += calls % 2 == 0
+        real_binomial(c, d)
+
+    def counting_sum(c, r, m):
+        nonlocal calls
+        calls = 0
+        try:
+            real_sum(c, r, m)
+        finally:
+            calls = None
+
+    monkeypatch.setattr(oracle, "_over_binomial", broken_binomial)
+    monkeypatch.setattr(oracle, "_over_pochhammer", counting_sum)
+    # The Durfee sum's n = 1 term q/((1 - q)(1 - q^2)) has 1 at q^2, not 2,
+    # so p(2) is off: the p rows, and M and T* through p spread by 1 and 2.
+    # k(q)'s n = 1 term of 1/(q^3; q^10)_inf, q^3/((1 - q^10)(1 - q^4)),
+    # loses its q^(3+3): first seen at q^(1+3+3).  The f_m and P* rows read
+    # only Euler's sum for f1.
+    flagged = {c.label: c for c in cross_check(60) if c.status != PASS}
+    assert all(c.status == FAIL for c in flagged.values())
+    partition_witness = {"exponent": 2, "lhs": "2", "rhs": "1"}
+    assert {label: c.witness for label, c in flagged.items()} == {
+        "EULER_P: quotient expander vs Durfee-square sum": partition_witness,
+        "M: quotient expander vs Euler-series product":
+            {"exponent": 2, "lhs": "-3", "rhs": "-4"},
+        "TSTAR: quotient expander vs Euler-series product":
+            {"exponent": 4, "lhs": "-8", "rhs": "-9"},
+        "k: theta quotient vs Euler and Cauchy series":
+            {"exponent": 7, "lhs": "2", "rhs": "1"},
+        "1/f1: series inversion vs Durfee-square sum": partition_witness,
+        "p(5n+4) == 0 mod 5": {"n": 0, "argument": 4, "value": "3", "modulus": 5},
+        "p(7n+5) == 0 mod 7": {"n": 0, "argument": 5, "value": "4", "modulus": 7},
+        "p(11n+6) == 0 mod 11": {"n": 0, "argument": 6, "value": "6", "modulus": 11},
+    }
 
 
 def _corrupt_one_row(monkeypatch, name, hit, exponent):
