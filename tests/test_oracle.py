@@ -7,7 +7,9 @@ factor exponents; literal products that multiply in or divide out one
 (1 - q^d) factor at a time; and digests of literal products recorded in
 ``perfbench/reference.json``.  The Durfee-square sum for p(n) is checked
 against the parts-accumulation program it replaced, and Euler's series
-for f1 against the divisor-sum recurrence.
+for f1 against the divisor-sum recurrence.  The residue-class division
+by (1 - q^d) is checked against the ascending loop c[n] += c[n - d], and
+the block-summed f1 pass against the per-term passes it replaced.
 """
 
 from __future__ import annotations
@@ -145,6 +147,55 @@ def literal_pochhammer(c: list[int], r: int, m: int, step) -> list[int]:
     for d in range(r, len(c), m):
         step(c, d)
     return c
+
+
+def shifted_copies(c: list[int], f1: list[int], m: int) -> None:
+    """c *= f1(q^m) in place, one pass over the window per nonzero term of f1(q^m).
+
+    Term q^j of f1(q^m) is +1 or -1; its pass adds or subtracts the
+    product before this call, shifted by j, to every term from q^j on.
+    """
+    n = len(c)
+    before = c[:]
+    for i, v in enumerate(f1[1:-(-n // m)], 1):
+        if v:
+            j = m * i
+            c[j:] = map(operator.add if v > 0 else operator.sub, c[j:], before[:n - j])
+
+
+@pytest.mark.parametrize("length", (1, 2, 17, 64, 257, 2000))
+def test_over_binomial_matches_the_ascending_loop(length):
+    # Every d from 1 to length + 1: d = 1, d^2 below and above the length,
+    # and d at or past it, where every residue class has one term.
+    rng = random.Random(length)
+    window = [rng.randint(-9, 9) for _ in range(length)]
+    for d in range(1, length + 2):
+        c, reference = window[:], window[:]
+        oracle._over_binomial(c, d)
+        over_binomial(reference, d)
+        assert c == reference, (length, d)
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 10, 40))
+@pytest.mark.parametrize("e", (1, 5))
+def test_blocked_f1_pass_matches_the_per_term_passes(m, e):
+    # Orders around the first two block edges, where terms with j >= B
+    # start inside a later block; for each sign, one past its first term
+    # j >= B, so that j ends the last block; and 2000.
+    block = oracle._BLOCK
+    f1 = oracle._f1(2000)
+    one_past = {}
+    for i, v in enumerate(f1):
+        if v and m * i >= block:
+            one_past.setdefault(v, m * i + 1)
+    rng = random.Random(10 * m + e)
+    window = [rng.randint(-9, 9) for _ in range(2000)]
+    for order in (block - 1, block, block + 1, 2 * block + 1, *one_past.values(), 2000):
+        c, reference = window[:order], window[:order]
+        for _ in range(e):
+            oracle._times_f1(c, f1, m)
+            shifted_copies(reference, f1, m)
+        assert c == reference, (m, e, order)
 
 
 @pytest.mark.parametrize("m", (1, 2, 5, 10))
@@ -458,6 +509,30 @@ def test_cross_check_flags_a_skipped_f1_term_in_the_sparse_pass(monkeypatch):
             {"exponent": 5, "lhs": "-8", "rhs": "-12"},
         "TSTAR: quotient expander vs Euler-series product":
             {"exponent": 5, "lhs": "-5", "rhs": "-10"},
+    }
+
+
+def test_cross_check_flags_a_block_edge_defect_in_the_f1_pass(monkeypatch):
+    # Negative control for the blocked f1 pass: from the second output
+    # block on, the bisection drops the last term of each sign that
+    # reaches the block.  In the block [256, 512) that loses f1(q^5)'s
+    # -q^(5*77) (M and P*) and f1(q^10)'s -q^(10*40) (T*); every other
+    # dropped term lies higher.  The first block, the f_m rows and the sums
+    # are untouched, so only the three products fail, at exponents >= 256.
+    block = oracle._BLOCK
+    assert block == 256
+    real = oracle.bisect_left
+    monkeypatch.setattr(oracle, "bisect_left",
+                        lambda a, x: max(0, real(a, x) - 1) if x > block else real(a, x))
+    flagged = [c for c in cross_check(2 * block + 1) if c.status != PASS]
+    assert all(c.status == FAIL for c in flagged)
+    assert {c.label: c.witness for c in flagged} == {
+        "M: quotient expander vs Euler-series product":
+            {"exponent": 385, "lhs": "-2158", "rhs": "-2153"},
+        "PSTAR: quotient expander vs Euler-series product":
+            {"exponent": 385, "lhs": "1432", "rhs": "1436"},
+        "TSTAR: quotient expander vs Euler-series product":
+            {"exponent": 400, "lhs": "8192", "rhs": "8197"},
     }
 
 
