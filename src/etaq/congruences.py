@@ -227,8 +227,7 @@ def verify_zero_family_structurally(k: int, order: int) -> Report:
     """
     zero = zero_family_claim(k)
     rhs = rhs_series(DissectionClaim("PSTAR", 4 * k + 3), order)
-    expected = ((-64) ** (k + 1) * _series(BASIS[1:2], order)
-                + LaurentSeries.from_terms({}, -1, order))
+    expected = _series(_rhs_terms((0, (-64) ** (k + 1), 0)), order)
     structural = Report.of(
         f"1.7-structural[k={k}]",
         f"{zero.describe()}, derived from the level-{4 * k + 3} dissection",
@@ -284,8 +283,7 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
                     claim.target, claim.k - 1), order, previous[claim.target], rhs))
             previous[claim.target] = rhs  # only the last level's window stays alive
         return dissections + inductions
-    raise ValueError(
-        f"unknown theorem id {theorem_id!r}; expected one of {', '.join(THEOREM_IDS)}")
+    raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
 
 
 __all__ = [

@@ -103,8 +103,10 @@ def _validate_quotient(factors: Mapping[int, int]) -> None:
     for m, e in factors.items():
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"period must be a positive integer, got {m!r}")
-        if not isinstance(e, int) or isinstance(e, bool) or e == 0:
-            raise ValueError(f"exponent of f{m} must be a nonzero integer, got {e!r}")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"exponent of f{m} must be an integer, got {e!r}")
+        if e == 0:
+            raise ValueError(f"exponent of f{m} must be nonzero")
 
 
 def _theta(period: int, a: int, length: int) -> LaurentSeries:
@@ -400,36 +402,35 @@ class QuotientParseError(ValueError):
         self.position = position
 
 
-_FACTOR_RE = re.compile(r"f([0-9]+)(\^[+-]?[0-9]+)?")
+_FACTOR_RE = re.compile(r"\s*f([0-9]+)(\^[+-]?[0-9]+)?\s*")
 
 
 def parse_quotient(text: str) -> dict[int, int]:
     """Parse expressions like ``f1^-1*f2^5*f5^5*f10^-1`` to {period: exponent}.
 
     A bare ``fN`` means exponent 1.  Zero exponents, duplicate periods,
-    and stray characters are rejected with their position.
+    and stray characters are rejected with their position: the factor's
+    ``f``, or else the first non-space character where reading stopped.
     """
     factors: dict[int, int] = {}
-    pos, n = 0, len(text)
+    pos = 0
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
         m = _FACTOR_RE.match(text, pos)
         if m is None:
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
             raise QuotientParseError(text, pos, "expected a factor like f10^-2")
-        period = int(m.group(1))
-        exponent = int(m.group(2)[1:]) if m.group(2) else 1
+        at = m.start(1) - 1
+        period = int(m[1])
+        exponent = int(m[2][1:]) if m[2] else 1
         if period < 1:
-            raise QuotientParseError(text, pos, "period must be >= 1")
+            raise QuotientParseError(text, at, "period must be >= 1")
         if exponent == 0:
-            raise QuotientParseError(text, pos, f"zero exponent on f{period}")
+            raise QuotientParseError(text, at, f"zero exponent on f{period}")
         if period in factors:
-            raise QuotientParseError(text, pos, f"duplicate period f{period}")
+            raise QuotientParseError(text, at, f"duplicate period f{period}")
         factors[period] = exponent
         pos = m.end()
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos == n:
+        if pos == len(text):
             return factors
         if text[pos] != "*":
             raise QuotientParseError(text, pos, "expected '*' between factors")

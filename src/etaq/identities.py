@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import re
+from typing import Any, Callable
 
 from .eta import TARGET_NAMES, TARGETS, expand_f, expand_k, expand_quotient
 from .series import LaurentSeries, Report, compare
@@ -134,13 +135,20 @@ def _evaluate(node: ast.expr, order: int) -> Value:
     return _series(x, order) + _series(y, order)
 
 
-def _read_sides(statement: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of a statement, expanded to the given order."""
+def _read(statement: str, read: Callable[[ast.expr, ast.expr], Any]) -> Any:
+    """``read`` of a statement's two sides, split and parsed; any failure names the statement."""
     try:
         sides = _REMARK.sub("", statement).split(" = ")
         if len(sides) != 2:
             raise ValueError("expected two sides separated by ' = '")
-        lhs, rhs = (ast.parse(_python_syntax(side), mode="eval").body for side in sides)
+        return read(*(ast.parse(_python_syntax(side), mode="eval").body for side in sides))
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"cannot read identity {statement!r}: {exc}") from None
+
+
+def _read_sides(statement: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """Both sides of a statement, expanded to the given order."""
+    def expand(lhs: ast.expr, rhs: ast.expr) -> tuple[LaurentSeries, LaurentSeries]:
         if isinstance(lhs, ast.Constant):
             rhs = _series(_evaluate(rhs, order), order)
             return LaurentSeries.from_terms({0: _integer(lhs)}, rhs.offset, rhs.prec), rhs
@@ -148,8 +156,7 @@ def _read_sides(statement: str, order: int) -> tuple[LaurentSeries, LaurentSerie
         if isinstance(rhs, ast.Constant):
             return lhs, LaurentSeries.from_terms({0: _integer(rhs)}, lhs.offset, lhs.prec)
         return lhs, _series(_evaluate(rhs, order), order)
-    except (SyntaxError, ValueError) as exc:
-        raise ValueError(f"cannot read identity {statement!r}: {exc}") from None
+    return _read(statement, expand)
 
 
 CATALOG: dict[str, str] = {
@@ -183,7 +190,7 @@ MIN_ORDER = 16
 def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
     """Expand both sides of one catalog identity to the given order."""
     if tag not in CATALOG:
-        raise ValueError(f"unknown identity id {tag!r}")
+        raise ValueError(f"unknown identity id {tag!r}; known ids: " + ", ".join(CATALOG))
     if order < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {order}")
     return _read_sides(CATALOG[tag], order)
@@ -191,8 +198,7 @@ def identity_sides(tag: str, order: int) -> tuple[LaurentSeries, LaurentSeries]:
 
 def rhs_terms(statement: str) -> list[Term]:
     """The rhs of one statement as its terms (c, s, j, {m: e_m})."""
-    rhs = _REMARK.sub("", statement).split(" = ")[1]
-    terms = _evaluate(ast.parse(_python_syntax(rhs), mode="eval").body, MIN_ORDER)
+    terms = _read(statement, lambda _, rhs: _evaluate(rhs, MIN_ORDER))
     if not isinstance(terms, list):
         raise ValueError(f"the rhs of {statement!r} is a series, not a list of terms")
     return terms

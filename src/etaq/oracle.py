@@ -41,8 +41,9 @@ gives f1, whose spread f1(q^m) checks every f_m row.  The M, T* and P*
 rows are products of those same two windows; the k row is its Euler and
 Cauchy product.
 
-None of them shares anything with :mod:`etaq.eta` or the product kernel
-of :mod:`etaq.series`: no theta series, no pentagonal expansion, no
+None of them shares anything with :mod:`etaq.eta` but its check of a
+quotient's periods and exponents, nor with the product kernel of
+:mod:`etaq.series`: no theta series, no pentagonal expansion, no
 Jacobi cube f_m^3 = sum (-1)^n (2n+1) q^(m n(n+1)/2), no regrouping of
 f-factors into theta(2m, m) = f_m^2/f_2m or theta(4m, m) = f_m f_4m/f_2m,
 no Kronecker packing, no ``Decimal``, no ``LaurentSeries.invert`` or
@@ -196,13 +197,7 @@ def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    for m, e in factors.items():
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"period must be a positive integer, got {m!r}")
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"exponent of f{m} must be an integer, got {e!r}")
-        if e == 0:
-            raise ValueError(f"exponent of f{m} must be nonzero")
+    eta._validate_quotient(factors)
     # The smallest period of each sign reaches ceil(order/m) terms of f1 or p.
     f1_terms, p_terms = (max((-(-order // m) for m, e in factors.items() if e * sign > 0),
                              default=0) for sign in (1, -1))

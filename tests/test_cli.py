@@ -131,6 +131,35 @@ def test_verify_theorem_unknown_id(capsys):
     capsys.readouterr()
 
 
+# Each refusal's whole stderr, whichever module decides it: the CLI's own
+# limits, the catalogs' ids, the quotient parser and the series kernel.
+_REFUSALS = [
+    ("verify identity --id NOPE",
+     "unknown identity id 'NOPE'; known ids: EQ21, EQ22, EQ23, EQ24, EQ25, EQ26, EQ27,"
+     " EQ28, EQ29, NEGQ, L22, EQ210, EQ211, EQ212_ODDFREE, EQ213_ODDFREE"),
+    ("verify theorem --id 9.9", "unknown theorem id '9.9'; known ids: 1.1, 1.2, 3.1"),
+    ("verify identity", "verify identity requires --id"),
+    ("verify theorem", "verify theorem requires --id"),
+    ("verify theorem --id 1.1 --kmax 0", "--kmax must be >= 1, got 0"),
+    ("verify identity --id EQ21 --order 5", "--order must be >= 16 for verify, got 5"),
+    ("oracle cross-check --order 5", "order must be >= 16, got 5"),
+    ("expand f1*f1",
+     "invalid eta quotient at position 3: duplicate period f1 (in 'f1*f1')"),
+    ("expand f1^0", "invalid eta quotient at position 0: zero exponent on f1 (in 'f1^0')"),
+    ("expand f0", "invalid eta quotient at position 0: period must be >= 1 (in 'f0')"),
+    ("expand f1^",
+     "invalid eta quotient at position 2: expected '*' between factors (in 'f1^')"),
+    ("expand f1^101", "total |exponent| must be <= 100, got 101"),
+    ("dissect f1 0 1", "extraction step must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS)
+def test_refusal_stderr_and_exit_code_are_pinned(capsys, argv, message):
+    assert main(argv.split()) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"etaq: error: {message}\n")
+
+
 def test_verify_theorem_insufficient_exit(capsys):
     # At order 300 the deepest rows reach too few coefficients, which
     # must surface as the precision exit code, not as a pass.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -337,6 +338,63 @@ def test_parse_quotient_errors():
         parse_quotient("")
     with pytest.raises(QuotientParseError):
         parse_quotient("g1^2")
+
+
+_REFERENCE_FACTOR = re.compile(r"f([0-9]+)(\^[+-]?[0-9]+)?")
+
+
+def _reference_parse(text):
+    """The parser as a character scanner with explicit whitespace skips."""
+    factors = {}
+    pos, n = 0, len(text)
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        m = _REFERENCE_FACTOR.match(text, pos)
+        if m is None:
+            raise QuotientParseError(text, pos, "expected a factor like f10^-2")
+        period = int(m.group(1))
+        exponent = int(m.group(2)[1:]) if m.group(2) else 1
+        if period < 1:
+            raise QuotientParseError(text, pos, "period must be >= 1")
+        if exponent == 0:
+            raise QuotientParseError(text, pos, f"zero exponent on f{period}")
+        if period in factors:
+            raise QuotientParseError(text, pos, f"duplicate period f{period}")
+        factors[period] = exponent
+        pos = m.end()
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n:
+            return factors
+        if text[pos] != "*":
+            raise QuotientParseError(text, pos, "expected '*' between factors")
+        pos += 1
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except QuotientParseError as exc:
+        return exc.position, str(exc)
+
+
+def test_parse_quotient_agrees_with_the_reference_scanner():
+    # Random strings over the grammar's characters and near misses: "10"
+    # makes long periods, "x" a stray letter, "٣" a digit that int()
+    # reads but the grammar refuses.  Values, positions and messages agree.
+    alphabet = ["f", *"0123456789", "10", "^", "+", "-", "*", " ", "\t", "x", "٣"]
+    rng = random.Random(26)
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(12)))
+        assert _parse_outcome(parse_quotient, text) == _parse_outcome(_reference_parse, text)
+    # Few random strings parse, so also join whole factors, good and bad.
+    factors = [" f1", "f2 ", "f10", "f01", "f0", "f2^-3", "f5^+1", "f1^0", "f3^", "\tf7"]
+    for _ in range(5_000):
+        text = rng.choice(factors)
+        for _ in range(rng.randrange(3)):
+            text += rng.choice(["*", " * ", "\t*", " ", "**"]) + rng.choice(factors)
+        assert _parse_outcome(parse_quotient, text) == _parse_outcome(_reference_parse, text)
 
 
 def _counting(monkeypatch):

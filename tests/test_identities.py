@@ -233,3 +233,18 @@ def test_rhs_terms_reads_a_symbolic_rhs_and_refuses_a_series():
     with pytest.raises(ValueError, match="is a series") as info:
         rhs_terms(CATALOG["EQ29"])
     assert repr(CATALOG["EQ29"]) in str(info.value)
+
+
+@pytest.mark.parametrize("statement, reason", [
+    ("f1", "expected two sides separated by ' = '"),
+    ("f1 = f2 = f3", "expected two sides separated by ' = '"),
+    ("f1 = f1 +", "invalid syntax"),
+])
+def test_rhs_terms_refuses_a_malformed_statement_by_name(statement, reason):
+    # As _read_sides does: one side, three sides and a dangling operator.
+    with pytest.raises(ValueError) as info:
+        rhs_terms(statement)
+    assert str(info.value).startswith(f"cannot read identity {statement!r}: {reason}")
+    with pytest.raises(ValueError) as info:
+        _read_sides(statement, MIN_ORDER)
+    assert str(info.value).startswith(f"cannot read identity {statement!r}: {reason}")
