@@ -12,19 +12,30 @@ consequences: on the progression of one level, every coefficient is
 divisible by a stated power of two, or vanishes outright.  Rows 1.1 and
 1.2 are the M and T* levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3,
 and row 1.7 the odd half of the P* level 4k+3.
+
+Theorem 3.1 builds only the windows its verdicts read.  A dissection
+row expands its rhs only until it covers the lhs's window, and not at all
+when the progression has no exponent below the order.  The induction rows
+come from three basis residuals: every level window v_k . BASIS is
+[-1, order - 1) and T(X) = extract(q^-2 X, 2, 0) is linear, so once T(B_i)
+equals (U e_i) . BASIS on that window for each basis element, every step
+v_k -> v_(k+1) = U v_k passes on the same window.  If a residual does not
+vanish, each step is compared on full level windows (``verify_induction_step``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import sequences
 from .eta import TARGET_NAMES, gen_target
-from .identities import Term, _series
+from .identities import Term, _covered, _series
 from .sequences import BASIS, Vector, levels
 from .series import (
     FAIL,
     PASS,
     SKIPPED,
+    Comparison,
     EmptyWindow,
     LaurentSeries,
     Report,
@@ -92,6 +103,14 @@ def rhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     return _series(_rhs_terms(levels(TARGET_FAMILY[claim.target], claim.k)[-1]), order)
 
 
+def _reachable_lhs(claim: DissectionClaim, order: int) -> LaurentSeries | None:
+    """``lhs_series``, or None when the progression has no exponent below the order."""
+    try:
+        return lhs_series(claim, order)
+    except EmptyWindow:
+        return None
+
+
 def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) -> Report:
     """Compare the lhs with the given rhs window; the window halves at
     each level, so the required overlap scales as order / 2^(k+1).
@@ -101,17 +120,21 @@ def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) ->
     A progression with no coefficient below the order is reported as
     insufficient-precision.
     """
+    return _dissection_report(claim, order, _reachable_lhs(claim, order), rhs)
+
+
+def _dissection_report(claim: DissectionClaim, order: int, lhs: LaurentSeries | None,
+                       rhs: LaurentSeries | None) -> Report:
+    """``verify_dissection`` on a given lhs; rhs is read only when lhs is not None."""
     required = max(1, order >> (claim.k + 1))
-    try:
-        lhs = lhs_series(claim, order)
-    except EmptyWindow:
+    if lhs is None:
         return Report.scan(claim.label, claim.describe(), order, range(0), (), required)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
     if claim.k == 2 and claim.target in ("M", "TSTAR"):
         fam = TARGET_FAMILY[claim.target]
         other = "B" if fam == "A" else "A"
-        swapped = _series(_rhs_terms(levels(other, 2)[1]), order)
+        swapped = _covered(_rhs_terms(levels(other, 2)[1]), order, lhs.prec)
         alt = compare(lhs, swapped, min_overlap=required)
         # F = 1 + O(q), so each window's q^-1 coefficient is its lead P_2.
         note = (f"k=2 lead labeling: {fam}_2={rhs[-1]} -> {outcome.status}, "
@@ -127,13 +150,43 @@ def verify_induction_step(claim: DissectionClaim, order: int,
     even part of the q^-2-shifted combination reproduces the next
     combination, for every target family.
     """
+    outcome = compare(_step(rhs), next_rhs, min_overlap=max(1, order // 4))
+    return Report.of(*_induction_claim(claim), order, outcome)
+
+
+def _step(x: LaurentSeries) -> LaurentSeries:
+    """T(x) = extract(q^-2 x, 2, 0), the map from one level to the next."""
+    return x.shift(-2).extract(2, 0)
+
+
+def _induction_claim(claim: DissectionClaim) -> tuple[str, str]:
+    """The label and claim text of the induction step from claim's level."""
     nxt = DissectionClaim(claim.target, claim.k + 1)
-    stepped = rhs.shift(-2).extract(2, 0)
-    outcome = compare(stepped, next_rhs, min_overlap=max(1, order // 4))
-    label = f"induction[{claim.target},k={claim.k}->{claim.k + 1}]"
-    text = (f"extract(q^-2 * ({claim.describe().split(' == ')[1]}), 2, 0) "
+    return (f"induction[{claim.target},k={claim.k}->{claim.k + 1}]",
+            f"extract(q^-2 * ({claim.describe().split(' == ')[1]}), 2, 0) "
             f"== {nxt.describe().split(' == ')[1]}")
-    return Report.of(label, text, order, outcome)
+
+
+def _basis_step(order: int) -> Comparison | None:
+    """The window on which T(B_i) == (U e_i) . BASIS for all three basis
+    elements, or None when one of the comparisons does not pass.
+
+    Each e_i . BASIS keeps the q^-1 F term, so it has a level's window
+    [-1, order - 1), and each comparison has an induction row's window and
+    overlap requirement.  T is linear and v_(k+1) = U v_k, so on that
+    window T(v_k . BASIS) - v_(k+1) . BASIS = sum_i v_k[i] (T(B_i) - (U e_i)
+    . BASIS) vanishes whenever the three residuals do: every induction
+    row then passes on this comparison's window.  U is read from
+    ``sequences`` at call time.
+    """
+    comparisons = []
+    for i in range(3):
+        e = tuple(int(i == j) for j in range(3))
+        image = tuple(row[i] for row in sequences.U)
+        comparisons.append(compare(_step(_series(_rhs_terms(e), order)),
+                                   _series(_rhs_terms(image), order),
+                                   min_overlap=max(1, order // 4)))
+    return comparisons[0] if all(c.status == PASS for c in comparisons) else None
 
 
 @dataclass(frozen=True)
@@ -256,7 +309,10 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
     1.2: the five P* families for k = 0..kmax; a row whose progression
          has no coefficient below the order is reported as skipped.
     3.1: the dissections for k = 1..kmax and induction steps k -> k+1
-         for k < kmax, one run of levels per family and one rhs per level.
+         for k < kmax, one run of levels per family.  Each dissection's
+         rhs is expanded only as far as its lhs reaches; the induction
+         rows come from the basis residuals T(B_i) - (U e_i) . BASIS when
+         all three vanish, else from one full rhs window per level.
     """
     if theorem_id == "1.1":
         return [verify_congruence(c, order, min_points=5)
@@ -274,16 +330,34 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
         return reports
     if theorem_id == "3.1":
         vs = {t: levels(f, kmax) for t, f in TARGET_FAMILY.items()}
-        dissections, inductions, previous = [], [], {}
-        for claim in (DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs):
-            rhs = _series(_rhs_terms(vs[claim.target][claim.k - 1]), order)
-            dissections.append(verify_dissection(claim, order, rhs))
-            if claim.k > 1:
-                inductions.append(verify_induction_step(DissectionClaim(
-                    claim.target, claim.k - 1), order, previous[claim.target], rhs))
-            previous[claim.target] = rhs  # only the last level's window stays alive
-        return dissections + inductions
+        claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs]
+        step = _basis_step(order)
+        if step is None:
+            return _theorem_31_windowed(claims, vs, order)
+        dissections = []
+        for claim in claims:
+            lhs = _reachable_lhs(claim, order)
+            rhs = None if lhs is None else _covered(
+                _rhs_terms(vs[claim.target][claim.k - 1]), order, lhs.prec)
+            dissections.append(_dissection_report(claim, order, lhs, rhs))
+        return dissections + [Report.of(*_induction_claim(c), order, step)
+                              for c in claims if c.k < kmax]
     raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+
+
+def _theorem_31_windowed(claims: list[DissectionClaim], vs: dict[str, list[Vector]],
+                         order: int) -> list[Report]:
+    """Theorem 3.1's rows from one full rhs window per level: each
+    dissection reads it, and each induction step compares two of them."""
+    dissections, inductions, previous = [], [], {}
+    for claim in claims:
+        rhs = _series(_rhs_terms(vs[claim.target][claim.k - 1]), order)
+        dissections.append(verify_dissection(claim, order, rhs))
+        if claim.k > 1:
+            inductions.append(verify_induction_step(DissectionClaim(
+                claim.target, claim.k - 1), order, previous[claim.target], rhs))
+        previous[claim.target] = rhs  # only the last level's window stays alive
+    return dissections + inductions
 
 
 __all__ = [

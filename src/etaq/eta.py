@@ -277,9 +277,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 3.54 MB at order
-# 2000 and 14.5 MB at order 8000, so this holds every window up to about
-# order 4600; twice as much saved no time at order 8000 and cost 1 MB RSS
+# its least recently used windows.  ``verify all`` caches 3.33 MB at order
+# 2000 and 13.6 MB at order 8000, so this holds every window up to about
+# order 4900; twice as much saved no time at order 8000 and cost 1 MB RSS
 # when the battery cached 12.4 MB there.
 _CACHE_BYTES = 8 * 2**20
 
@@ -405,12 +405,22 @@ class QuotientParseError(ValueError):
 _FACTOR_RE = re.compile(r"\s*f([0-9]+)(\^[+-]?[0-9]+)?\s*")
 
 
+def _integer(text: str, at: int, what: str, digits: str) -> int:
+    """int(digits), refused at position ``at`` when it has more digits than
+    CPython converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(digits.lstrip("+-")):
+        raise QuotientParseError(text, at, f"{what} has more than {limit} digits")
+    return int(digits)
+
+
 def parse_quotient(text: str) -> dict[int, int]:
     """Parse expressions like ``f1^-1*f2^5*f5^5*f10^-1`` to {period: exponent}.
 
     A bare ``fN`` means exponent 1.  Zero exponents, duplicate periods,
-    and stray characters are rejected with their position: the factor's
-    ``f``, or else the first non-space character where reading stopped.
+    numbers too long for CPython's int-string limit, and stray characters
+    are rejected with their position: the factor's ``f``, or else the
+    first non-space character where reading stopped.
     """
     factors: dict[int, int] = {}
     pos = 0
@@ -420,8 +430,8 @@ def parse_quotient(text: str) -> dict[int, int]:
             pos += len(text[pos:]) - len(text[pos:].lstrip())
             raise QuotientParseError(text, pos, "expected a factor like f10^-2")
         at = m.start(1) - 1
-        period = int(m[1])
-        exponent = int(m[2][1:]) if m[2] else 1
+        period = _integer(text, at, "period", m[1])
+        exponent = _integer(text, at, f"exponent of f{period}", m[2][1:]) if m[2] else 1
         if period < 1:
             raise QuotientParseError(text, at, "period must be >= 1")
         if exponent == 0:

@@ -50,7 +50,6 @@ through ``Decimal`` (a binary conversion, with no limit) instead of
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import decimal
 import itertools
 import math
@@ -517,7 +516,15 @@ class Report:
         return cls(label, PASS if witness is None else FAIL, claim, order, checked, witness)
 
     def to_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
+        """The fields by name; ``checked`` and ``witness`` are copies, so
+        changing the dict changes no report."""
+        return {"label": self.label, "status": self.status, "claim": self.claim,
+                "order": self.order, "checked": _copy(self.checked),
+                "witness": _copy(self.witness), "note": self.note}
+
+
+def _copy(fields: dict[str, object] | None) -> dict[str, object] | None:
+    return None if fields is None else dict(fields)
 
 
 def worst(statuses: Iterable[str]) -> str:

@@ -407,9 +407,11 @@ def test_theorem_31_rows_match_per_claim_calls(order, kmax, statuses):
 
 
 def test_theorem_31_builds_each_rhs_once(monkeypatch):
-    # One run of levels per family plus one per k = 2 swapped labeling,
-    # and one rhs window per (target, level) plus the two swapped windows.
-    calls = {"levels": 0, "window": 0}
+    # One run of levels per family plus one per k = 2 swapped labeling;
+    # one rhs window per (target, level) plus the two swapped windows, each
+    # only as long as its lhs, and the six full windows of the basis
+    # residuals T(B_i) and (U e_i) . BASIS, from which the induction rows come.
+    calls = {"levels": 0, "covered": 0, "window": 0}
 
     def counted(kind, real):
         def wrapper(*args):
@@ -418,11 +420,65 @@ def test_theorem_31_builds_each_rhs_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(congruences, "levels", counted("levels", levels))
+    monkeypatch.setattr(congruences, "_covered", counted("covered", congruences._covered))
     monkeypatch.setattr(congruences, "_series", counted("window", congruences._series))
     kmax = 8
     reports = verify_theorem("3.1", 400, kmax)
     assert len(reports) == 3 * kmax + 3 * (kmax - 1)
-    assert calls == {"levels": 3 + 2, "window": 3 * kmax + 2}
+    assert calls == {"levels": 3 + 2, "covered": 3 * kmax + 2, "window": 6}
+
+
+def _windowed(order, kmax):
+    """Theorem 3.1's rows from full level windows only, the reference path."""
+    vs = {t: levels(f, kmax) for t, f in congruences.TARGET_FAMILY.items()}
+    claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs]
+    return congruences._theorem_31_windowed(claims, vs, order)
+
+
+@pytest.mark.parametrize("order", (64, 500, 2000))
+def test_theorem_31_linear_path_equals_the_windowed_path(order):
+    # The basis residuals pass, so the induction rows come from their
+    # window and each dissection's rhs stops at its lhs's window.
+    assert congruences._basis_step(order) is not None
+    reports = verify_theorem("3.1", order, 40)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in _windowed(order, 40)]
+
+
+def _corrupt_m(monkeypatch):
+    """M with one coefficient off by one: the lhs alone is wrong, the residuals pass."""
+    real = congruences.gen_target
+
+    def corrupted(tag, order):
+        s = real(tag, order)
+        return s + LaurentSeries.from_terms({27: 1}, 0, s.prec) if tag == "M" else s
+    monkeypatch.setattr(congruences, "gen_target", corrupted)
+
+
+def _wrong_u_entry(monkeypatch):
+    """U's (3, 3) entry 2 -> 3."""
+    u = [list(row) for row in sequences.U]
+    u[2][2] = 3
+    monkeypatch.setattr(sequences, "U", tuple(map(tuple, u)))
+
+
+def _edited_t_of_h(monkeypatch):
+    """T(H) = q^-1 F + 3 H in place of q^-1 F + 2 H, and U read from it."""
+    monkeypatch.setattr(sequences, "T_OF_H", sequences.T_OF_H.replace("+ 2 f1", "+ 3 f1"))
+    monkeypatch.setattr(sequences, "U", sequences._matrix())
+
+
+@pytest.mark.parametrize("defect, linear", ((_wrong_u_entry, False), (_edited_t_of_h, False),
+                                            (_corrupt_m, True)))
+def test_theorem_31_negative_controls_fail_alike_on_both_paths(monkeypatch, defect, linear):
+    defect(monkeypatch)
+    order = 500
+    assert (congruences._basis_step(order) is not None) == linear
+    reports, reference = verify_theorem("3.1", order, 40), _windowed(order, 40)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in reference]
+    failing = [(r.label, r.witness) for r in reports if r.status == FAIL]
+    assert failing and all(witness for _, witness in failing)
+    # A wrong U breaks the induction rows; a wrong lhs only the dissections.
+    assert any(label.startswith("induction[") for label, _ in failing) != linear
 
 
 def test_theorem_unknown_id():

@@ -566,7 +566,7 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     finally:
         eta._expand_quotient_cached.cache_clear()
     capsys.readouterr()
-    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (58, 26, 1_410_920)
+    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (59, 26, 1_209_920)
 
 
 # (products, multiplied coefficients, division work) of each catalog

@@ -11,13 +11,14 @@ from etaq.identities import (
     CATALOG,
     MIN_ORDER,
     _read_sides,
+    _series,
     identity_sides,
     rhs_terms,
     verify_all_identities,
     verify_identity,
 )
 from etaq.oracle import direct_eta_product
-from etaq.series import FAIL, PASS, compare
+from etaq.series import FAIL, PASS, LaurentSeries, Report, compare
 
 ALL_IDS = (
     "EQ21", "EQ22", "EQ23", "EQ24", "EQ25", "EQ26", "EQ27", "EQ28", "EQ29",
@@ -172,6 +173,39 @@ def test_sides_read_from_the_statement_match_frozen_digests(tag, order):
     digests = tuple(hashlib.blake2b(side.dump().encode(), digest_size=8).hexdigest()
                     for side in (lhs, rhs))
     assert digests == FROZEN_SIDES[order][tag]
+
+
+@pytest.mark.parametrize("order", (16, 64, 301, 2000))
+@pytest.mark.parametrize("tag", ALL_IDS)
+def test_verify_identity_equals_the_full_window_comparison(tag, order):
+    # verify_identity expands a term-list side only as far as an extracted
+    # side reaches; the full sides give the same verdict and window.
+    expected = Report.of(tag, CATALOG[tag], order,
+                         compare(*identity_sides(tag, order), min_overlap=order // 2))
+    assert verify_identity(tag, order) == expected
+
+
+@pytest.mark.parametrize("tag", ("EQ25", "EQ26"))
+def test_one_k_chain_per_quotient(tag, monkeypatch):
+    # The rhs q Q (a + b k + c k^2) builds Q k and then (Q k) k: two wide
+    # products, each by k, where one product per term took three.  The
+    # window cache is warm, so Q and k themselves take none.
+    order = 500
+    terms = rhs_terms(CATALOG[tag])
+    assert sorted(j for _, _, j, _ in terms) == [0, 1, 2]
+    expected = _series(terms, order)
+    k = expand_k(order)
+    real_mul = LaurentSeries.__mul__
+    products = []
+
+    def counting_mul(self, other):
+        if isinstance(other, LaurentSeries):
+            products.append((len(self.coeffs), other == k))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    assert _series(terms, order) == expected
+    assert products == [(order, True), (order - 1, True)]
 
 
 @pytest.mark.parametrize("tag, old, new, witness", (

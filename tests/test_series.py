@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -380,6 +381,16 @@ def test_report_of_comparison():
 
     empty = Report.of("z", None, None, compare(a, series(5, 1), min_overlap=1))
     assert (empty.status, empty.checked) == (INSUFFICIENT, None)
+
+
+def test_report_dict_keeps_the_field_order_and_copies_its_dicts():
+    report = Report.of("x", "a == b", 9, compare(series(0, 1, 2), series(0, 1, 3), 1), "n")
+    payload = report.to_dict()
+    assert list(payload.items()) == list(dataclasses.asdict(report).items())
+    payload["checked"]["points"] = 0
+    payload["witness"]["lhs"] = "0"
+    assert report.checked == {"from": 0, "to": 1, "points": 2}
+    assert report.witness == {"exponent": 1, "lhs": "2", "rhs": "3"}
 
 
 def test_scalar_mul_by_bool_gives_int_coefficients():
