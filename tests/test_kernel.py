@@ -1,12 +1,19 @@
-"""The decimal Kronecker-substitution product and the slice-based add and
-compare.
+"""The Kronecker-substitution product in both radixes, and the
+slice-based add and compare.
 
-Every case is checked against a reference written here, one exponent at
-a time, with seeded random operands.  One test checks the product end to
-end against the oracle's Euler-series product, which shares no algorithm
-with the kernel.  The kernel's tests also run in CI under
-``python -X int_max_str_digits=640``, the lowest int <-> str limit
-CPython accepts.
+The product runs in binary (CPython ints, w-byte groups) when its width
+bound fits 8 bytes and its packed operand fits ``series._BINARY_BYTES``,
+and in decimal (libmpdec, d-digit groups) otherwise.  Each product case
+runs on both paths: with the cut monkeypatched to 0 every product is
+decimal, and with a cut above every test size every product whose bound
+fits 8 bytes is binary.  Further cases pin the boundaries between the
+paths: the sign bit of each byte width and the cut itself.  Every case
+is checked against a reference written here, one exponent at a time,
+with seeded random operands.  One test checks the product end to end
+against the oracle's Euler-series product, which shares no algorithm
+with the kernel, on both sides of the cut.  The kernel's tests also run
+in CI under ``python -X int_max_str_digits=640``, the lowest int <-> str
+limit CPython accepts.
 """
 
 from __future__ import annotations
@@ -14,11 +21,13 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import struct
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from etaq import series
+from etaq import eta, series
 from etaq.cli import MAX_ORDER
 from etaq.eta import expand_quotient
 from etaq.oracle import direct_eta_product
@@ -29,9 +38,43 @@ def schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     n = min(len(a.coeffs), len(b.coeffs))
     out = [0] * n
     for i in range(n):
-        for j in range(n - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
+        if a.coeffs[i]:
+            for j in range(n - i):
+                out[i + j] += a.coeffs[i] * b.coeffs[j]
     return LaurentSeries(a.offset + b.offset, tuple(out))
+
+
+# The binary cut for each radix: 0 sends every product to decimal, and a
+# cut above every size in this file sends every product whose bound fits
+# 8-byte groups to binary.
+CUTS = {"decimal": 0, "binary": 1 << 40}
+
+
+def on_both_radixes(monkeypatch):
+    """Yield each radix name with the binary cut set for it."""
+    for radix, cut in CUTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_BINARY_BYTES", cut)
+            yield radix
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The (radix, n, group width) of every product, in order."""
+    taken = []
+    binary, decimal_ = series._binary_product, series._decimal_product
+
+    def binary_product(a, b, w):
+        taken.append(("binary", len(a), w))
+        return binary(a, b, w)
+
+    def decimal_product(a, b, d):
+        taken.append(("decimal", len(a), d))
+        return decimal_(a, b, d)
+
+    monkeypatch.setattr(series, "_binary_product", binary_product)
+    monkeypatch.setattr(series, "_decimal_product", decimal_product)
+    return taken
 
 
 def random_series(rng: random.Random, length: int, bits: int) -> LaurentSeries:
@@ -41,9 +84,17 @@ def random_series(rng: random.Random, length: int, bits: int) -> LaurentSeries:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_product_matches_schoolbook_on_random_windows(seed):
+def test_product_matches_schoolbook_on_random_windows(seed, monkeypatch, paths):
     # Offsets of both signs, unequal lengths, and mixed coefficient sizes.
-    rng = random.Random(seed)
+    for radix in on_both_radixes(monkeypatch):
+        paths.clear()
+        check_random_windows(random.Random(seed))
+        # 64- and 130-bit coefficients need groups wider than 8 bytes.
+        taken = {path for path, _, _ in paths}
+        assert taken == ({"decimal"} if radix == "decimal" else {"binary", "decimal"})
+
+
+def check_random_windows(rng: random.Random) -> None:
     for _ in range(150):
         bits = rng.choice((1, 4, 31, 64, 130))
         a = random_series(rng, rng.randint(1, 60), bits)
@@ -52,53 +103,61 @@ def test_product_matches_schoolbook_on_random_windows(seed):
         assert b * a == schoolbook(b, a)
 
 
-def test_product_length_one_windows():
-    assert LaurentSeries(-3, (7,)) * LaurentSeries(5, (-6,)) == LaurentSeries(2, (-42,))
-    long = LaurentSeries(0, (2, 3, 4))
-    assert long * LaurentSeries(1, (-1,)) == LaurentSeries(1, (-2,))
-    big = (1 << 200) - 3
-    assert LaurentSeries(0, (big,)) * LaurentSeries(0, (-big,)) == LaurentSeries(0, (-big * big,))
+def test_product_length_one_windows(monkeypatch):
+    for _ in on_both_radixes(monkeypatch):
+        assert LaurentSeries(-3, (7,)) * LaurentSeries(5, (-6,)) == LaurentSeries(2, (-42,))
+        long = LaurentSeries(0, (2, 3, 4))
+        assert long * LaurentSeries(1, (-1,)) == LaurentSeries(1, (-2,))
+        big = (1 << 200) - 3
+        assert LaurentSeries(0, (big,)) * LaurentSeries(0, (-big,)) == LaurentSeries(0, (-big * big,))
 
 
-def test_product_with_all_zero_operand():
+def test_product_with_all_zero_operand(monkeypatch):
     rng = random.Random(5)
-    a = random_series(rng, 40, 200)
     zero = LaurentSeries(2, (0,) * 25)
-    assert a * zero == LaurentSeries(a.offset + 2, (0,) * 25)
-    assert zero * a == LaurentSeries(a.offset + 2, (0,) * 25)
-    assert zero * zero == LaurentSeries(4, (0,) * 25)
+    for _ in on_both_radixes(monkeypatch):
+        for bits in (200, 4):
+            a = random_series(rng, 40, bits)
+            assert a * zero == LaurentSeries(a.offset + 2, (0,) * 25)
+            assert zero * a == LaurentSeries(a.offset + 2, (0,) * 25)
+        assert zero * zero == LaurentSeries(4, (0,) * 25)
 
 
-def test_product_borrows_across_digits():
-    # Coefficients near +-2**200 with mixed signs: every digit of the
-    # packed operands and of the product is negative somewhere, so digits
-    # borrow from their neighbours when packed and when read back.
-    rng = random.Random(7)
-    top = 1 << 200
-    for _ in range(40):
-        a = LaurentSeries(rng.randint(-3, 3), tuple(
-            rng.choice((1, -1)) * (top - rng.randint(0, 1 << 20)) for _ in range(rng.randint(1, 30))))
-        b = LaurentSeries(rng.randint(-3, 3), tuple(
-            rng.choice((1, -1)) * (top - rng.randint(0, 1 << 20)) for _ in range(rng.randint(1, 30))))
-        assert a * b == schoolbook(a, b)
-        assert a * a == schoolbook(a, a)
+def test_product_borrows_across_digits(monkeypatch):
+    # Coefficients near +-2**200 (decimal groups) and near +-2**24 (8-byte
+    # groups) with mixed signs: every group of the packed operands and of
+    # the product is negative somewhere, so groups borrow from their
+    # neighbours when packed and when read back.
+    for _ in on_both_radixes(monkeypatch):
+        rng = random.Random(7)
+        for top in (1 << 200, 1 << 24):
+            for _ in range(40):
+                a = LaurentSeries(rng.randint(-3, 3), tuple(
+                    rng.choice((1, -1)) * (top - rng.randint(0, 1 << 20))
+                    for _ in range(rng.randint(1, 30))))
+                b = LaurentSeries(rng.randint(-3, 3), tuple(
+                    rng.choice((1, -1)) * (top - rng.randint(0, 1 << 20))
+                    for _ in range(rng.randint(1, 30))))
+                assert a * b == schoolbook(a, b)
+                assert a * a == schoolbook(a, a)
 
 
 @pytest.mark.parametrize("bits", (1, 7, 8, 63, 64, 200))
-def test_product_reaches_the_digit_width_bound(bits):
+def test_product_reaches_the_digit_width_bound(bits, monkeypatch):
     # With every coefficient +-max the last product coefficient is exactly
     # n * max|a| * max|b| = ||a||_1 * max|b| in absolute value: the bound
     # the width is chosen for.
     top = (1 << bits) - 1
-    for n in (1, 2, 16, 255, 256):
-        a = LaurentSeries(0, (top,) * n)
-        b = LaurentSeries(0, (-top,) * n)
-        assert (a * b).coeffs[-1] == -n * top * top
-        assert (a * a).coeffs[-1] == n * top * top
-        assert a * b == schoolbook(a, b)
-        assert b * b == schoolbook(b, b)
-        alternating = LaurentSeries(0, tuple(top if i % 2 else -top for i in range(n)))
-        assert alternating * alternating == schoolbook(alternating, alternating)
+    for _ in on_both_radixes(monkeypatch):
+        for n in (1, 2, 16, 255, 256):
+            a = LaurentSeries(0, (top,) * n)
+            b = LaurentSeries(0, (-top,) * n)
+            assert (a * b).coeffs[-1] == -n * top * top
+            assert (a * a).coeffs[-1] == n * top * top
+            assert a * b == schoolbook(a, b)
+            assert b * b == schoolbook(b, b)
+            alternating = LaurentSeries(0, tuple(top if i % 2 else -top for i in range(n)))
+            assert alternating * alternating == schoolbook(alternating, alternating)
 
 
 def composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
@@ -112,14 +171,20 @@ def composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("d", (1, 2, 3, 17, 18, 40))
 @pytest.mark.parametrize("twice_bound", ("below", "at"))
-def test_product_at_a_power_of_ten_width_step(d, twice_bound):
+def test_product_at_a_power_of_ten_width_step(d, twice_bound, monkeypatch):
     # ||a||_1 = B, b all +-1: the last coefficient is exactly +-B, the
     # bound the width is chosen for.  2B = 10**d - 2 still fits d digits;
     # 2B = 10**d needs d + 1.  With b all -1 every product coefficient is
     # negative, the upper half included.
     bound = 10 ** d // 2 - (twice_bound == "below")
     assert series._digit_count(2 * bound) == d + (twice_bound == "at")
-    rng = random.Random(d)
+    for _ in on_both_radixes(monkeypatch):
+        check_bound_reached(bound, random.Random(d))
+
+
+def check_bound_reached(bound: int, rng: random.Random) -> None:
+    """Products whose kernel bound is exactly ``bound`` and whose last
+    coefficient reaches it, with either sign."""
     for n in (1, 2, 3, 9):
         if bound < n:
             continue
@@ -130,6 +195,65 @@ def test_product_at_a_power_of_ten_width_step(d, twice_bound):
             assert product.coeffs[-1] == sign * bound
             assert product == schoolbook(a, b)
         assert a * a == schoolbook(a, a)
+
+
+@pytest.mark.parametrize("w", (1, 2, 4, 8))
+@pytest.mark.parametrize("sign_bit", ("below", "at"))
+def test_product_at_a_byte_width_sign_bit(w, sign_bit, paths):
+    # B = 2**(8w - 1) - 1 is the largest bound a w-byte group holds next
+    # to its sign bit; B = 2**(8w - 1) takes the next width, and decimal
+    # groups after 8 bytes.  The product coefficients reach +-B.
+    bound = (1 << 8 * w - 1) - (sign_bit == "below")
+    check_bound_reached(bound, random.Random(w))
+    # The products by the all +-1 windows, whose kernel bound is B; every
+    # third product is a square.
+    taken = {(path, width) for path, _, width in paths[0::3] + paths[1::3]}
+    if sign_bit == "below":
+        assert taken == {("binary", w)}
+    elif w < 8:
+        assert taken == {("binary", 2 * w)}
+    else:
+        assert {path for path, _ in taken} == {"decimal"}
+
+
+@pytest.mark.parametrize("w", (1, 8))
+@pytest.mark.parametrize("extra", (0, 1))
+def test_product_at_the_binary_cut(w, extra, paths):
+    # n*w bytes equal to the cut stay binary; one more group (one more
+    # byte for w = 1) goes to decimal.  a has ||a||_1 = 3, so the bound is
+    # 3 max|b|, which takes exactly w bytes.
+    assert series._BINARY_BYTES % 8 == 0
+    n = series._BINARY_BYTES // w + extra
+    top = 42 if w == 1 else 1 << 40
+    assert series._byte_width(3 * top) == w
+    rng = random.Random(n)
+    a = LaurentSeries(1, (1, -1) + (0,) * (n - 3) + (1,))
+    b = LaurentSeries(-2, (top,) + tuple(rng.randint(-top, top) for _ in range(n - 1)))
+    assert a * b == schoolbook(a, b)
+    assert len(paths) == 1
+    path, size, width = paths[0]
+    assert (path, size) == ("decimal" if extra else "binary", n)
+    if not extra:
+        assert width == w
+
+
+def test_square_on_the_binary_path_packs_its_operand_once(monkeypatch, paths):
+    packs = []
+
+    def pack(fmt, *values):
+        packs.append(fmt)
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(series, "struct", SimpleNamespace(
+        pack=pack, unpack=struct.unpack, Struct=struct.Struct))
+    a = random_series(random.Random(17), 300, 20)
+    assert a * a == schoolbook(a, a)
+    assert len(packs) == 1
+    twin = LaurentSeries(a.offset, tuple(list(a.coeffs)))
+    assert twin.coeffs is not a.coeffs
+    assert a * twin == schoolbook(a, twin)
+    assert len(packs) == 3
+    assert paths == [("binary", 300, 8)] * 2
 
 
 def test_digit_count_is_the_smallest_width():
@@ -150,15 +274,17 @@ def test_bias_equals_its_digit_string(n, d):
     assert bias.as_tuple() == expected.as_tuple()
 
 
-def test_product_with_negative_upper_half():
-    # Positive low coefficients and a negative upper half: the unpacked sum
-    # is positive only because of the 10**(2nd) offset.
-    rng = random.Random(11)
-    for n in (1, 2, 5, 40):
-        a = LaurentSeries(0, tuple(rng.randint(1, 9) for _ in range(n)))
-        b = LaurentSeries(0, (1,) + tuple(-rng.randint(50, 99) for _ in range(n - 1)))
-        assert a * b == schoolbook(a, b)
-        assert b * b == schoolbook(b, b)
+def test_product_with_negative_upper_half(monkeypatch):
+    # Positive low coefficients and a negative upper half: the decimal sum
+    # is positive only because of the 10**(2nd) offset, and the binary
+    # mask must drop a negative upper half.
+    for _ in on_both_radixes(monkeypatch):
+        rng = random.Random(11)
+        for n in (1, 2, 5, 40):
+            a = LaurentSeries(0, tuple(rng.randint(1, 9) for _ in range(n)))
+            b = LaurentSeries(0, (1,) + tuple(-rng.randint(50, 99) for _ in range(n - 1)))
+            assert a * b == schoolbook(a, b)
+            assert b * b == schoolbook(b, b)
 
 
 def test_product_past_the_int_string_limit():
@@ -198,13 +324,19 @@ def test_packed_digit_cap_boundary(extra, refused, monkeypatch):
         window * window
 
 
-def test_product_leaves_the_decimal_context_and_int_limit_alone():
+def test_product_leaves_the_decimal_context_and_int_limit_alone(paths):
     context = decimal.getcontext()
     before = (context.prec, context.Emax, context.Emin, context.rounding,
               dict(context.traps), dict(context.flags))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     a = LaurentSeries(0, (1 << 15000, -3, 7) * 30)
     assert a * a == schoolbook(a, a)
+    # 600 4-byte groups: a packed operand of about 5800 digits, past the
+    # default int <-> str limit, multiplied in binary.
+    b = random_series(random.Random(19), 600, 10)
+    assert b * b == schoolbook(b, b)
+    assert [path for path, _, _ in paths] == ["decimal", "binary"]
+    assert paths[1][2] == 4
     assert decimal.getcontext() is context
     assert (context.prec, context.Emax, context.Emin, context.rounding,
             dict(context.traps), dict(context.flags)) == before
@@ -219,9 +351,19 @@ def test_decimal_is_the_c_implementation():
     assert decimal.Decimal is _decimal.Decimal
 
 
-def test_product_matches_literal_factor_products():
+def test_product_matches_literal_factor_products(paths):
+    # Expanded cold, so that its products run here: short ones in binary,
+    # and 2000-term ones with 13-digit groups in decimal, past the cut.
     factors = {1: 4, 2: 4, 5: 4, 10: 4}
-    assert expand_quotient(factors, 2000) == direct_eta_product(factors, 2000)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        assert expand_quotient(factors, 2000) == direct_eta_product(factors, 2000)
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    assert any(path == "binary" for path, _, _ in paths)
+    # A decimal group of at most 18 digits holds every bound below 10**18/2
+    # < 2**63: that product fitted 8-byte groups and went decimal by its size.
+    assert any(path == "decimal" and d <= 18 for path, _, d in paths)
 
 
 def reference_sum(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
