@@ -25,8 +25,6 @@ vanish, each step is compared on full level windows (``verify_induction_step``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sequences
 from .eta import TARGET_NAMES, gen_target
 from .identities import Term, _covered, _series
@@ -39,6 +37,8 @@ from .series import (
     EmptyWindow,
     LaurentSeries,
     Report,
+    _Record,
+    _set,
     compare,
     two_adic_valuation,
     worst,
@@ -54,18 +54,18 @@ def _progression(target: str, level: int) -> tuple[int, int]:
     return 1 << level, (1 << (level + 1)) + _RESIDUE_OFFSET[target]
 
 
-@dataclass(frozen=True)
-class DissectionClaim:
+class DissectionClaim(_Record):
     """Level-k dissection of one target's generating function."""
 
-    target: str
-    k: int
+    __slots__ = ("target", "k")
 
-    def __post_init__(self) -> None:
-        if self.target not in TARGET_FAMILY:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.k < 1:
-            raise ValueError(f"dissection level must be >= 1, got {self.k}")
+    def __init__(self, target: str, k: int) -> None:
+        if target not in TARGET_FAMILY:
+            raise ValueError(f"unknown target {target!r}")
+        if k < 1:
+            raise ValueError(f"dissection level must be >= 1, got {k}")
+        _set(self, "target", target)
+        _set(self, "k", k)
 
     @property
     def step(self) -> int:
@@ -189,21 +189,25 @@ def _basis_step(order: int) -> Comparison | None:
     return comparisons[0] if all(c.status == PASS for c in comparisons) else None
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
-    """Coefficients on one arithmetic progression vanish mod 2^v (or exactly)."""
+class CongruenceClaim(_Record):
+    """Coefficients on one arithmetic progression vanish mod 2^v (or exactly).
 
-    target: str
-    step: int
-    residue: int
-    required_valuation: int | None  # None: the coefficients are exactly zero
-    label: str
+    ``required_valuation`` is v, or None when the coefficients are exactly zero.
+    """
 
-    def __post_init__(self) -> None:
-        if self.target not in TARGET_FAMILY:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
+    __slots__ = ("target", "step", "residue", "required_valuation", "label")
+
+    def __init__(self, target: str, step: int, residue: int,
+                 required_valuation: int | None, label: str) -> None:
+        if target not in TARGET_FAMILY:
+            raise ValueError(f"unknown target {target!r}")
+        if step < 1:
+            raise ValueError(f"step must be >= 1, got {step}")
+        _set(self, "target", target)
+        _set(self, "step", step)
+        _set(self, "residue", residue)
+        _set(self, "required_valuation", required_valuation)
+        _set(self, "label", label)
 
     def describe(self) -> str:
         name = TARGET_NAMES[self.target]

@@ -69,7 +69,6 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Iterator, Mapping
 
@@ -113,16 +112,58 @@ def two_adic_valuation(x: int) -> int | float:
     return (x & -x).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    offset: int
-    coeffs: tuple[int, ...]
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+
+class _Record:
+    """An immutable record whose ``__slots__`` name its fields in
+    constructor order.
+
+    It equals only a record of its own class with equal fields, hashes
+    as the tuple of its fields, and refuses assignment and ``del``; its
+    constructor sets the fields with ``object.__setattr__``.
+    ``__reduce__`` rebuilds it through the constructor, so ``copy`` and
+    ``pickle`` work although ``__setattr__`` raises.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class LaurentSeries(_Record):
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset: int, coeffs: tuple[int, ...]) -> None:
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+        if not coeffs:
             raise EmptyWindow("a series window must contain at least one exponent")
+        _set(self, "offset", offset)
+        _set(self, "coeffs", coeffs)
 
     @property
     def prec(self) -> int:
@@ -496,15 +537,22 @@ def _coefficients(text: str, n: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """Outcome of comparing two windows on their common exponent range."""
+class Comparison(_Record):
+    """Outcome of comparing two windows on their common exponent range.
 
-    status: str
-    lo: int
-    hi: int  # inclusive; hi < lo when the common range is empty
-    overlap: int
-    witness: tuple[int, int, int] | None = None  # (exponent, left, right)
+    ``hi`` is inclusive, and below ``lo`` when the common range is empty;
+    ``witness`` is (exponent, left, right).
+    """
+
+    __slots__ = ("status", "lo", "hi", "overlap", "witness")
+
+    def __init__(self, status: str, lo: int, hi: int, overlap: int,
+                 witness: tuple[int, int, int] | None = None) -> None:
+        _set(self, "status", status)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "overlap", overlap)
+        _set(self, "witness", witness)
 
 
 def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int) -> Comparison:
@@ -532,8 +580,7 @@ def _checked(points: range) -> dict[str, int] | None:
     return {"from": points[0], "to": points[-1], "points": len(points)}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """One verdict of any verifier: an identity, a dissection, a congruence
     row, a sequence check or an oracle agreement.
 
@@ -546,13 +593,18 @@ class Report:
     whatever else the verdict needs, such as why a claim was skipped.
     """
 
-    label: str
-    status: str
-    claim: str | None = None
-    order: int | None = None
-    checked: dict[str, int] | None = None
-    witness: dict[str, object] | None = None
-    note: str | None = None
+    __slots__ = ("label", "status", "claim", "order", "checked", "witness", "note")
+
+    def __init__(self, label: str, status: str, claim: str | None = None,
+                 order: int | None = None, checked: dict[str, int] | None = None,
+                 witness: dict[str, object] | None = None, note: str | None = None) -> None:
+        _set(self, "label", label)
+        _set(self, "status", status)
+        _set(self, "claim", claim)
+        _set(self, "order", order)
+        _set(self, "checked", checked)
+        _set(self, "witness", witness)
+        _set(self, "note", note)
 
     @property
     def identity(self) -> str:

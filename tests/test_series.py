@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -386,7 +385,10 @@ def test_report_of_comparison():
 def test_report_dict_keeps_the_field_order_and_copies_its_dicts():
     report = Report.of("x", "a == b", 9, compare(series(0, 1, 2), series(0, 1, 3), 1), "n")
     payload = report.to_dict()
-    assert list(payload.items()) == list(dataclasses.asdict(report).items())
+    assert list(payload.items()) == [
+        ("label", "x"), ("status", FAIL), ("claim", "a == b"), ("order", 9),
+        ("checked", {"from": 0, "to": 1, "points": 2}),
+        ("witness", {"exponent": 1, "lhs": "2", "rhs": "3"}), ("note", "n")]
     payload["checked"]["points"] = 0
     payload["witness"]["lhs"] = "0"
     assert report.checked == {"from": 0, "to": 1, "points": 2}
