@@ -94,9 +94,11 @@ TARGETS: dict[str, dict[int, int]] = {
 # How claims and identity statements print a target, as in M(2n+3).
 TARGET_NAMES: dict[str, str] = {"M": "M", "TSTAR": "T*", "PSTAR": "P*"}
 
-# Factors are ((p, a), e) for theta(p, a)^e; k(q) is q times this quotient.
+# Factors are ((p, a), e) for theta(p, a)^e; k(q) is q A / B, these A and B.
 _Items = tuple[tuple[tuple[int, int], int], ...]
-_K_ITEMS: _Items = (((10, 1), 1), ((10, 2), 1), ((10, 3), -1), ((10, 4), -1))
+_K_A: _Items = (((10, 1), 1), ((10, 2), 1))
+_K_B: _Items = (((10, 3), 1), ((10, 4), 1))
+_K_ITEMS: _Items = _K_A + tuple((f, -e) for f, e in _K_B)
 
 
 def _validate_quotient(factors: Mapping[int, int]) -> None:
@@ -277,9 +279,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 3.33 MB at order
-# 2000 and 13.6 MB at order 8000, so this holds every window up to about
-# order 4900; twice as much saved no time at order 8000 and cost 1 MB RSS
+# its least recently used windows.  ``verify all`` caches 3.43 MB at order
+# 2000 and 14.0 MB at order 8000, so this holds every window up to about
+# order 4800; twice as much saved no time at order 8000 and cost 1 MB RSS
 # when the battery cached 12.4 MB there.
 _CACHE_BYTES = 8 * 2**20
 
@@ -381,6 +383,12 @@ def expand_k(order: int) -> LaurentSeries:
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
     return _expand(_K_ITEMS, order - 1).shift(1)
+
+
+def _k_cleared(j: int, power: int, order: int) -> LaurentSeries:
+    """A^j B^(power - j) = (k/q)^j B^power on [0, order), for 0 <= j <= power."""
+    factors = [_pow(_expand(x, order), e) for x, e in ((_K_A, j), (_K_B, power - j)) if e]
+    return factors[0] * factors[1] if len(factors) > 1 else factors[0]
 
 
 def gen_target(tag: str, order: int) -> LaurentSeries:

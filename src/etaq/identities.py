@@ -20,8 +20,10 @@ A term list's series expands each quotient Q once and builds its chain
 Q, Q k, Q k^2, ... once, so the terms Q, Q k and Q k^2 of EQ25's rhs
 take two products by k.  ``verify_identity`` builds only the windows its
 verdict reads: a term-list side facing an extracted side, which stops
-near order / 2, is expanded only until its window covers that side's.
-``identity_sides`` keeps both sides at the full order.
+near order / 2, is expanded only until its window covers that side's,
+and term-list sides with k are compared times a power of k's theta
+denominator (``_clear``).  A failure is read again as the full sides,
+which ``identity_sides`` returns, so its witness quotes their values.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import ast
 import re
 from typing import Any, Callable
 
-from .eta import TARGET_NAMES, TARGETS, expand_f, expand_k, expand_quotient
-from .series import LaurentSeries, Report, compare
+from .eta import TARGET_NAMES, TARGETS, _k_cleared, expand_f, expand_k, expand_quotient
+from .series import FAIL, LaurentSeries, Report, compare
 
 Term = tuple[int, int, int, dict[int, int]]  # (c, s, j, {m: e_m})
 Value = list[Term] | LaurentSeries
@@ -105,6 +107,25 @@ def _covered(value: Value, order: int, prec: int) -> LaurentSeries:
     return _series(value, order)
 
 
+def _clear(value: list[Term], cleared: dict[int, LaurentSeries], order: int) -> LaurentSeries:
+    """B^J times a term list's series, on the window ``_series`` gives it.
+
+    With k = q A / B, a term c q^s k^j Q times B^J is c q^(s+j) Q A^j B^(J-j),
+    with A^j B^(J-j) = ``cleared[j]``, and the terms of one Q are summed before
+    one product by Q.  In ``_series`` that term's window is [s + j, s + j +
+    order - (j > 0)), as k's is [1, order).
+    """
+    groups: dict[tuple[tuple[int, int], ...], list[LaurentSeries]] = {}
+    for c, s, j, factors in value:
+        groups.setdefault(tuple(sorted(factors.items())), []).append(
+            (c * cleared[j]).shift(s + j))
+    products = [expand_quotient(dict(key), order) * sum(terms[1:], terms[0])
+                for key, terms in groups.items()]
+    lo = min(s + j for _, s, j, _ in value)
+    hi = min(s + j + order - (j > 0) for _, s, j, _ in value)
+    return LaurentSeries(lo, sum(products[1:], products[0])._span(lo, hi))
+
+
 def _leaf(name: str, order: int) -> Value:
     if name == _F1_AT_MINUS_Q:
         return expand_f(1, order).alternate_signs()
@@ -175,9 +196,11 @@ def _read_sides(statement: str, order: int,
                 covered: bool = False) -> tuple[LaurentSeries, LaurentSeries]:
     """Both sides of a statement, expanded to the given order.
 
-    With ``covered``, a term-list side facing a side that is already a
-    series (an ``extract`` stops near order / 2) is expanded only as far
-    as that series reaches, which leaves their common window unchanged.
+    With ``covered``, the sides compare as the full sides do, up to a
+    witness's values: a term-list side facing a series (an ``extract``
+    stops near order / 2) is expanded only as far as that series reaches,
+    and term lists with k that start at one exponent are multiplied by B^J
+    (``_clear``), which starts with 1: lhs - rhs keeps its first nonzero.
     """
     def expand(lhs: ast.expr, rhs: ast.expr) -> tuple[LaurentSeries, LaurentSeries]:
         if isinstance(lhs, ast.Constant):
@@ -191,6 +214,10 @@ def _read_sides(statement: str, order: int,
             return x, _covered(y, order, x.prec)
         if covered and isinstance(y, LaurentSeries):
             return _covered(x, order, y.prec), y
+        if (covered and (power := max(j for _, _, j, _ in x + y))
+                and len({min(s + j for _, s, j, _ in v) for v in (x, y)}) == 1):
+            cleared = {j: _k_cleared(j, power, order) for j in {j for _, _, j, _ in x + y}}
+            return _clear(x, cleared, order), _clear(y, cleared, order)
         return _series(x, order), _series(y, order)
     return _read(statement, expand)
 
@@ -249,13 +276,15 @@ def verify_identity(tag: str, order: int) -> Report:
     """Compare both sides coefficientwise, requiring order // 2 overlap.
 
     The halved requirement accommodates the 2-dissected entries, whose
-    windows genuinely hold only about half as many coefficients; their
-    term-list side is expanded only as far as the extracted side reaches,
-    so the verdict equals that of the full sides from ``identity_sides``.
+    windows genuinely hold only about half as many coefficients.  The
+    sides are read as ``_read_sides`` covers them, and a failure again in
+    full, so the report equals that of the full sides from ``identity_sides``.
     """
-    lhs, rhs = _read_sides(_statement(tag, order), order, covered=True)
-    return Report.of(tag, CATALOG[tag], order,
-                     compare(lhs, rhs, min_overlap=order // 2))
+    statement = _statement(tag, order)
+    comparison = compare(*_read_sides(statement, order, covered=True), min_overlap=order // 2)
+    if comparison.status == FAIL:  # the witness quotes the full sides' coefficients
+        comparison = compare(*_read_sides(statement, order), min_overlap=order // 2)
+    return Report.of(tag, statement, order, comparison)
 
 
 def verify_all_identities(order: int) -> list[Report]:

@@ -128,20 +128,21 @@ class _Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls) -> None:
+        # The fields in one C call; with two or more names it returns a tuple.
+        cls._values = property(operator.attrgetter(*cls.__slots__))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._values()))
+                           for name, value in zip(self.__slots__, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -151,7 +152,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
 
 class LaurentSeries(_Record):

@@ -558,7 +558,8 @@ def test_battery_quotients_plan_under_the_division_cap(plan_only):
 
 def test_cold_battery_plan_counts(monkeypatch, capsys):
     # The plain factors took 71 products, 56 divisions and 3,280,920
-    # division term operations here.
+    # division term operations here, and 59, 26 and 1,209,920 while the
+    # k(q) identities were multiplied by k's window rather than cleared.
     products, divisions = _counting(monkeypatch)
     eta._expand_quotient_cached.cache_clear()
     try:
@@ -566,7 +567,7 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     finally:
         eta._expand_quotient_cached.cache_clear()
     capsys.readouterr()
-    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (59, 26, 1_209_920)
+    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (66, 24, 1_050_000)
 
 
 # (products, multiplied coefficients, division work) of each catalog

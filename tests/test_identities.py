@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from etaq import eta, identities
 from etaq.eta import expand_k, expand_quotient
 from etaq.identities import (
     CATALOG,
@@ -175,11 +176,12 @@ def test_sides_read_from_the_statement_match_frozen_digests(tag, order):
     assert digests == FROZEN_SIDES[order][tag]
 
 
-@pytest.mark.parametrize("order", (16, 64, 301, 2000))
+@pytest.mark.parametrize("order", (16, 17, 64, 301, 999, 2000))
 @pytest.mark.parametrize("tag", ALL_IDS)
 def test_verify_identity_equals_the_full_window_comparison(tag, order):
     # verify_identity expands a term-list side only as far as an extracted
-    # side reaches; the full sides give the same verdict and window.
+    # side reaches, and compares k's term lists times B^J; the full sides
+    # give the same verdict and window.
     expected = Report.of(tag, CATALOG[tag], order,
                          compare(*identity_sides(tag, order), min_overlap=order // 2))
     assert verify_identity(tag, order) == expected
@@ -208,10 +210,86 @@ def test_one_k_chain_per_quotient(tag, monkeypatch):
     assert products == [(order, True), (order - 1, True)]
 
 
+@pytest.mark.parametrize("tag", ("EQ24", "EQ25", "EQ26"))
+def test_k_identities_make_no_k_product_or_division(tag, monkeypatch):
+    # On a warm cache the cleared sides multiply each quotient Q once by
+    # its sum of A^j B^(J-j) terms: no k window, no division.
+    order = 2000
+    expected = verify_identity(tag, order)
+    k = expand_k(order)
+    real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
+    calls = {"k products": 0, "divisions": 0, "expand_k": 0}
+
+    def counting_mul(self, other):
+        calls["k products"] += self == k or other == k
+        return real_mul(self, other)
+
+    def counting_div(self, other):
+        calls["divisions"] += 1
+        return real_div(self, other)
+
+    def counting_expand_k(order):
+        calls["expand_k"] += 1
+        return expand_k(order)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(LaurentSeries, "__truediv__", counting_div)
+    monkeypatch.setattr(identities, "expand_k", counting_expand_k)
+    assert verify_identity(tag, order) == expected
+    assert calls == {"k products": 0, "divisions": 0, "expand_k": 0}
+
+
+def test_seeded_defect_in_k_denominator_fails_with_the_full_sides_witness(monkeypatch):
+    # Negative control: add q^13 to theta(10, 3), a factor only k uses.
+    # k and B change together, so the cleared sides fail where the full
+    # sides do, and the witness (pinned from the full sides) is theirs.
+    real_theta = eta._theta
+
+    def broken(period, a, length):
+        s = real_theta(period, a, length)
+        if (period, a) != (10, 3) or length <= 13:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[13] += 1
+        return LaurentSeries(s.offset, coeffs)
+
+    monkeypatch.setattr(eta, "_theta", broken)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        reports = {tag: verify_identity(tag, 300) for tag in ("EQ24", "EQ25", "EQ26")}
+        full = {tag: compare(*identity_sides(tag, 300), min_overlap=150) for tag in reports}
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+    assert {tag: (r.status, r.witness) for tag, r in reports.items()} == {
+        "EQ24": (FAIL, {"exponent": 14, "lhs": "55", "rhs": "56"}),
+        "EQ25": (FAIL, {"exponent": 14, "lhs": "87", "rhs": "88"}),
+        "EQ26": (FAIL, {"exponent": 14, "lhs": "39", "rhs": "40"}),
+    }
+    assert all(r == Report.of(tag, CATALOG[tag], 300, full[tag]) for tag, r in reports.items())
+
+
+def test_k_sides_that_start_apart_are_compared_in_full(monkeypatch):
+    # The lhs gains a constant, so it starts at q^0 and the rhs at q^1:
+    # B^2 times the constant would reach the common window, so the sides
+    # are not cleared, and the full sides pass on [1, 300).
+    statement = "1 + " + CATALOG["EQ24"]
+    full = _read_sides(statement, 300)
+    assert (full[0].offset, full[1].offset) == (0, 1)
+    assert _read_sides(statement, 300, covered=True) == full
+    monkeypatch.setitem(CATALOG, "EQ24", statement)
+    report = verify_identity("EQ24", 300)
+    assert report == Report.of("EQ24", statement, 300, compare(*full, min_overlap=150))
+    assert (report.status, report.checked) == (PASS, {"from": 1, "to": 299, "points": 299})
+
+
 @pytest.mark.parametrize("tag, old, new, witness", (
     ("EQ21", "5q", "6q", (1, 0, 1)),
     # L22's rhs once came from the dissection code, so this edit passed.
     ("L22", "-4", "-3", (-1, -4, -3)),
+    # A k identity fails on its cleared sides, and the witness comes from the
+    # full ones; below q^4 the two agree, as B^2 = 1 - 2q^3 - ...
+    ("EQ26", "4k", "3k", (2, -4, -3)),
+    ("EQ26", "k f1^3 f5", "k f1^3 f5^2", (6, -9, -8)),
 ))
 def test_one_token_edit_of_a_statement_fails_with_a_witness(tag, old, new, witness,
                                                             monkeypatch):
