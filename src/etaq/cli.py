@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=500, help="window order (default 500)")
 
     p = sub.add_parser("sequences", help="print k, P_k, v2(P_k) for one family")
-    p.add_argument("--family", required=True, choices=("A", "B", "C"))
+    p.add_argument("--family", required=True, choices=tuple(sequences._LEVEL_ONE))
     p.add_argument("--kmax", type=int, default=8, help="largest index (default 8)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 

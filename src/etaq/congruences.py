@@ -1,13 +1,14 @@
 """Dissection and congruence verification for the named targets.
 
 The level-l dissection of a target extracts the progression with step
-2^l and residue 2^(l+1) + offset (-2 for T*, -1 for M and P*) from its
-generating function, and states that it equals
+2^l and residue 2^(l+1) - s, s = sum m e_m / 24 the q-order of its eta
+quotient prod eta(m tau)^e_m, and states that it equals
 
-    v_l . (q^-1 F, G, H)  =  P_l q^-1 F  -  8 P_(l-1) G  (+ 5 * 2^l H for M and T*)
+    v_l . (q^-1 F, G, H)  =  P_l q^-1 F  -  8 P_(l-1) G  +  5 * 2^l H
 
-with the basis and v_l, the coordinates of the target's family A, B or C,
-from :mod:`etaq.sequences`.  The congruence claims are its coefficientwise
+with the basis and v_l, the coordinates of the target's family, from
+:mod:`etaq.sequences`; the H term is there only when v_1 has one, as U's
+third row is (0, 0, 2).  The congruence claims are its coefficientwise
 consequences: on the progression of one level, every coefficient is
 divisible by a stated power of two, or vanishes outright.  Rows 1.1 and
 1.2 are the M and T* levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3,
@@ -26,7 +27,7 @@ vanish, each step is compared on full level windows (``verify_induction_step``).
 from __future__ import annotations
 
 from . import sequences
-from .eta import TARGET_NAMES, gen_target
+from .eta import TARGET_ROWS, gen_target
 from .identities import Term, _covered, _series
 from .sequences import BASIS, Vector, levels
 from .series import (
@@ -44,14 +45,15 @@ from .series import (
     worst,
 )
 
-TARGET_FAMILY: dict[str, str] = {"M": "A", "TSTAR": "B", "PSTAR": "C"}
-# T*'s base dissection starts at an even argument, one below M's and P*'s.
-_RESIDUE_OFFSET: dict[str, int] = {"M": -1, "TSTAR": -2, "PSTAR": -1}
+TARGET_FAMILY: dict[str, str] = {t: row.family for t, row in TARGET_ROWS.items() if row.family}
 
 
 def _progression(target: str, level: int) -> tuple[int, int]:
     """(step, residue) of the progression the level-l dissection extracts."""
-    return 1 << level, (1 << (level + 1)) + _RESIDUE_OFFSET[target]
+    weight = sum(m * e for m, e in TARGET_ROWS[target].quotient.items())
+    if weight % 24:
+        raise ValueError(f"{target} has q-order sum m*e_m / 24 = {weight}/24, not an integer")
+    return 1 << level, (1 << (level + 1)) - weight // 24
 
 
 class DissectionClaim(_Record):
@@ -80,10 +82,10 @@ class DissectionClaim(_Record):
         return f"dissection[{self.target},k={self.k}]"
 
     def describe(self) -> str:
-        name = TARGET_NAMES[self.target]
+        name = TARGET_ROWS[self.target].name
         family = TARGET_FAMILY[self.target]
         terms = f"{family}_{self.k} q^-1 F - 8 {family}_{self.k - 1} G"
-        if self.target != "PSTAR":
+        if sequences._LEVEL_ONE[family][2]:
             terms += f" + 5*2^{self.k} H"
         return (f"sum_(n>=-1) {name}({self.step}n+{self.residue}) q^n == {terms}")
 
@@ -115,8 +117,8 @@ def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) ->
     """Compare the lhs with the given rhs window; the window halves at
     each level, so the required overlap scales as order / 2^(k+1).
 
-    At k = 2 the report also states which of the two possible lead
-    labelings (swapping the A and B families) the series actually obeys.
+    At k = 2 the report also states which of the two lead labelings
+    (swapping the two families with an H term) the series obeys.
     A progression with no coefficient below the order is reported as
     insufficient-precision.
     """
@@ -131,9 +133,9 @@ def _dissection_report(claim: DissectionClaim, order: int, lhs: LaurentSeries | 
         return Report.scan(claim.label, claim.describe(), order, range(0), (), required)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
-    if claim.k == 2 and claim.target in ("M", "TSTAR"):
-        fam = TARGET_FAMILY[claim.target]
-        other = "B" if fam == "A" else "A"
+    fam, pair = TARGET_FAMILY[claim.target], [f for f, v in sequences._LEVEL_ONE.items() if v[2]]
+    if claim.k == 2 and fam in pair:
+        [other] = set(pair) - {fam}
         swapped = _covered(_rhs_terms(levels(other, 2)[1]), order, lhs.prec)
         alt = compare(lhs, swapped, min_overlap=required)
         # F = 1 + O(q), so each window's q^-1 coefficient is its lead P_2.
@@ -210,8 +212,7 @@ class CongruenceClaim(_Record):
         _set(self, "label", label)
 
     def describe(self) -> str:
-        name = TARGET_NAMES[self.target]
-        subject = f"{name}({self.step}n+{self.residue})"
+        subject = f"{TARGET_ROWS[self.target].name}({self.step}n+{self.residue})"
         if self.required_valuation is None:
             return f"{subject} == 0 for all n >= -1"
         return f"{subject} == 0 mod 2^{self.required_valuation} for n >= -1"

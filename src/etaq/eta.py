@@ -66,13 +66,11 @@ takes.  Once the cached coefficient objects pass ``_CACHE_BYTES``, the
 least recently used windows are dropped.  ``cache_info()`` reads the
 cache's counters.
 
-``gen_target`` maps the named coefficient families M(n), T*(n), P*(n)
-(restricted partition counts) and p(n) to their eta quotients:
-
-    M        f2^5 f5^5 / (f1 f10)
-    TSTAR    f1^5 f10^5 / (f2 f5)
-    PSTAR    f1^4 f5^4
-    EULER_P  1 / f1                 ordinary partitions
+``TARGET_ROWS`` holds one row per named target, and ``gen_target``
+expands its quotient: the restricted partition counts M(n), T*(n), P*(n)
+and the partitions p(n) (EULER_P).  The first three rows, in Theorem 3.1's
+order, also hold the name a claim prints, as in M(2n+3), the family of
+the target's Theorem 3.1 coordinates and its level-one statement's tag.
 """
 
 from __future__ import annotations
@@ -80,19 +78,19 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from typing import Mapping
 
 from .series import EmptyWindow, LaurentSeries, SeriesError
 
-TARGETS: dict[str, dict[int, int]] = {
-    "M": {1: -1, 2: 5, 5: 5, 10: -1},
-    "TSTAR": {1: 5, 2: -1, 5: -1, 10: 5},
-    "PSTAR": {1: 4, 5: 4},
-    "EULER_P": {1: -1},
+Target = namedtuple("Target", "quotient name family level_one", defaults=(None,) * 3)
+TARGET_ROWS: dict[str, Target] = {
+    "M": Target({1: -1, 2: 5, 5: 5, 10: -1}, "M", "A", "EQ210"),
+    "TSTAR": Target({1: 5, 2: -1, 5: -1, 10: 5}, "T*", "B", "EQ211"),
+    "PSTAR": Target({1: 4, 5: 4}, "P*", "C", "L22"),
+    "EULER_P": Target({1: -1}),
 }
-# How claims and identity statements print a target, as in M(2n+3).
-TARGET_NAMES: dict[str, str] = {"M": "M", "TSTAR": "T*", "PSTAR": "P*"}
+TARGETS: dict[str, dict[int, int]] = {tag: row.quotient for tag, row in TARGET_ROWS.items()}
 
 # Factors are ((p, a), e) for theta(p, a)^e; k(q) is q A / B, these A and B.
 _Items = tuple[tuple[tuple[int, int], int], ...]
@@ -393,12 +391,10 @@ def _k_cleared(j: int, power: int, order: int) -> LaurentSeries:
 
 def gen_target(tag: str, order: int) -> LaurentSeries:
     """Generating function of a named coefficient family on [0, order)."""
-    try:
-        factors = TARGETS[tag]
-    except KeyError:
+    if tag not in TARGETS:
         raise ValueError(f"unknown generating target {tag!r}; expected one of "
-                         + ", ".join(sorted(TARGETS))) from None
-    return expand_quotient(factors, order)
+                         + ", ".join(sorted(TARGETS)))
+    return expand_quotient(TARGETS[tag], order)
 
 
 class QuotientParseError(ValueError):
@@ -457,7 +453,7 @@ def parse_quotient(text: str) -> dict[int, int]:
 
 __all__ = [
     "TARGETS",
-    "TARGET_NAMES",
+    "TARGET_ROWS",
     "DivisionTooLarge",
     "EmptyWindow",
     "QuotientParseError",

@@ -13,8 +13,8 @@ q^n`` is ``extract`` of the target printed as X, with L the first n
 where an + b >= 0, and ``prod (1 - (-q)^n)`` is f1 at -q.  A trailing
 ``[...]`` remark is not checked, and a side that is a bare integer
 takes the other side's window.  A side stays a list of terms
-c q^s k^j prod f_m^e_m until a power of a sum or an ``extract`` needs
-its series.
+c q^s k^j prod f_m^e_m, powers of sums multiplied out, until an
+``extract`` needs its series.
 
 A term list's series expands each quotient Q once and builds its chain
 Q, Q k, Q k^2, ... once, so the terms Q, Q k and Q k^2 of EQ25's rhs
@@ -32,7 +32,7 @@ import ast
 import re
 from typing import Any, Callable
 
-from .eta import TARGET_NAMES, TARGETS, _k_cleared, expand_f, expand_k, expand_quotient
+from .eta import TARGET_ROWS, TARGETS, _k_cleared, expand_f, expand_k, expand_quotient
 from .series import FAIL, LaurentSeries, Report, compare
 
 Term = tuple[int, int, int, dict[int, int]]  # (c, s, j, {m: e_m})
@@ -40,7 +40,7 @@ Value = list[Term] | LaurentSeries
 
 _REMARK = re.compile(r"\s*\[[^\]]*\]$")
 _SUM = re.compile(r"sum_\{n>=(-?\d+)\} (%s)\(([1-9]\d*)n\+(\d+)\) q\^n"
-                  % "|".join(map(re.escape, TARGET_NAMES.values())))
+                  % "|".join(re.escape(row.name) for row in TARGET_ROWS.values() if row.name))
 _PROD, _F1_AT_MINUS_Q = "prod (1 - (-q)^n)", "f1_at_minus_q"
 # Whitespace between two operands, or an operand right after a closing
 # parenthesis or a number: the places where juxtaposition multiplies.
@@ -52,7 +52,7 @@ def _extraction(match: re.Match[str]) -> str:
     start, shown, step, residue = match.groups()
     if int(start) != -(int(residue) // int(step)):
         raise ValueError(f"sum over {shown}({step}n+{residue}) starts at the wrong n")
-    target = next(t for t, name in TARGET_NAMES.items() if name == shown)
+    target = next(tag for tag, row in TARGET_ROWS.items() if row.name == shown)
     return f"extract({target}, {step}, {residue})"
 
 
@@ -163,8 +163,7 @@ def _evaluate(node: ast.expr, order: int) -> Value:
     if op is ast.Pow:
         if (n := _integer(node.right)) < 1:
             raise ValueError(f"power must be a positive integer, got {n}")
-        # A sum is expanded once, so its square takes the kernel's self * self path.
-        base = result = x if isinstance(x, list) and len(x) == 1 else _series(x, order)
+        base = result = x
         for _ in range(n - 1):
             result = _product(result, base, order)
         return result

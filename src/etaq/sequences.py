@@ -5,7 +5,7 @@ Level k of the M, T* and P* dissections is v_k . BASIS, with BASIS =
 extract(q^-2 X, 2, 0) to the next level maps the basis into its span, so
 v_k = U^(k-1) v_1 for the integer matrix U whose columns are T(q^-1 F)
 (L22's rhs), T(G) = q^-1 F (as G(q) = F(q^2)) and T(H) (T_OF_H), and
-v_1 is read from EQ210 (family A, for M), EQ211 (B, T*) or L22 (C, P*).
+v_1 is read from the level-one statement its ``eta.TARGET_ROWS`` row names.
 P_k = v_k[0] and -8 P_0 = v_1[1].  A and B have exact 2-adic valuation
 k - 1 for k >= 1, which turns each dissection into a 2-power congruence,
 and C_{k+4} = -64 C_k.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 
+from .eta import TARGET_ROWS
 from .identities import CATALOG, Term, rhs_terms
 from .series import Report, two_adic_valuation
 
@@ -44,14 +45,14 @@ def _matrix() -> tuple[Vector, ...]:
 
 
 U = _matrix()
-_LEVEL_ONE = {family: coordinates(rhs_terms(CATALOG[tag]))
-              for family, tag in (("A", "EQ210"), ("B", "EQ211"), ("C", "L22"))}
+_LEVEL_ONE = {row.family: coordinates(rhs_terms(CATALOG[row.level_one]))
+              for row in TARGET_ROWS.values() if row.family}
 
 
 def levels(family: str, kmax: int) -> list[Vector]:
     """v_1, ..., v_kmax for one family: v_1 from its statement, then U v."""
     if family not in _LEVEL_ONE:
-        raise ValueError(f"unknown family {family!r}; expected A, B, or C")
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(_LEVEL_ONE)}")
     vs = [_LEVEL_ONE[family]]
     while len(vs) < kmax:
         vs.append(tuple(sum(u * x for u, x in zip(row, vs[-1])) for row in U))

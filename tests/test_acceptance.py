@@ -45,7 +45,7 @@ def test_criterion_1_identity_suite():
         reports = verify_all_identities(order)
         assert len(reports) == 15
         for report in reports:
-            assert report.status == PASS, (report.identity, order)
+            assert report.status == PASS, (report.label, order)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"criterion 1: PASS - 15/15 identities exact at N=300 and N=600 "

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import etaq.congruences as congruences
+import etaq.eta as eta
 import etaq.sequences as sequences
 from etaq.congruences import (
     CongruenceClaim,
@@ -62,6 +63,37 @@ def test_claim_validation():
         DissectionClaim("Q", 1)
     with pytest.raises(ValueError):
         DissectionClaim("M", 0)
+
+
+def test_residue_offsets_are_minus_the_q_orders():
+    # sum m e_m / 24 is 24/24 for M and P* and 48/24 for T*.
+    offsets = [congruences._progression(t, level)[1] - (2 << level)
+               for level in (1, 5) for t in congruences.TARGET_FAMILY]
+    assert offsets == [-1, -2, -1] * 2
+
+
+def test_a_row_with_a_fractional_q_order_is_refused(monkeypatch):
+    monkeypatch.setitem(eta.TARGET_ROWS, "M", eta.TARGET_ROWS["M"]._replace(quotient={1: 1}))
+    with pytest.raises(ValueError, match=r"sum m\*e_m / 24 = 1/24"):
+        congruences._progression("M", 1)
+    with pytest.raises(ValueError, match="1/24"):
+        theorem_11_claims(1)
+
+
+@pytest.mark.parametrize("target", ["M", "TSTAR", "PSTAR"])
+def test_level_one_statement_sums_the_derived_progression(target):
+    # The row's level-one tag and its quotient's q-order name one progression.
+    row = eta.TARGET_ROWS[target]
+    lhs = CATALOG[row.level_one].split(" = ")[0]
+    step, residue = congruences._progression(target, 1)
+    assert lhs == f"sum_{{n>=-1}} {row.name}({step}n+{residue}) q^n"
+
+
+def test_describe_prints_h_when_the_family_has_one(monkeypatch):
+    claim = DissectionClaim("PSTAR", 3)
+    assert "H" not in claim.describe()
+    monkeypatch.setitem(sequences._LEVEL_ONE, "C", (-4, -8, 1))
+    assert claim.describe().endswith("C_3 q^-1 F - 8 C_2 G + 5*2^3 H")
 
 
 def test_lhs_series_frozen_window():

@@ -560,6 +560,7 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     # The plain factors took 71 products, 56 divisions and 3,280,920
     # division term operations here, and 59, 26 and 1,209,920 while the
     # k(q) identities were multiplied by k's window rather than cleared.
+    # Squaring EQ22's rhs as a series took 66, 24 and 1,050,000.
     products, divisions = _counting(monkeypatch)
     eta._expand_quotient_cached.cache_clear()
     try:
@@ -567,7 +568,7 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     finally:
         eta._expand_quotient_cached.cache_clear()
     capsys.readouterr()
-    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (66, 24, 1_050_000)
+    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (64, 26, 1_052_000)
 
 
 # (products, multiplied coefficients, division work) of each catalog
@@ -592,11 +593,12 @@ _PLAIN_FACTOR_WORK = {
     ((1, 5), (2, -1), (5, -1), (10, 5)): (4, 8000, 168000),
     ((1, 5), (5, -1)): (3, 6000, 66000),
     ((2, -1), (4, 4), (8, -2), (10, 1), (40, 2)): (5, 2250, 103000),
-    ((2, -1), (10, 5)): (3, 600, 51000),
     ((2, 1), (4, -2), (8, 2), (10, -1), (20, 6), (40, -2)): (6, 2050, 119000),
     ((2, 1), (4, -1), (8, 1), (10, -3), (20, 3), (40, -1)): (4, 1700, 117000),
+    ((2, 1), (4, 1), (10, -5), (20, 3)): (4, 1700, 115000),
     ((2, 1), (5, 5)): (4, 3200, 0),
     ((2, 1), (10, 3)): (3, 1400, 0),
+    ((2, 2), (4, -2), (8, 2), (10, -6), (20, 6), (40, -2)): (6, 2800, 234000),
     ((2, 3), (10, 1)): (3, 3000, 0),
     ((2, 4), (4, -2), (5, -4), (20, 2)): (4, 3100, 412000),
     ((2, 4), (5, 2)): (4, 4400, 0),
@@ -605,6 +607,7 @@ _PLAIN_FACTOR_WORK = {
     ((2, 5), (10, -1)): (3, 3000, 23000),
     ((4, 1), (20, 3)): (3, 700, 0),
     ((4, 2), (8, -1), (10, -2), (40, 1)): (2, 1000, 72000),
+    ((4, 4), (8, -2), (10, -4), (40, 2)): (4, 1550, 144000),
 }
 
 

@@ -34,7 +34,7 @@ def test_catalog_ids_fixed():
 
 def test_all_identities_pass():
     for report in verify_all_identities(300):
-        assert report.status == PASS, report.identity
+        assert report.status == PASS, report.label
         assert report.witness is None
 
 
@@ -42,7 +42,7 @@ def test_all_identities_pass_at_min_order():
     # Every entry retains enough window to clear the order // 2 bar even
     # at the smallest admissible order.
     for report in verify_all_identities(MIN_ORDER):
-        assert report.status == PASS, report.identity
+        assert report.status == PASS, report.label
 
 
 def test_eq21_lhs_matches_oracle():
@@ -341,10 +341,13 @@ def test_rhs_terms_reads_a_symbolic_rhs_and_refuses_a_series():
     assert rhs_terms(CATALOG["EQ211"]) == [(1, -1, 0, {1: 4, 5: 4}),
                                            (10, 0, 0, {1: 1, 2: 1, 5: 3, 10: 3})]
     assert rhs_terms(CATALOG["EQ24"]) == [(1, 1, 0, {1: 1, 10: 5}), (-1, 1, 2, {1: 1, 10: 5})]
-    # EQ29 squares a sum, so its rhs needs a series.
+    # EQ29 squares a two-term sum: the square multiplies out to four terms.
+    assert len(rhs_terms(CATALOG["EQ29"])) == 1 + 4
+    # An extract reads its side's series, so that rhs is a series too.
+    statement = "f2 = extract(f1^4 f5^4/q - 8 f2^4 f10^4, 2, 0)"
     with pytest.raises(ValueError, match="is a series") as info:
-        rhs_terms(CATALOG["EQ29"])
-    assert repr(CATALOG["EQ29"]) in str(info.value)
+        rhs_terms(statement)
+    assert repr(statement) in str(info.value)
 
 
 @pytest.mark.parametrize("statement, reason", [

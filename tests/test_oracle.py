@@ -670,7 +670,7 @@ def test_every_battery_quotient_matches_the_oracle(monkeypatch, capsys):
     monkeypatch.setattr(identities, "expand_quotient", recording)
     main(["verify", "all", "--order", "500", "--kmax", "8"])
     capsys.readouterr()
-    assert len(seen) == 31
+    assert len(seen) == 33
     assert all(len(factors) > 1 for factors in seen)
     try:
         for order in (1, 97, 301):
