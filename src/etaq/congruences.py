@@ -337,32 +337,22 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
         vs = {t: levels(f, kmax) for t, f in TARGET_FAMILY.items()}
         claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs]
         step = _basis_step(order)
-        if step is None:
-            return _theorem_31_windowed(claims, vs, order)
-        dissections = []
+        dissections, inductions, previous = [], [], {}
         for claim in claims:
+            terms = _rhs_terms(vs[claim.target][claim.k - 1])
             lhs = _reachable_lhs(claim, order)
-            rhs = None if lhs is None else _covered(
-                _rhs_terms(vs[claim.target][claim.k - 1]), order, lhs.prec)
+            rhs = None if lhs is None else _covered(terms, order, lhs.prec)
             dissections.append(_dissection_report(claim, order, lhs, rhs))
-        return dissections + [Report.of(*_induction_claim(c), order, step)
-                              for c in claims if c.k < kmax]
+            if step is None:  # each step compares two full level windows
+                window = _series(terms, order)
+                if claim.k > 1:
+                    inductions.append(verify_induction_step(DissectionClaim(
+                        claim.target, claim.k - 1), order, previous[claim.target], window))
+                previous[claim.target] = window  # only the last level's window stays alive
+            elif claim.k < kmax:
+                inductions.append(Report.of(*_induction_claim(claim), order, step))
+        return dissections + inductions
     raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
-
-
-def _theorem_31_windowed(claims: list[DissectionClaim], vs: dict[str, list[Vector]],
-                         order: int) -> list[Report]:
-    """Theorem 3.1's rows from one full rhs window per level: each
-    dissection reads it, and each induction step compares two of them."""
-    dissections, inductions, previous = [], [], {}
-    for claim in claims:
-        rhs = _series(_rhs_terms(vs[claim.target][claim.k - 1]), order)
-        dissections.append(verify_dissection(claim, order, rhs))
-        if claim.k > 1:
-            inductions.append(verify_induction_step(DissectionClaim(
-                claim.target, claim.k - 1), order, previous[claim.target], rhs))
-        previous[claim.target] = rhs  # only the last level's window stays alive
-    return dissections + inductions
 
 
 __all__ = [

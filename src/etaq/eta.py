@@ -24,7 +24,10 @@ multiplier
          = q * theta(10,1) theta(10,2) / (theta(10,3) theta(10,4))
 
 used by the quintic identity catalog is q times a fixed quotient of
-(10, a) factors (the factors (q^10; q^10)_inf cancel).
+(10, a) factors (the factors (q^10; q^10)_inf cancel).  ``_k_part`` is
+its one expansion: k^j B^J, with B = theta(10,3) theta(10,4), is the
+quotient q^j A^j B^(J-j) (``expand_k`` is j = 1, J = 0), so its windows
+are cached as below and B's factors divide as sparse thetas.
 
 ``_expand`` applies one rule at every level.  Let g be the gcd of every
 period and every a of a quotient.  If g > 1 the quotient is a series in
@@ -92,11 +95,8 @@ TARGET_ROWS: dict[str, Target] = {
 }
 TARGETS: dict[str, dict[int, int]] = {tag: row.quotient for tag, row in TARGET_ROWS.items()}
 
-# Factors are ((p, a), e) for theta(p, a)^e; k(q) is q A / B, these A and B.
+# Factors are ((p, a), e) for theta(p, a)^e.
 _Items = tuple[tuple[tuple[int, int], int], ...]
-_K_A: _Items = (((10, 1), 1), ((10, 2), 1))
-_K_B: _Items = (((10, 3), 1), ((10, 4), 1))
-_K_ITEMS: _Items = _K_A + tuple((f, -e) for f, e in _K_B)
 
 
 def _validate_quotient(factors: Mapping[int, int]) -> None:
@@ -175,7 +175,8 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
 # window of N terms by a sparse series takes N times its nonzero terms
 # below q^N.  At the CLI's largest order ``verify all --kmax 8`` plans at
 # most 6.1M (EQ213's theta(10, 5)^2 theta(20, 5)^2) and ``oracle
-# cross-check`` 5.1M (k's theta(10, 3) theta(10, 4)); ``expand "f1^-27"``,
+# cross-check`` 5.1M (k's theta(10, 3) theta(10, 4)), and k^2 in the
+# full sides of EQ24-EQ26 10.2M; ``expand "f1^-27"``,
 # nine divisions by Jacobi's f1^3, plans 36.0M and takes about 7 s, while
 # ``"f1^-28"`` would plan 40.6M and ``"f1^-100"`` 136.6M.
 _MAX_DIVISION_WORK = 40_000_000
@@ -277,9 +278,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
 # Bytes of cached coefficient objects (each int and each coefficient
 # tuple, as sys.getsizeof counts them) above which the window cache drops
-# its least recently used windows.  ``verify all`` caches 3.43 MB at order
-# 2000 and 14.0 MB at order 8000, so this holds every window up to about
-# order 4800; twice as much saved no time at order 8000 and cost 1 MB RSS
+# its least recently used windows.  ``verify all`` caches 3.87 MB at order
+# 2000 and 15.7 MB at order 8000, so this holds every window up to about
+# order 4300; twice as much saved no time at order 8000 and cost 1 MB RSS
 # when the battery cached 12.4 MB there.
 _CACHE_BYTES = 8 * 2**20
 
@@ -373,20 +374,20 @@ def expand_f(m: int, order: int) -> LaurentSeries:
 
 
 def expand_k(order: int) -> LaurentSeries:
-    """The level-10 multiplier k(q) on the window [1, order).
-
-    The quotient theta(10,1) theta(10,2) / (theta(10,3) theta(10,4)) on
-    order - 1 terms, shifted by the q prefactor to start at 1.
-    """
+    """The level-10 multiplier k(q) on the window [1, order)."""
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    return _expand(_K_ITEMS, order - 1).shift(1)
+    return _k_part(1, 0, order)
 
 
-def _k_cleared(j: int, power: int, order: int) -> LaurentSeries:
-    """A^j B^(power - j) = (k/q)^j B^power on [0, order), for 0 <= j <= power."""
-    factors = [_pow(_expand(x, order), e) for x, e in ((_K_A, j), (_K_B, power - j)) if e]
-    return factors[0] * factors[1] if len(factors) > 1 else factors[0]
+def _k_part(j: int, power: int, order: int) -> LaurentSeries:
+    """k^j B^power = q^j A^j B^(power - j) on k^j's window [j, j + order - (j > 0)).
+
+    With A = theta(10, 1) theta(10, 2) and B = theta(10, 3) theta(10, 4),
+    k = q A / B on [1, order): its quotient holds order - 1 terms.
+    """
+    items = tuple(((10, a), e) for a, e in ((1, j), (2, j), (3, power - j), (4, power - j)) if e)
+    return _expand(items, order - (j > 0)).shift(j)
 
 
 def gen_target(tag: str, order: int) -> LaurentSeries:

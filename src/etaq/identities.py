@@ -16,14 +16,15 @@ takes the other side's window.  A side stays a list of terms
 c q^s k^j prod f_m^e_m, powers of sums multiplied out, until an
 ``extract`` needs its series.
 
-A term list's series expands each quotient Q once and builds its chain
-Q, Q k, Q k^2, ... once, so the terms Q, Q k and Q k^2 of EQ25's rhs
-take two products by k.  ``verify_identity`` builds only the windows its
-verdict reads: a term-list side facing an extracted side, which stops
-near order / 2, is expanded only until its window covers that side's,
-and term-list sides with k are compared times a power of k's theta
-denominator (``_clear``).  A failure is read again as the full sides,
-which ``identity_sides`` returns, so its witness quotes their values.
+A term list's series expands each quotient Q once and multiplies it
+once by the sum of its terms' c q^s k^j (``_series``), so EQ25's rhs
+q Q (1 + k - k^2) takes one product.  ``verify_identity`` builds only
+the windows its verdict reads: a term-list side facing an extracted
+side, which stops near order / 2, is expanded only until its window
+covers that side's, and term-list sides with k are compared times B^J,
+a power of k's theta denominator, which takes no division.  A failure
+is read again as the full sides, which ``identity_sides`` returns, so
+its witness quotes their values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import ast
 import re
 from typing import Any, Callable
 
-from .eta import TARGET_ROWS, TARGETS, _k_cleared, expand_f, expand_k, expand_quotient
+from .eta import TARGET_ROWS, TARGETS, _k_part, expand_f, expand_quotient
 from .series import FAIL, LaurentSeries, Report, compare
 
 Term = tuple[int, int, int, dict[int, int]]  # (c, s, j, {m: e_m})
@@ -76,54 +77,43 @@ def _times(x: Term, y: Term) -> Term:
     return (x[0] * y[0], x[1] + y[1], x[2] + y[2], {m: e for m, e in factors.items() if e})
 
 
-def _series(value: Value, order: int) -> LaurentSeries:
-    """A value's series; each quotient Q of a term list is expanded once,
-    and its chain Q, Q k, Q k^2, ... is grown as far as its terms need."""
+def _scaled(c: int, s: int, x: LaurentSeries) -> LaurentSeries:
+    return (x if c == 1 else c * x).shift(s)
+
+
+def _series(value: Value, order: int, power: int = 0) -> LaurentSeries:
+    """A value's series times B^power, on the window it has at power 0.
+
+    A term list's terms c q^s k^j Q are grouped by Q, and Q is expanded
+    once and multiplied once by its group's sum of c q^s k^j B^power
+    (``_k_part``); a group with no k at power 0 is scaled, shifted and
+    added instead.
+    """
     if isinstance(value, LaurentSeries):
         return value
-    chains: dict[tuple[tuple[int, int], ...], list[LaurentSeries]] = {}
-    total = None
+    groups: dict[tuple[tuple[int, int], ...], list[tuple[int, int, int]]] = {}
     for c, s, j, factors in value:
-        key = tuple(sorted(factors.items()))
-        chain = chains.get(key)
-        if chain is None:
-            chain = chains[key] = [expand_quotient(factors, order)]
-        while len(chain) <= j:
-            chain.append(chain[-1] * expand_k(order))
-        term = (chain[j] if c == 1 else c * chain[j]).shift(s)
-        total = term if total is None else total + term
-    return total
+        groups.setdefault(tuple(sorted(factors.items())), []).append((c, s, j))
+    parts = []
+    for key, terms in groups.items():
+        quotient = expand_quotient(dict(key), order)
+        if power or any(j for _, _, j in terms):
+            ks = [_scaled(c, s, _k_part(j, power, order)) for c, s, j in terms]
+            parts.append(quotient * sum(ks[1:], ks[0]))
+        else:
+            parts += [_scaled(c, s, quotient) for c, s, _ in terms]
+    return sum(parts[1:], parts[0])
 
 
 def _covered(value: Value, order: int, prec: int) -> LaurentSeries:
     """``_series`` of a value, a term list expanded only until its window reaches prec.
 
-    A term c q^s k^j Q expanded to order N holds exponents below
-    N + s + max(j - 1, 0), as k's window starts at q^1; so the sum reaches
-    prec from N = prec - min(s + max(j - 1, 0)) on, and never past order.
+    A term c q^s k^j Q expanded to order N holds every exponent below
+    s + N, so the sum reaches prec from N = prec - min(s) on, and never past order.
     """
     if isinstance(value, list):
-        order = min(order, prec - min(s + max(j - 1, 0) for _, s, j, _ in value))
+        order = min(order, prec - min(s for _, s, _, _ in value))
     return _series(value, order)
-
-
-def _clear(value: list[Term], cleared: dict[int, LaurentSeries], order: int) -> LaurentSeries:
-    """B^J times a term list's series, on the window ``_series`` gives it.
-
-    With k = q A / B, a term c q^s k^j Q times B^J is c q^(s+j) Q A^j B^(J-j),
-    with A^j B^(J-j) = ``cleared[j]``, and the terms of one Q are summed before
-    one product by Q.  In ``_series`` that term's window is [s + j, s + j +
-    order - (j > 0)), as k's is [1, order).
-    """
-    groups: dict[tuple[tuple[int, int], ...], list[LaurentSeries]] = {}
-    for c, s, j, factors in value:
-        groups.setdefault(tuple(sorted(factors.items())), []).append(
-            (c * cleared[j]).shift(s + j))
-    products = [expand_quotient(dict(key), order) * sum(terms[1:], terms[0])
-                for key, terms in groups.items()]
-    lo = min(s + j for _, s, j, _ in value)
-    hi = min(s + j + order - (j > 0) for _, s, j, _ in value)
-    return LaurentSeries(lo, sum(products[1:], products[0])._span(lo, hi))
 
 
 def _leaf(name: str, order: int) -> Value:
@@ -198,8 +188,9 @@ def _read_sides(statement: str, order: int,
     With ``covered``, the sides compare as the full sides do, up to a
     witness's values: a term-list side facing a series (an ``extract``
     stops near order / 2) is expanded only as far as that series reaches,
-    and term lists with k that start at one exponent are multiplied by B^J
-    (``_clear``), which starts with 1: lhs - rhs keeps its first nonzero.
+    and term lists with k that start at one exponent are multiplied by B^J,
+    J the highest power of k, which starts with 1: lhs - rhs keeps its
+    first nonzero.
     """
     def expand(lhs: ast.expr, rhs: ast.expr) -> tuple[LaurentSeries, LaurentSeries]:
         if isinstance(lhs, ast.Constant):
@@ -215,8 +206,7 @@ def _read_sides(statement: str, order: int,
             return _covered(x, order, y.prec), y
         if (covered and (power := max(j for _, _, j, _ in x + y))
                 and len({min(s + j for _, s, j, _ in v) for v in (x, y)}) == 1):
-            cleared = {j: _k_cleared(j, power, order) for j in {j for _, _, j, _ in x + y}}
-            return _clear(x, cleared, order), _clear(y, cleared, order)
+            return _series(x, order, power), _series(y, order, power)
         return _series(x, order), _series(y, order)
     return _read(statement, expand)
 

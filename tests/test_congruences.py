@@ -461,10 +461,10 @@ def test_theorem_31_builds_each_rhs_once(monkeypatch):
 
 
 def _windowed(order, kmax):
-    """Theorem 3.1's rows from full level windows only, the reference path."""
-    vs = {t: levels(f, kmax) for t, f in congruences.TARGET_FAMILY.items()}
-    claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in vs]
-    return congruences._theorem_31_windowed(claims, vs, order)
+    """Theorem 3.1's rows from the per-claim calls on full level windows, the reference path."""
+    claims = [DissectionClaim(t, k) for k in range(1, kmax + 1) for t in congruences.TARGET_FAMILY]
+    return ([_dissection(c.target, c.k, order) for c in claims]
+            + [_induction(c.target, c.k, order) for c in claims if c.k < kmax])
 
 
 @pytest.mark.parametrize("order", (64, 500, 2000))

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from etaq import eta, identities
+from etaq import eta, identities, oracle
 from etaq.eta import expand_k, expand_quotient
 from etaq.identities import (
     CATALOG,
@@ -18,7 +18,7 @@ from etaq.identities import (
     verify_all_identities,
     verify_identity,
 )
-from etaq.oracle import direct_eta_product
+from etaq.oracle import direct_eta_product, direct_k
 from etaq.series import FAIL, PASS, LaurentSeries, Report, compare
 
 ALL_IDS = (
@@ -189,9 +189,10 @@ def test_verify_identity_equals_the_full_window_comparison(tag, order):
 
 @pytest.mark.parametrize("tag", ("EQ25", "EQ26"))
 def test_one_k_chain_per_quotient(tag, monkeypatch):
-    # The rhs q Q (a + b k + c k^2) builds Q k and then (Q k) k: two wide
-    # products, each by k, where one product per term took three.  The
-    # window cache is warm, so Q and k themselves take none.
+    # The rhs q Q (a + b k + c k^2) multiplies Q once by a q + b q k + c q k^2,
+    # where a chain Q, Q k, Q k^2 took two products by k and one product
+    # per term took three.  The window cache is warm, so Q, k and k^2
+    # themselves take none.
     order = 500
     terms = rhs_terms(CATALOG[tag])
     assert sorted(j for _, _, j, _ in terms) == [0, 1, 2]
@@ -207,17 +208,73 @@ def test_one_k_chain_per_quotient(tag, monkeypatch):
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
     assert _series(terms, order) == expected
-    assert products == [(order, True), (order - 1, True)]
+    assert products == [(order, False)]
+
+
+def _times_b(series, power):
+    """series times B^power on its own window, B = theta(10, 3) theta(10, 4)
+    taken as prod (q^r; q^10)_inf over r = 3, 7, 4, 6, 10, 10 by the
+    oracle's Euler sums, which share no code with the expander."""
+    c = list(series.coeffs)
+    for _ in range(power):
+        for r in (3, 7, 4, 6, 10, 10):
+            oracle._times_pochhammer(c, r, 10)
+    return LaurentSeries(series.offset, c)
+
+
+def _oracle_series(side, order):
+    """A term list's series from the oracle's windows of k and of each
+    quotient Q, every term c q^s Q k^j multiplied out by k one at a time."""
+    k = direct_k(order)
+    total = None
+    for c, s, j, factors in side:
+        term = direct_eta_product(factors, order)
+        for _ in range(j):
+            term = term * k
+        term = (c * term).shift(s)
+        total = term if total is None else total + term
+    return total
+
+
+def _cleared_mismatches(tag, order):
+    """The sides of a k identity whose full series, or whose series times
+    B^J with J = 2 the highest power of k, differs from the oracle's in
+    window or coefficients."""
+    sides = identities._read(CATALOG[tag], lambda *sides: [
+        identities._evaluate(side, order) for side in sides])
+    assert max(j for side in sides for _, _, j, _ in side) == 2
+    mismatches = []
+    for side in sides:
+        full = _oracle_series(side, order)
+        if (_series(side, order), _series(side, order, 2)) != (full, _times_b(full, 2)):
+            mismatches.append(side)
+    return mismatches
+
+
+@pytest.mark.parametrize("order", (17, 500, 2000))
+@pytest.mark.parametrize("tag", ("EQ24", "EQ25", "EQ26"))
+def test_cleared_sides_are_the_full_sides_times_b(tag, order):
+    assert _cleared_mismatches(tag, order) == []
+
+
+def test_a_k_window_one_term_too_long_fails_the_cleared_check(monkeypatch):
+    # Negative control: k^j B^J on [j, j + order), without k's - (j > 0).
+    real_k_part = eta._k_part
+    monkeypatch.setattr(identities, "_k_part",
+                        lambda j, power, order: real_k_part(j, power, order + (j > 0)))
+    assert all(_cleared_mismatches(tag, 500) for tag in ("EQ24", "EQ25", "EQ26"))
 
 
 @pytest.mark.parametrize("tag", ("EQ24", "EQ25", "EQ26"))
 def test_k_identities_make_no_k_product_or_division(tag, monkeypatch):
     # On a warm cache the cleared sides multiply each quotient Q once by
-    # its sum of A^j B^(J-j) terms: no k window, no division.
+    # its sum of q^j A^j B^(J-j) terms: no k window, no division.  A k
+    # window is any _k_part with more powers of k than of B, which divides.
     order = 2000
     expected = verify_identity(tag, order)
     k = expand_k(order)
-    real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
+    real_mul, real_div, real_k_part = (LaurentSeries.__mul__, LaurentSeries.__truediv__,
+                                       eta._k_part)
     calls = {"k products": 0, "divisions": 0, "expand_k": 0}
 
     def counting_mul(self, other):
@@ -232,9 +289,15 @@ def test_k_identities_make_no_k_product_or_division(tag, monkeypatch):
         calls["expand_k"] += 1
         return expand_k(order)
 
+    def counting_k_part(j, power, order):
+        calls["expand_k"] += j > power
+        return real_k_part(j, power, order)
+
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
     monkeypatch.setattr(LaurentSeries, "__truediv__", counting_div)
-    monkeypatch.setattr(identities, "expand_k", counting_expand_k)
+    monkeypatch.setattr(eta, "expand_k", counting_expand_k)
+    for module in (eta, identities):
+        monkeypatch.setattr(module, "_k_part", counting_k_part)
     assert verify_identity(tag, order) == expected
     assert calls == {"k products": 0, "divisions": 0, "expand_k": 0}
 
