@@ -6,110 +6,21 @@ congruence families against them, and cross-checks the expander with an
 independent oracle: the Durfee-square sum for p(n), Euler's series for f1,
 eta products built from those two sums, and k(q) from Euler's and
 Cauchy's sums for its factors (q^r; q^10)_inf.
+
+The package re-exports every module's ``__all__``, and those lists are
+the only lists of public names.
 """
 
-from .series import (
-    AllZeroWindow,
-    Comparison,
-    EmptyWindow,
-    FAIL,
-    INSUFFICIENT,
-    LaurentSeries,
-    NonUnitLeadingCoefficient,
-    PASS,
-    ProductTooLarge,
-    Report,
-    SKIPPED,
-    SeriesError,
-    compare,
-    two_adic_valuation,
-    worst,
-)
-from .eta import (
-    DivisionTooLarge,
-    QuotientParseError,
-    TARGETS,
-    expand_f,
-    expand_k,
-    expand_quotient,
-    gen_target,
-    parse_quotient,
-)
-from .identities import (
-    CATALOG,
-    identity_sides,
-    verify_all_identities,
-    verify_identity,
-)
-from .sequences import (
-    closed_form_C,
-    sequence_values,
-    verify_closed_forms,
-    verify_valuations,
-)
-from .congruences import (
-    CongruenceClaim,
-    DissectionClaim,
-    lhs_series,
-    rhs_series,
-    theorem_11_claims,
-    theorem_12_claims,
-    verify_congruence,
-    verify_dissection,
-    verify_induction_step,
-    verify_theorem,
-    verify_zero_family_structurally,
-    zero_family_claim,
-)
-from .oracle import cross_check, direct_eta_product, partition_counts
+from .series import *
+from .eta import *
+from .identities import *
+from .sequences import *
+from .congruences import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroWindow",
-    "CATALOG",
-    "Comparison",
-    "CongruenceClaim",
-    "DissectionClaim",
-    "DivisionTooLarge",
-    "EmptyWindow",
-    "FAIL",
-    "INSUFFICIENT",
-    "LaurentSeries",
-    "NonUnitLeadingCoefficient",
-    "PASS",
-    "ProductTooLarge",
-    "QuotientParseError",
-    "Report",
-    "SKIPPED",
-    "SeriesError",
-    "TARGETS",
-    "closed_form_C",
-    "compare",
-    "cross_check",
-    "direct_eta_product",
-    "expand_f",
-    "expand_k",
-    "expand_quotient",
-    "gen_target",
-    "identity_sides",
-    "lhs_series",
-    "parse_quotient",
-    "partition_counts",
-    "rhs_series",
-    "sequence_values",
-    "theorem_11_claims",
-    "theorem_12_claims",
-    "two_adic_valuation",
-    "verify_all_identities",
-    "verify_closed_forms",
-    "verify_congruence",
-    "verify_dissection",
-    "verify_identity",
-    "verify_induction_step",
-    "verify_theorem",
-    "verify_valuations",
-    "verify_zero_family_structurally",
-    "worst",
-    "zero_family_claim",
-]
+# Importing a submodule binds its name here.  eta re-exports series'
+# EmptyWindow, and dict.fromkeys keeps only its first place.
+__all__ = list(dict.fromkeys([*series.__all__, *eta.__all__, *identities.__all__,
+                              *sequences.__all__, *congruences.__all__, *oracle.__all__]))

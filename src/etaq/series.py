@@ -223,14 +223,10 @@ class LaurentSeries(_Record):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         # Below min(offset) both operands are exact zeros, so the sum is
-        # known from min(offset) up to min(prec).
+        # known from min(offset) up to min(prec): never empty, since
+        # min(prec) > offset >= min(offset) for the operand with min(prec).
         lo = min(self.offset, other.offset)
         hi = min(self.prec, other.prec)
-        if hi <= lo:
-            raise EmptyWindow(
-                f"sum of windows [{self.offset}, {self.prec}) and "
-                f"[{other.offset}, {other.prec}) is empty"
-            )
         return LaurentSeries(
             lo, tuple(map(operator.add, self._span(lo, hi), other._span(lo, hi))))
 
@@ -644,9 +640,8 @@ class Report(_Record):
     def to_dict(self) -> dict[str, object]:
         """The fields by name; ``checked`` and ``witness`` are copies, so
         changing the dict changes no report."""
-        return {"label": self.label, "status": self.status, "claim": self.claim,
-                "order": self.order, "checked": _copy(self.checked),
-                "witness": _copy(self.witness), "note": self.note}
+        return dict(zip(self.__slots__, self._values),
+                    checked=_copy(self.checked), witness=_copy(self.witness))
 
 
 def _copy(fields: dict[str, object] | None) -> dict[str, object] | None:
@@ -659,3 +654,22 @@ def worst(statuses: Iterable[str]) -> str:
     Skipped claims count as passes, and no statuses at all is a pass.
     """
     return max((PASS, *statuses), key=_SEVERITY.__getitem__)
+
+
+__all__ = [
+    "AllZeroWindow",
+    "Comparison",
+    "EmptyWindow",
+    "FAIL",
+    "INSUFFICIENT",
+    "LaurentSeries",
+    "NonUnitLeadingCoefficient",
+    "PASS",
+    "ProductTooLarge",
+    "Report",
+    "SKIPPED",
+    "SeriesError",
+    "compare",
+    "two_adic_valuation",
+    "worst",
+]
