@@ -232,10 +232,16 @@ def verify_congruence(claim: CongruenceClaim, order: int,
     # exponents below the window read its exact zeros.  An empty progression
     # may start past any index, so it reads no slice.
     values = series._span(claim.residue - claim.step, order)[::claim.step] if reachable else ()
-    witnesses = ({"n": n, "exponent": claim.step * n + claim.residue,
-                  "value": str(value), "v2": two_adic_valuation(value)}
-                 for n, value in zip(reachable, values)
-                 if (value != 0 if need is None else two_adic_valuation(value) < need))
+    # One C-level pass finds whether any value fails: one with a bit set
+    # below 2^need, or any nonzero value (mask -1) for exact vanishing.  Only
+    # then is the first one looked for.
+    mask = -1 if need is None else (1 << max(need, 0)) - 1
+    witnesses = ()
+    if any(map(mask.__and__, values)):
+        witnesses = ({"n": n, "exponent": claim.step * n + claim.residue,
+                      "value": str(value), "v2": two_adic_valuation(value)}
+                     for n, value in zip(reachable, values)
+                     if (value != 0 if need is None else two_adic_valuation(value) < need))
     return Report.scan(claim.label, claim.describe(), order, reachable, witnesses,
                        max(1, min_points))
 

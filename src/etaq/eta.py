@@ -48,7 +48,10 @@ by theta(3, 1), and 1/f1^3 is 1 divided by f1^3 once.  Positive factors
 are peeled off one at a time (``_expand_reduced``): the factor with the
 smallest gcd(p, a) is expanded alone, the rest as one quotient, which
 this rule reduces by the rest's own g, and only their product costs N
-terms; a single factor is theta raised to e, and f1^e for e >= 3 is
+terms.  When the rest's g > 1 and N >= g, that product is g products of
+about N/g terms: each residue class mod g of the head's window times the
+rest's reduced window is that class of the product, so the rest is never
+spread.  A single factor is theta raised to e, and f1^e for e >= 3 is
 (f1^3)^(e // 3) times theta(3, 1)^(e mod 3).  A cache entry is
 keyed by the quotient as requested, not as regrouped, so a hit
 regroups nothing.
@@ -164,11 +167,16 @@ def _expand(items: _Items, order: int) -> LaurentSeries:
     """
     if not items:
         return LaurentSeries.one(order)
-    g = math.gcd(*(n for (p, a), _ in items for n in (p, a)))
+    g, reduced = _reduce(items)
     if g > 1:
-        reduced = tuple(((p // g, a // g), e) for (p, a), e in items)
         return _spread(_expand_quotient_cached(reduced, -(-order // g)), g, order)
     return _expand_quotient_cached(items, order)
+
+
+def _reduce(items: _Items) -> tuple[int, _Items]:
+    """g, the gcd of every period and every a of items, and items with (p/g, a/g)."""
+    g = math.gcd(*(n for (p, a), _ in items for n in (p, a)))
+    return g, tuple(((p // g, a // g), e) for (p, a), e in items)
 
 
 # Most term operations one quotient's divisions may take: dividing a
@@ -253,8 +261,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     a negative factor expands its positive factors (1 when it has none),
     then divides that window by each divisor's sparse series.  Otherwise
     the factor with the smallest gcd(p, a), the first of equals, is
-    multiplied by the rest expanded as one quotient; a single factor is
-    the product of its sparse series' powers.
+    multiplied by the rest expanded as one quotient, one residue class
+    mod the rest's g at a time when that g is above 1 and at most the
+    order; a single factor is the product of its sparse series' powers.
     """
     items = _regroup(items)
     divisors = [x for x in items if x[1] < 0]
@@ -269,8 +278,18 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
         # The factor with the smallest gcd has the longest window, so expanding
         # it first lets a later reduced factor with its key read a cached prefix.
         first = min(items, key=lambda x: math.gcd(*x[0]))
+        head = _expand((first,), order)
         rest = tuple(x for x in items if x != first)
-        return _expand((first,), order) * _expand(rest, order)
+        g, reduced = _reduce(rest)
+        if not 1 < g <= order:
+            return head * _expand(rest, order)
+        # The rest is a series in q^g: each residue class of the head mod g
+        # times its reduced window is that class of the product.
+        window = _expand_quotient_cached(reduced, -(-order // g))
+        c = [0] * order
+        for r in range(g):
+            c[r::g] = (LaurentSeries(0, head.coeffs[r::g]) * window).coeffs
+        return LaurentSeries(0, tuple(c))
     [((p, a), e)] = items
     window, *rest = [_pow(s, n) for s, n in _sparse_powers(p, a, e, order)]
     return window * rest[0] if rest else window

@@ -70,9 +70,17 @@ def _over_binomial(c: list[int], d: int) -> None:
 
     c[n] += c[n - d] in ascending n is, for each r < d, the prefix sum of
     c[r], c[r + d], c[r + 2d], ...; classes with one term are left as is.
+    When there are fewer blocks of d terms after the first than classes
+    with more than one term, the same sums run block by block instead:
+    each block adds the one before it, which already holds its sums.
     """
-    for r in range(min(d, len(c) - d)):
-        c[r::d] = itertools.accumulate(c[r::d])
+    n = len(c)
+    if -(-n // d) - 1 < min(d, n - d):
+        for s in range(d, n, d):
+            c[s:s + d] = map(operator.add, c[s:s + d], c[s - d:s])
+    else:
+        for r in range(min(d, n - d)):
+            c[r::d] = itertools.accumulate(c[r::d])
 
 
 def _times_pochhammer(c: list[int], r: int, m: int) -> None:

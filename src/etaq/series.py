@@ -21,11 +21,13 @@ every integer of absolute value at most B never carries into its
 neighbour: the result is the exact Cauchy product.
 
 Short products run in binary.  When B < 2**(8w - 1) for a group of w in
-(1, 2, 4, 8) bytes, the smallest such w is taken, and if the packed
-operand has at most ``_BINARY_BYTES`` (8 KiB) bytes, ``struct`` packs
-each c + 2**(8w - 1) into w bytes, ``int.from_bytes`` reads the operand
-as one CPython int, CPython multiplies the two (Karatsuba), and one
-``struct.unpack`` reads the low n groups back.  Every other product
+1..8 bytes, the smallest such w is taken, and if the packed operand has
+at most ``_BINARY_BYTES`` (8 KiB) bytes, ``struct`` packs each c +
+2**(8w - 1) into w bytes (at 3, 5, 6 or 7 bytes, into the next of 4 or
+8, whose surplus top bytes are then deleted), ``int.from_bytes`` reads
+the operand as one CPython int, CPython multiplies the two (Karatsuba),
+and one ``struct.unpack`` reads the low n groups back, with their sign
+bytes put back first where they were deleted.  Every other product
 runs in decimal: d is the smallest digit count with 2*B < 10**d, each c
 becomes the d-digit string of c + 10**d/2, the strings are concatenated
 (highest coefficient first) into one ``Decimal``, and libmpdec, whose
@@ -43,10 +45,11 @@ Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
 sum_{j>=1} b_j c_{k-j}) (Knuth, TAOCP Vol. 2, 4.7) on blocks of 64
 outputs.  The divisor terms that reach back past the current block are
-applied to it before it starts: its -1 terms and its wider terms, each
-slice scaled by -b_j, in one C-level pass that sums their shifted
-slices, and its +1 terms in a second; only the terms below 64 run one
-output at a time.  The cost is the window length times the divisor's support, so a
+applied to it before it starts: its -1 terms and its wider terms in one
+C-level pass that sums their shifted slices, and its +1 terms in a
+second.  The wider terms are grouped by value, so each value's slices
+are summed first and scaled by -b_j once; only the terms below 64 run
+one output at a time.  The cost is the window length times the divisor's support, so a
 sparse divisor such as a theta series needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.
 
@@ -248,11 +251,15 @@ class LaurentSeries(_Record):
         # the result window has length min(len(a), len(b)).
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs[:n], other.coeffs[:n]
-        max_a, max_b = max(map(abs, a)), max(map(abs, b))
+        # One abs pass per operand, read by its max and its sum; a square
+        # (self * self, as in _pow) passes one tuple twice and takes one.
+        abs_a = list(map(abs, a))
+        abs_b = abs_a if b is a else list(map(abs, b))
+        max_a, max_b = max(abs_a), max(abs_b)
         # No coefficient of the product or of an operand exceeds the bound
         # (the operands' own coefficients count when one side is all zeros),
         # so a group that holds +-bound never carries, in either radix.
-        bound = max(min(sum(map(abs, a)) * max_b, max_a * sum(map(abs, b))), max_a, max_b)
+        bound = max(min(sum(abs_a) * max_b, max_a * sum(abs_b)), max_a, max_b)
         d = _digit_count(2 * bound)
         if n * d > _MAX_PACKED_DIGITS:
             raise ProductTooLarge(
@@ -260,8 +267,7 @@ class LaurentSeries(_Record):
                 f"{n * d} packed digits per operand, above the cap of {_MAX_PACKED_DIGITS}")
         # The cap above holds for both radixes; short windows with groups of
         # at most 8 bytes multiply as CPython ints, the rest through libmpdec.
-        # A square (self * self, as in _pow) passes one tuple twice, and
-        # either path packs it once.
+        # Either path packs a square's one tuple once.
         w = _byte_width(bound)
         if w and n * w <= _BINARY_BYTES:
             coeffs = _binary_product(a, b, w)
@@ -369,8 +375,12 @@ _MAX_PACKED_DIGITS = 8_000_000
 # over; 2- and 4-byte groups broke even only near 192-256 kbit.
 _BINARY_BYTES = 8192
 
-# struct's signed format for a group of w bytes.
+# struct's signed format for a group of k bytes.  A group of w bytes is
+# packed at the smallest such k >= w, 1 << (w - 1).bit_length().
 _GROUP_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+# Maps a group's top byte to the byte that extends its sign.
+_SIGN_BYTES = bytes(0 if i < 0x80 else 0xFF for i in range(256))
 
 # The lowest int <-> str digit limit CPython accepts; no limit refuses a
 # conversion of this many digits or fewer.
@@ -387,9 +397,9 @@ def _digit_count(t: int) -> int:
 
 
 def _byte_width(bound: int) -> int:
-    """The smallest w in (1, 2, 4, 8) with bound < 2**(8w - 1), or 0 if none."""
-    bits = bound.bit_length()
-    return next((w for w in _GROUP_FORMAT if bits < 8 * w), 0)
+    """The smallest w in 1..8 with bound < 2**(8w - 1), or 0 if none."""
+    w = bound.bit_length() // 8 + 1
+    return w if w <= 8 else 0
 
 
 def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -403,15 +413,35 @@ def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int
     Adding the bias to the product makes each of its low n groups c_k +
     2**(8w - 1), in (0, 2**8w), and the mask drops the higher groups,
     which are a multiple of 2**(8nw) whatever their sign.  Flipping the
-    top bits back gives the groups in two's complement for struct.
+    top bits back gives the groups in two's complement.  When struct
+    has no w-byte format, the groups are packed k bytes wide and their
+    top k - w bytes, copies of the sign, are deleted; reading back, each
+    group's top byte gives the k - w bytes that extend its sign.
     """
     n = len(a)
-    fmt = f"<{n}{_GROUP_FORMAT[w]}"
+    k = 1 << (w - 1).bit_length()
+    fmt = f"<{n}{_GROUP_FORMAT[k]}"
     bias = int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * n, "little")
-    x = (int.from_bytes(struct.pack(fmt, *a), "little") ^ bias) - bias
-    y = x if b is a else (int.from_bytes(struct.pack(fmt, *b), "little") ^ bias) - bias
-    low = ((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias
-    return struct.unpack(fmt, low.to_bytes(n * w, "little"))
+    x = (_packed(a, fmt, k, w) ^ bias) - bias
+    y = x if b is a else (_packed(b, fmt, k, w) ^ bias) - bias
+    low = (((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias).to_bytes(n * w, "little")
+    if k > w:
+        sign = low[w - 1::w].translate(_SIGN_BYTES)
+        raw = bytearray(n * k)
+        for lane in range(k):
+            raw[lane::k] = low[lane::w] if lane < w else sign
+        low = raw
+    return struct.unpack(fmt, low)
+
+
+def _packed(coeffs: tuple[int, ...], fmt: str, k: int, w: int) -> int:
+    """The w-byte two's-complement groups of coeffs as one int, lowest first."""
+    raw = struct.pack(fmt, *coeffs)
+    if k > w:
+        raw = bytearray(raw)
+        for j in range(k, w, -1):  # drop the top byte of each j-byte group
+            del raw[j - 1::j]
+    return int.from_bytes(raw, "little")
 
 
 def _decimal_product(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:
@@ -456,30 +486,41 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     reaches a block only from outputs of earlier blocks, so all such
     terms are applied before the block starts, as C-level passes over
     shifted slices of c: one ``map(sum, zip(...))`` adds to it the
-    block's -1 terms and its wider terms (theta(p, p/2)'s +-2, Jacobi's
-    cube's +-(2n+1)), each slice of a wider term scaled by -b_j in C, and
-    a second sums its +1 terms and subtracts them.  A term reaches the
-    block when j is below the block's end, and one bisect on the sorted
-    exponents of each kind picks those terms.  Their slices start at most _BLOCK - 1
-    outputs before the block, so _BLOCK - 1 zeros in front of c make
-    every slice whole.  Only the terms below _BLOCK run one output at a
-    time.  The work is len(a) times the divisor's support.
+    block's -1 terms and its wider terms, and a second sums its +1 terms
+    and subtracts them.  The wider terms are grouped by value b_j: a
+    group's slices are summed in one ``zip`` and the sum scaled by -b_j
+    in C, so theta(p, p/2)'s +-2 terms are two groups, while Jacobi's
+    cube, whose +-(2n+1) all differ, scales one slice per term.  A term
+    reaches the block when j is below the block's end, and one bisect on
+    the sorted exponents of each kind or group picks those terms.  Their
+    slices start at most _BLOCK - 1 outputs before the block, so _BLOCK -
+    1 zeros in front of c make every slice whole.  Only the terms below
+    _BLOCK run one output at a time.  The work is len(a) times the
+    divisor's support.
     """
     if b[0] == -1:  # a / b == (-a) / (-b), whose divisor leads with +1
         a, b = tuple(map(operator.neg, a)), tuple(map(operator.neg, b))
     n = len(a)
     plus: list[int] = []
     minus: list[int] = []
-    other: list[int] = []
+    other: dict[int, list[int]] = {}
     for j in itertools.compress(range(1, n), b[1:]):
         x = b[j]
-        (plus if x == 1 else minus if x == -1 else other).append(j)
+        (plus if x == 1 else minus if x == -1 else other.setdefault(x, [])).append(j)
     near_plus, far_plus = _split(plus)
     near_minus, far_minus = _split(minus)
-    near_other, far_other = _split(other)
-    near_other = [(j, b[j]) for j in near_other]
-    # Multiplying by -b_j in C, so that a far non-unit term joins the -1 pass.
-    scales = [(-b[j]).__mul__ for j in far_other]
+    # Multiplying by -x in C, so that the far terms of value x join the -1
+    # pass: one slice each for a value with one far term, else their sum.
+    near_other, singles, groups = [], [], []
+    for x, exponents in other.items():
+        near, far = _split(exponents)
+        near_other += [(j, x) for j in near]
+        if len(far) == 1:
+            singles.append((far[0], (-x).__mul__))
+        elif far:
+            groups.append((far, (-x).__mul__))
+    singles.sort()  # by exponent; no two share one
+    far_other = [j for j, _ in singles]
     pad = _BLOCK - 1
     c = [0] * pad + list(a)
     for start in range(0, n, _BLOCK):
@@ -487,7 +528,11 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         lo, hi = start + pad, stop + pad
         terms = far_minus[:bisect.bisect_left(far_minus, stop)]
         scaled = [map(scale, c[lo - j:hi - j])
-                  for j, scale in zip(far_other[:bisect.bisect_left(far_other, stop)], scales)]
+                  for j, scale in singles[:bisect.bisect_left(far_other, stop)]]
+        for far, scale in groups:
+            reached = far[:bisect.bisect_left(far, stop)]
+            if reached:
+                scaled.append(map(scale, map(sum, zip(*[c[lo - j:hi - j] for j in reached]))))
         block = map(sum, zip(c[lo:hi], *[c[lo - j:hi - j] for j in terms], *scaled))
         terms = far_plus[:bisect.bisect_left(far_plus, stop)]
         if terms:

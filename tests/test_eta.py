@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import re
 
@@ -459,9 +460,11 @@ def test_regrouped_quotient_multiplies_less_and_divides_by_sparser_series(monkey
     # f1^2 f4^2 / f2^2 is theta(4, 1)^2, f5^2 f20^2 / f10^2 is theta(20,
     # 5)^2, and the f5^-4 f10^4 left is theta(10, 5)^-2.  Three products
     # (theta(4, 1)^2, f1^2 at 200 terms and the join) and four divisions;
-    # the plain factors took six products and ten divisions.
+    # the plain factors took six products and ten divisions.  The join,
+    # by f10^2 = f1^2 spread by 10, is now ten products of 200 terms, one
+    # per residue class of theta(4, 1)^2 mod 10.
     products, quotients = _cold_work(monkeypatch, _EQ213_HEAVIEST, 2000)
-    assert (products, quotients) == ([2000, 200, 2000], [2000] * 4)
+    assert (products, quotients) == ([2000, 200] + [200] * 10, [2000] * 4)
     items = tuple(((3 * m, m), e) for m, e in sorted(_EQ213_HEAVIEST.items()))
     assert eta._regroup(items) == (((4, 1), 2), ((10, 5), -2), ((20, 5), -2), ((30, 10), 2))
 
@@ -470,19 +473,59 @@ def test_peeled_factor_serves_a_later_reduced_factor_from_its_prefix(monkeypatch
     # f1^2 at 2000 terms comes first, so the rest's f4^2, which is f1^2
     # at 500 terms, is its cached prefix, not a fifth product.  The four:
     # f1^2 at 2000 terms, f10^6 as Jacobi's f1^3 squared at 200, the
-    # rest's join at 1000 and the last product at 2000.
+    # rest's join at 1000 and the last product at 2000.  Each join now
+    # multiplies residue classes: five of 200 terms (f2^2 at 1000 terms
+    # mod 5 by f1^6 at 200) and two of 1000, the same 5200 coefficients.
     products, _ = _cold_work(monkeypatch, {1: 2, 4: 2, 10: 6}, 2000)
-    assert (len(products), sum(products)) == (4, 5200)
+    assert products == [2000, 200] + [200] * 5 + [1000] * 2
 
 
 def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch):
     # No g > 1 divides two of f1, f3, f7.  f1 f7^2 is one join (f7^2 is
     # f1^2 at ceil(order / 7), not a full-length product), and f3^-1 is
-    # one division by theta(9, 3).
+    # one division by theta(9, 3).  The join is now seven products of 100
+    # terms, one per residue class of f1 mod 7, so none is full-length;
+    # below order 7 it is one product by f7^2 spread.
     factors = {1: 1, 3: -1, 7: 2}
-    assert _full_length_work(monkeypatch, factors, 700) == (1, 1)
+    assert _cold_work(monkeypatch, factors, 700) == ([100] * 8, [700])
     for order in (1, 2, 6, 7, 8, 97):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
+
+
+# (g, quotient): f1 or f1^2 peeled off, and a rest f_g^e that is a series in q^g.
+_PEELS = ((2, {1: 1, 2: 2}), (4, {1: 1, 4: 3}), (5, {1: 2, 5: 1}), (10, {1: 1, 10: 3}))
+
+
+@pytest.mark.parametrize("g, factors", _PEELS, ids=[str(g) for g, _ in _PEELS])
+def test_peel_off_multiplies_each_residue_class(g, factors, monkeypatch):
+    # From order g on, the head's g residue classes are multiplied one by
+    # one by the rest's reduced window; below g, the head by the rest.
+    products, _ = _counting(monkeypatch)
+    try:
+        for order in sorted({1, g - 1, g, g + 1, 2 * g + 1, 3 * g - 1, 97} - {0}):
+            eta._expand_quotient_cached.cache_clear()
+            products.clear()
+            assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
+            lengths = [-(-(order - r) // g) for r in range(g)] if order >= g else [order]
+            assert products[-len(lengths):] == lengths, order
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+
+
+def test_peel_off_with_classes_one_position_off_fails(monkeypatch):
+    # Negative control: each class product written to the next class.
+    source = inspect.getsource(eta._expand_reduced)
+    assert source.count("c[r::g] =") == 1
+    namespace = dict(vars(eta))
+    exec(source.replace("c[r::g] =", "c[(r + 1) % g::g] ="), namespace)
+    monkeypatch.setattr(eta, "_expand_reduced", namespace["_expand_reduced"])
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        for g, factors in _PEELS:
+            # A multiple of g, so every class has the same length.
+            assert expand_quotient(factors, 10 * g) != direct_eta_product(factors, 10 * g)
+    finally:
+        eta._expand_quotient_cached.cache_clear()
 
 
 def test_negative_factors_divide_whatever_the_other_signs(monkeypatch):
@@ -561,7 +604,10 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     # division term operations here, and 59, 26 and 1,209,920 while the
     # k(q) identities were multiplied by k's window rather than cleared.
     # Squaring EQ22's rhs as a series took 66, 24 and 1,050,000, and
-    # clearing k's sides apart from the term-list evaluator 64, 26 and 1,052,000.
+    # clearing k's sides apart from the term-list evaluator 64, 26 and
+    # 1,052,000.  Joins by a series in q^g multiplied once, 62 products of
+    # 90,693 coefficients; one product per residue class of the peeled
+    # factor makes them 206 products of the same 90,693 coefficients.
     products, divisions = _counting(monkeypatch)
     eta._expand_quotient_cached.cache_clear()
     try:
@@ -569,12 +615,15 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     finally:
         eta._expand_quotient_cached.cache_clear()
     capsys.readouterr()
-    assert (len(products), len(divisions), sum(w for _, w in divisions)) == (62, 26, 1_052_000)
+    assert (len(products), sum(products), len(divisions), sum(w for _, w in divisions)) == (
+        206, 90_693, 26, 1_052_000)
 
 
 # (products, multiplied coefficients, division work) of each catalog
 # quotient's cold expansion at order 2000, from the expander that divided
-# and multiplied by plain factors f_m = theta(3m, m) only.
+# and multiplied by plain factors f_m = theta(3m, m) only.  The product
+# counts are history: a join by a series in q^g is now g products of
+# about N/g terms, so only the coefficients and the work are compared.
 _PLAIN_FACTOR_WORK = {
     ((1, -2), (2, 4), (5, 2), (10, -4)): (4, 4400, 476000),
     ((1, -1), (2, 3), (4, -1)): (2, 2000, 220000),
@@ -630,7 +679,7 @@ def test_no_catalog_quotient_does_more_work_than_with_plain_factors(monkeypatch,
             products.clear()
             divisions.clear()
             expand_quotient(dict(factors), 2000)
-            after = (len(products), sum(products), sum(w for _, w in divisions))
-            assert all(map(int.__le__, after, before)), (factors, after, before)
+            after = (sum(products), sum(w for _, w in divisions))
+            assert all(map(int.__le__, after, before[1:])), (factors, after, before)
     finally:
         eta._expand_quotient_cached.cache_clear()

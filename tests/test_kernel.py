@@ -197,23 +197,43 @@ def check_bound_reached(bound: int, rng: random.Random) -> None:
         assert a * a == schoolbook(a, a)
 
 
-@pytest.mark.parametrize("w", (1, 2, 4, 8))
+@pytest.mark.parametrize("w", range(1, 9))
 @pytest.mark.parametrize("sign_bit", ("below", "at"))
-def test_product_at_a_byte_width_sign_bit(w, sign_bit, paths):
+def test_product_at_a_byte_width_sign_bit(w, sign_bit, monkeypatch, paths):
     # B = 2**(8w - 1) - 1 is the largest bound a w-byte group holds next
     # to its sign bit; B = 2**(8w - 1) takes the next width, and decimal
-    # groups after 8 bytes.  The product coefficients reach +-B.
+    # groups after 8 bytes.  The product coefficients reach +-B.  While
+    # binary groups were 1, 2, 4 or 8 bytes wide, B = 2**(8w - 1) took
+    # 2w bytes; every width in 1..8 is now a group width.
     bound = (1 << 8 * w - 1) - (sign_bit == "below")
-    check_bound_reached(bound, random.Random(w))
-    # The products by the all +-1 windows, whose kernel bound is B; every
-    # third product is a square.
-    taken = {(path, width) for path, _, width in paths[0::3] + paths[1::3]}
-    if sign_bit == "below":
-        assert taken == {("binary", w)}
-    elif w < 8:
-        assert taken == {("binary", 2 * w)}
-    else:
-        assert {path for path, _ in taken} == {"decimal"}
+    for radix in on_both_radixes(monkeypatch):
+        paths.clear()
+        check_bound_reached(bound, random.Random(w))
+        # The products by the all +-1 windows, whose kernel bound is B; every
+        # third product is a square.
+        taken = {(path, width) for path, _, width in paths[0::3] + paths[1::3]}
+        if radix == "decimal":
+            assert {path for path, _ in taken} == {"decimal"}
+        elif sign_bit == "below":
+            assert taken == {("binary", w)}
+        elif w < 8:
+            assert taken == {("binary", w + 1)}
+        else:
+            assert {path for path, _ in taken} == {"decimal"}
+
+
+def test_three_byte_groups_need_their_sign_extended(monkeypatch, paths):
+    # Negative control: with every sign-extension byte read as zero, a
+    # negative coefficient of a 3-byte product comes back as c + 2**24.
+    a = LaurentSeries(0, (1000, -1000, 3))
+    b = LaurentSeries(0, (2000, 7, -5))
+    assert series._byte_width(2003 * 2000) == 3
+    assert a * b == schoolbook(a, b)
+    monkeypatch.setattr(series, "_SIGN_BYTES", bytes(256))
+    wrong = a * b
+    assert paths == [("binary", 3, 3)] * 2
+    assert wrong.coeffs[1] == schoolbook(a, b).coeffs[1] + (1 << 24)
+    assert wrong != schoolbook(a, b)
 
 
 @pytest.mark.parametrize("w", (1, 8))
@@ -221,10 +241,11 @@ def test_product_at_a_byte_width_sign_bit(w, sign_bit, paths):
 def test_product_at_the_binary_cut(w, extra, paths):
     # n*w bytes equal to the cut stay binary; one more group (one more
     # byte for w = 1) goes to decimal.  a has ||a||_1 = 3, so the bound is
-    # 3 max|b|, which takes exactly w bytes.
+    # 3 max|b|, which takes exactly w bytes.  max|b| was 1 << 40 for w = 8
+    # while groups were 1, 2, 4 or 8 bytes wide; 3 << 40 now takes 6.
     assert series._BINARY_BYTES % 8 == 0
     n = series._BINARY_BYTES // w + extra
-    top = 42 if w == 1 else 1 << 40
+    top = ((1 << 8 * w - 1) - 1) // 3
     assert series._byte_width(3 * top) == w
     rng = random.Random(n)
     a = LaurentSeries(1, (1, -1) + (0,) * (n - 3) + (1,))
@@ -253,7 +274,9 @@ def test_square_on_the_binary_path_packs_its_operand_once(monkeypatch, paths):
     assert twin.coeffs is not a.coeffs
     assert a * twin == schoolbook(a, twin)
     assert len(packs) == 3
-    assert paths == [("binary", 300, 8)] * 2
+    # The bound has 48 bits: it took 8-byte groups while groups were 1, 2,
+    # 4 or 8 bytes wide, and takes 7, packed at 8 with the top byte deleted.
+    assert paths == [("binary", 300, 7)] * 2
 
 
 def test_digit_count_is_the_smallest_width():

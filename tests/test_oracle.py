@@ -8,13 +8,15 @@ factor exponents; literal products that multiply in or divide out one
 ``perfbench/reference.json``.  The Durfee-square sum for p(n) is checked
 against the parts-accumulation program it replaced, and Euler's series
 for f1 against the divisor-sum recurrence.  The residue-class division
-by (1 - q^d) is checked against the ascending loop c[n] += c[n - d], and
-the block-summed f1 pass against the per-term passes it replaced.
+by (1 - q^d) is checked against the ascending loop c[n] += c[n - d], its
+block passes against the per-class prefix sums, and the block-summed f1
+pass against the per-term passes it replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -174,6 +176,26 @@ def test_over_binomial_matches_the_ascending_loop(length):
         oracle._over_binomial(c, d)
         over_binomial(reference, d)
         assert c == reference, (length, d)
+
+
+@pytest.mark.parametrize("length", (99, 100, 101, 2000))
+def test_over_binomial_blocks_match_the_per_class_loop(length):
+    # Fewer later blocks of d terms than classes with two or more terms
+    # takes the block passes, otherwise the per-class prefix sums: d = 1,
+    # d^2 just below and just above the length, d = length / 2, d =
+    # length - 1 and d at or past the length.  Both branches are taken.
+    rng = random.Random(length)
+    window = [rng.randint(-9, 9) for _ in range(length)]
+    below, above = math.isqrt(length - 1), math.isqrt(length) + 1
+    branches = set()
+    for d in {1, below, above, length // 2, length - 1, length, length + 1}:
+        c, reference = window[:], window[:]
+        oracle._over_binomial(c, d)
+        for r in range(d):
+            reference[r::d] = itertools.accumulate(reference[r::d])
+        assert c == reference, (length, d)
+        branches.add(-(-length // d) - 1 < min(d, length - d))
+    assert branches == {True, False}
 
 
 @pytest.mark.parametrize("m", (1, 2, 5, 10, 40))

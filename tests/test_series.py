@@ -220,6 +220,30 @@ def test_division_by_theta_with_its_last_term_at_the_window_end(p, a, n):
         assert numerator / theta == _loop_divide(numerator, theta)
 
 
+def _grouped_divisors(n):
+    """Unit-led divisors on n terms whose far non-unit terms share values:
+    +-2 and +-3 repeated at exponents below and past 64, with a value's
+    far terms on both sides of block edges; a lone 5 past 64 and a lone
+    -7 below it; and Jacobi's cubes, whose values all differ."""
+    terms = {1: 2, 5: -2, 70: 2, 130: 2, 200: 2, 77: -2, 150: -2, 64: 3, 129: 3,
+             190: 3, 10: -3, 300: -3, 320: -3, 99: 5, 40: -7, 3: 1, 66: -1, 256: 1}
+    mixed = [0] * n
+    mixed[0] = 1
+    for j, x in terms.items():
+        if j < n:
+            mixed[j] = x
+    mixed = LaurentSeries(0, tuple(mixed))
+    return [mixed, -mixed, eta._cube(1, n), eta._cube(2, n), eta._theta(2, 1, n)]
+
+
+@pytest.mark.parametrize("n", (65, 131, 400))
+def test_grouped_division_matches_the_loop(n):
+    rng = random.Random(n)
+    for b in _grouped_divisors(n):
+        a = LaurentSeries(-2, tuple(rng.randint(-99, 99) for _ in range(n)))
+        assert a / b == _loop_divide(a, b)
+
+
 def test_division_errors_with_offsets():
     a = series(-3, 1, 2, 3)
     with pytest.raises(NonUnitLeadingCoefficient):
