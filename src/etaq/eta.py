@@ -43,6 +43,10 @@ factors first (1 when it has none) and then divides that window by a
 sparse series once per unit of each negative exponent, where f_m^-e
 takes e // 3 divisions by Jacobi's f_m^3 and e mod 3 by theta(3m, m):
 each division costs N times the series' support and no wide product.
+The divisors with gcd(p, a) > 1 (f5, f10^3, theta(10, 5), ...), when
+they share a g > 1, divide every residue class mod g at once: their
+reduced series divide ceil(N/g) positions that pack one class per lane
+(``_divide_lanes``).
 The target M = f2^5 f5^5 / (f1 f10) is f2^5 f5^3 theta(10, 5) divided
 by theta(3, 1), and 1/f1^3 is 1 divided by f1^3 once.  Positive factors
 are peeled off one at a time (``_expand_reduced``): the factor with the
@@ -87,7 +91,7 @@ import sys
 from collections import OrderedDict, namedtuple
 from typing import Mapping
 
-from .series import EmptyWindow, LaurentSeries, SeriesError
+from .series import EmptyWindow, LaurentSeries, SeriesError, _lanes, _unlanes
 
 Target = namedtuple("Target", "quotient name family level_one", defaults=(None,) * 3)
 TARGET_ROWS: dict[str, Target] = {
@@ -186,7 +190,8 @@ def _reduce(items: _Items) -> tuple[int, _Items]:
 # cross-check`` 5.1M (k's theta(10, 3) theta(10, 4)), and k^2 in the
 # full sides of EQ24-EQ26 10.2M; ``expand "f1^-27"``,
 # nine divisions by Jacobi's f1^3, plans 36.0M and takes about 7 s, while
-# ``"f1^-28"`` would plan 40.6M and ``"f1^-100"`` 136.6M.
+# ``"f1^-28"`` would plan 40.6M and ``"f1^-100"`` 136.6M.  The plan counts
+# full-length term operations even for the divisions run on lanes.
 _MAX_DIVISION_WORK = 40_000_000
 
 
@@ -226,6 +231,45 @@ def _division_plan(divisors: list[tuple[tuple[int, int], int]],
     return series
 
 
+def _divide(window: LaurentSeries, plan: list[tuple[LaurentSeries, int]]) -> LaurentSeries:
+    """``window`` divided count times by each (series, count) of a plan."""
+    for divisor, count in plan:
+        for _ in range(count):
+            window = window / divisor
+    return window
+
+
+def _lane_width(norm: int, units: int, n: int) -> int:
+    """Bytes w with |c| < 2**(8w - 1) for every coefficient c of a / D on n
+    terms, where norm = sum |a| and 1/D <= 1/(q; q)^units coefficientwise.
+
+    |c_k| <= norm * p_units(k), and p_E(k) < exp(pi sqrt(2Ek/3)) for k >= 1
+    (from log P_E(x) <= E pi^2 x / (6(1 - x))); one bit more holds the
+    sign and one the float error.
+    """
+    bits = math.ceil(math.pi * math.sqrt(2 * units * (n - 1) / 3) / math.log(2))
+    return (norm.bit_length() + bits + 9) // 8
+
+
+def _divide_lanes(window: LaurentSeries, reduced: _Items, g: int) -> LaurentSeries | None:
+    """``window`` divided by theta(g p, g a)^|e| for each ((p, a), e) of
+    reduced, one residue class mod g per lane; None when a coefficient of
+    ``window`` does not fit 8 bytes.
+
+    In the reduced variable each theta holds a factor (1 - q^k) at most
+    once per unit of |e|, and theta(2m, m) its odd multiples of m twice,
+    so 1/D <= 1/(q; q)^units coefficientwise.
+    """
+    n = -(-len(window.coeffs) // g)
+    units = sum(abs(e) * (2 if p == 2 * a else 1) for (p, a), e in reduced)
+    w = _lane_width(sum(map(abs, window.coeffs)), units, n)
+    packed = _lanes(window.coeffs, g, w)
+    if packed is None:
+        return None
+    quotient = _divide(LaurentSeries(0, packed), _division_plan(reduced, n))
+    return LaurentSeries(0, _unlanes(quotient.coeffs, g, w)[:len(window.coeffs)])
+
+
 # theta(4m, m) = f_m f_4m / f_2m and theta(2m, m) = f_m^2 / f_2m, with the
 # exponents of f_m, f_2m and f_4m that one factor of each takes.
 _REGROUPINGS = (((4, 1), {1: 1, 4: 1, 2: -1}), ((2, 1), {1: 2, 2: -1}))
@@ -259,7 +303,10 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
     The plain factors are first regrouped (``_regroup``).  A quotient with
     a negative factor expands its positive factors (1 when it has none),
-    then divides that window by each divisor's sparse series.  Otherwise
+    then divides that window by each divisor's sparse series: first, on
+    ceil(order/g) packed positions, by those whose gcd(p, a) > 1 when
+    they share a g > 1 and the window's coefficients fit 8 bytes
+    (``_divide_lanes``), then by the rest at full length.  Otherwise
     the factor with the smallest gcd(p, a), the first of equals, is
     multiplied by the rest expanded as one quotient, one residue class
     mod the rest's g at a time when that g is above 1 and at most the
@@ -270,10 +317,11 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     if divisors:
         plan = _division_plan(divisors, order)
         window = _expand(tuple(x for x in items if x[1] > 0), order)
-        for divisor, count in plan:
-            for _ in range(count):
-                window = window / divisor
-        return window
+        g, reduced = _reduce([x for x in divisors if math.gcd(*x[0]) > 1])
+        if g > 1 and (quotient := _divide_lanes(window, reduced, g)) is not None:
+            window = quotient
+            plan = _division_plan([x for x in divisors if math.gcd(*x[0]) == 1], order)
+        return _divide(window, plan)
     if len(items) > 1:
         # The factor with the smallest gcd has the longest window, so expanding
         # it first lets a later reduced factor with its key read a cached prefix.

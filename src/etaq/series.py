@@ -51,7 +51,16 @@ second.  The wider terms are grouped by value, so each value's slices
 are summed first and scaled by -b_j once; only the terms below 64 run
 one output at a time.  The cost is the window length times the divisor's support, so a
 sparse divisor such as a theta series needs no wide product.
-``invert`` is 1 divided by the series, the same recurrence.
+``invert`` is 1 divided by the series, the same recurrence.  A caller
+that divides by a series in q^g runs it on lanes: position i packs the
+g coefficients a[i*g + r] into one int, sum_r a[i*g + r] * 2**(8w*r)
+(``_lanes``), the recurrence runs unchanged on the ceil(N/g) positions
+with the divisor in q, and ``_unlanes`` reads the lanes back.  It is
+linear and exact, so only the true quotient coefficients must fit their
+lanes, which the caller proves (``eta._lane_width``).  Both stay at C
+level: ``struct`` and one ``int.from_bytes`` or ``to_bytes`` per
+position, then one ``struct.unpack`` when every lane fits 8 bytes, else
+one ``int.from_bytes`` per coefficient.
 
 The decimal path needs the C ``decimal`` module (``_decimal``, part of
 the standard library, so etaq still has no runtime dependency); the
@@ -421,7 +430,7 @@ def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int
     n = len(a)
     k = 1 << (w - 1).bit_length()
     fmt = f"<{n}{_GROUP_FORMAT[k]}"
-    bias = int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * n, "little")
+    bias = _lane_bias(n, w)
     x = (_packed(a, fmt, k, w) ^ bias) - bias
     y = x if b is a else (_packed(b, fmt, k, w) ^ bias) - bias
     low = (((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias).to_bytes(n * w, "little")
@@ -442,6 +451,44 @@ def _packed(coeffs: tuple[int, ...], fmt: str, k: int, w: int) -> int:
         for j in range(k, w, -1):  # drop the top byte of each j-byte group
             del raw[j - 1::j]
     return int.from_bytes(raw, "little")
+
+
+def _lane_bias(g: int, w: int) -> int:
+    """2**(8w - 1) in each of g groups of w bytes."""
+    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * g, "little")
+
+
+def _lanes(coeffs: tuple[int, ...], g: int, w: int) -> list[int] | None:
+    """Position i = sum_r c[i*g + r] * 2**(8w*r) for i < ceil(len(coeffs)/g),
+    c zero past coeffs and every |c| < 2**(8w - 1); None when a c does not
+    fit 8 bytes."""
+    n = -(-len(coeffs) // g)
+    try:
+        raw = struct.pack(f"<{n * g}q", *coeffs, *(0,) * (n * g - len(coeffs)))
+    except struct.error:
+        return None
+    sign = raw[7::8].translate(_SIGN_BYTES)
+    lanes = bytearray(n * g * w)
+    for j in range(w):
+        lanes[j::w] = raw[j::8] if j < 8 else sign
+    size, bias = g * w, _lane_bias(g, w)
+    return [(int.from_bytes(lanes[i:i + size], "little") ^ bias) - bias
+            for i in range(0, n * size, size)]
+
+
+def _unlanes(positions: tuple[int, ...], g: int, w: int) -> tuple[int, ...]:
+    """Inverse of ``_lanes``: every lane value, lowest first, each below
+    2**(8w - 1) in absolute value."""
+    bias = _lane_bias(g, w)
+    raw = b"".join([((x + bias) ^ bias).to_bytes(g * w, "little") for x in positions])
+    sign = raw[min(w, 8) - 1::w].translate(_SIGN_BYTES)
+    if all(raw[j::w] == sign for j in range(8, w)):  # every lane fits 8 bytes
+        low = bytearray(len(sign) * 8)
+        for j in range(8):
+            low[j::8] = raw[j::w] if j < w else sign
+        return struct.unpack(f"<{len(sign)}q", low)
+    return tuple([int.from_bytes(raw[i:i + w], "little", signed=True)
+                  for i in range(0, len(raw), w)])
 
 
 def _decimal_product(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:

@@ -402,7 +402,8 @@ def _counting(monkeypatch):
     """Wrap the series product and division; return the lists they append
     to: each series-by-series product's length, and each division's
     (length, work), work being the length times the divisor's nonzero
-    terms within it."""
+    terms within it.  A division on lanes counts once, with its packed
+    length: ceil(N/g) positions by the reduced divisor."""
     real_mul, real_div = LaurentSeries.__mul__, LaurentSeries.__truediv__
     products, divisions = [], []
 
@@ -462,9 +463,10 @@ def test_regrouped_quotient_multiplies_less_and_divides_by_sparser_series(monkey
     # (theta(4, 1)^2, f1^2 at 200 terms and the join) and four divisions;
     # the plain factors took six products and ten divisions.  The join,
     # by f10^2 = f1^2 spread by 10, is now ten products of 200 terms, one
-    # per residue class of theta(4, 1)^2 mod 10.
+    # per residue class of theta(4, 1)^2 mod 10.  Both divisors are series
+    # in q^5, so the four divisions now run on 400 packed positions.
     products, quotients = _cold_work(monkeypatch, _EQ213_HEAVIEST, 2000)
-    assert (products, quotients) == ([2000, 200] + [200] * 10, [2000] * 4)
+    assert (products, quotients) == ([2000, 200] + [200] * 10, [400] * 4)
     items = tuple(((3 * m, m), e) for m, e in sorted(_EQ213_HEAVIEST.items()))
     assert eta._regroup(items) == (((4, 1), 2), ((10, 5), -2), ((20, 5), -2), ((30, 10), 2))
 
@@ -485,9 +487,10 @@ def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch)
     # f1^2 at ceil(order / 7), not a full-length product), and f3^-1 is
     # one division by theta(9, 3).  The join is now seven products of 100
     # terms, one per residue class of f1 mod 7, so none is full-length;
-    # below order 7 it is one product by f7^2 spread.
+    # below order 7 it is one product by f7^2 spread.  theta(9, 3) is a
+    # series in q^3, so its division now runs on 234 packed positions.
     factors = {1: 1, 3: -1, 7: 2}
-    assert _cold_work(monkeypatch, factors, 700) == ([100] * 8, [700])
+    assert _cold_work(monkeypatch, factors, 700) == ([100] * 8, [234])
     for order in (1, 2, 6, 7, 8, 97):
         assert expand_quotient(factors, order) == direct_eta_product(factors, order)
 
@@ -532,10 +535,120 @@ def test_negative_factors_divide_whatever_the_other_signs(monkeypatch):
     # Each divisor is one division per unit of its power, with or without
     # a positive factor; f_m^-3 is one division by Jacobi's f_m^3, a
     # quotient of negative factors only divides 1, and f2^5 f1^-12 is
-    # theta(2, 1)^-5 f1^-2.
+    # theta(2, 1)^-5 f1^-2.  f4^-2 is a series in q^4: its two divisions
+    # by theta(12, 4) now run on 125 packed positions, first.
     assert _full_length_work(monkeypatch, {1: -3}, 500) == (0, 1)
-    assert _full_length_work(monkeypatch, {1: -3, 4: -2}, 500) == (0, 3)
+    assert _cold_work(monkeypatch, {1: -3, 4: -2}, 500) == ([], [125, 125, 500])
     assert _full_length_work(monkeypatch, {1: -12, 2: 5}, 500) == (0, 7)
+
+
+# Reduced divisors ((p, a), e) that divide on lanes as ((g p, g a), e):
+# theta(2m, m), theta(4m, m), theta(3m, m) = f_m, Jacobi's cube, a power
+# with a cube and a rest, and mixed lists that share one pack.
+_LANE_DIVISORS = (
+    (((2, 1), -1),), (((4, 1), -2),), (((3, 1), -1),), (((3, 1), -3),), (((3, 1), -7),),
+    (((2, 1), -1), ((4, 1), -1), ((3, 1), -4)), (((3, 1), -2), ((5, 2), -1), ((2, 1), -2)),
+)
+
+
+@pytest.mark.parametrize("g", (2, 4, 5, 10))
+def test_lane_division_equals_the_plain_recurrence(g):
+    # Windows below, at and past g terms, and with a tail of N mod g padded;
+    # numerators of +-1, of mixed sign up to 2**62, and at both 8-byte
+    # edges.  The plain divisions run each full-length theta through
+    # series._quotient.
+    rng = random.Random(g)
+    for reduced in _LANE_DIVISORS:
+        divisors = [((g * p, g * a), e) for (p, a), e in reduced]
+        for order in sorted({1, max(g - 1, 1), g, g + 1, 3 * g + 2, 97}):
+            for top in (1, 1 << 62, None):
+                window = LaurentSeries(0, tuple(
+                    rng.choice((-(1 << 63), (1 << 63) - 1)) if top is None
+                    else rng.randint(-top, top) for _ in range(order)))
+                plain = eta._divide(window, eta._division_plan(divisors, order))
+                assert eta._divide_lanes(window, reduced, g) == plain, (reduced, order)
+
+
+def test_lane_width_counts_theta_2m_m_twice():
+    # 1/theta(2, 1)^e = (f2 / f1^2)^e outgrows the width of e units on
+    # 1000 positions, so theta(2m, m) counts two units per power.
+    for e in (1, 3):
+        one = LaurentSeries.one(2000)
+        plain = eta._divide(one, eta._division_plan([((4, 2), -e)], 2000))
+        widest = max(map(abs, plain.coeffs)).bit_length()
+        assert widest > 8 * eta._lane_width(1, e, 1000) - 1
+        assert eta._divide_lanes(one, (((2, 1), -e),), 2) == plain
+
+
+def test_lane_division_leaves_a_numerator_wider_than_8_bytes_to_the_plain_one(monkeypatch):
+    window = LaurentSeries(0, (1, 0, 0, 1 << 63))
+    assert eta._divide_lanes(window, (((3, 1), -1),), 5) is None
+    # f1^30 has 76-bit coefficients at order 1999, so f5^-9 f10^-4 divide
+    # it at full length: four by cubes and one by theta(30, 10).
+    factors = {1: 30, 5: -9, 10: -4}
+    assert max(map(abs, expand_quotient({1: 30}, 1999).coeffs)).bit_length() == 76
+    assert _cold_work(monkeypatch, factors, 1999)[1] == [1999] * 5
+
+
+_LANE_QUOTIENTS = ((5, {1: 1, 5: -1, 10: -1}), (5, {1: 3, 5: -2, 10: -3}),
+                   (5, {1: -4, 5: -1, 10: -2}), (10, {1: 2, 10: -4}),
+                   (2, {1: -1, 2: -3}), (4, {1: 1, 4: -2}))
+
+
+@pytest.mark.parametrize("g, factors", _LANE_QUOTIENTS,
+                         ids=[str(factors) for _, factors in _LANE_QUOTIENTS])
+def test_lane_divisions_agree_with_the_oracle(g, factors):
+    try:
+        for order in (g - 1, g, g + 1, 97, 2003):
+            eta._expand_quotient_cached.cache_clear()
+            assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+
+
+def test_lane_width_bounds_the_partitions_into_units_colours():
+    # The coefficients of 1/(q; q)^E from the oracle, for E = 1..6: every
+    # norm times each of the first n of them fits the width for n terms.
+    for units in range(1, 7):
+        counts = direct_eta_product({1: -units}, 600).coeffs
+        widest = 0
+        for n in range(1, 601):
+            widest = max(widest, counts[n - 1])
+            for norm in (1, 7, 1 << 40):
+                assert norm * widest < 1 << 8 * eta._lane_width(norm, units, n) - 1
+
+
+@pytest.mark.parametrize("factors, order, bits, outcome", (
+    (_EQ213_HEAVIEST, 1000, 84, OverflowError), ({1: -2, 2: 4, 5: 2, 10: -4}, 2000, 76, None)))
+def test_lanes_one_byte_too_narrow_go_wrong(factors, order, bits, outcome, monkeypatch):
+    # Negative control.  The widest lane quotients of `verify all --order
+    # 2000`: EQ213's heaviest quotient at order 1000 (84-bit coefficients,
+    # 11 bytes with the sign) and f1^-2 f2^4 f5^2 f10^-4 (76 bits, 10
+    # bytes).  One byte narrower, the first's top lane carries out of its
+    # position, which no longer fits, and a lower lane of the second
+    # carries into its neighbour: its window is wrong.
+    read_back = []
+    real = eta._unlanes
+
+    def recording(positions, g, w):
+        values = real(positions, g, w)
+        read_back.append(max(abs(x).bit_length() for x in values))
+        return values
+
+    monkeypatch.setattr(eta, "_unlanes", recording)
+    eta._expand_quotient_cached.cache_clear()
+    try:
+        expand_quotient(factors, order)
+        assert max(read_back) == bits
+        monkeypatch.setattr(eta, "_lane_width", lambda *args: bits // 8)
+        eta._expand_quotient_cached.cache_clear()
+        if outcome is None:
+            assert expand_quotient(factors, order) != direct_eta_product(factors, order)
+        else:
+            with pytest.raises(outcome):
+                expand_quotient(factors, order)
+    finally:
+        eta._expand_quotient_cached.cache_clear()
 
 
 class _Dividing(Exception):
@@ -608,6 +721,8 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
     # 1,052,000.  Joins by a series in q^g multiplied once, 62 products of
     # 90,693 coefficients; one product per residue class of the peeled
     # factor makes them 206 products of the same 90,693 coefficients.
+    # Dividing by a series in q^g on ceil(N/g) packed positions keeps the
+    # 26 divisions (20 of them on lanes) and cuts their work to 573,600.
     products, divisions = _counting(monkeypatch)
     eta._expand_quotient_cached.cache_clear()
     try:
@@ -616,7 +731,7 @@ def test_cold_battery_plan_counts(monkeypatch, capsys):
         eta._expand_quotient_cached.cache_clear()
     capsys.readouterr()
     assert (len(products), sum(products), len(divisions), sum(w for _, w in divisions)) == (
-        206, 90_693, 26, 1_052_000)
+        206, 90_693, 26, 573_600)
 
 
 # (products, multiplied coefficients, division work) of each catalog

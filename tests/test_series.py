@@ -22,6 +22,7 @@ from etaq.series import (
     two_adic_valuation,
     worst,
 )
+from etaq.series import _lanes, _unlanes
 
 
 def series(offset, *coeffs):
@@ -242,6 +243,40 @@ def test_grouped_division_matches_the_loop(n):
     for b in _grouped_divisors(n):
         a = LaurentSeries(-2, tuple(rng.randint(-99, 99) for _ in range(n)))
         assert a / b == _loop_divide(a, b)
+
+
+def _positions(values, g, w):
+    """sum_r values[i*g + r] * 2**(8w*r) for each position i, by shifts."""
+    return [sum(x << 8 * w * r for r, x in enumerate(values[i:i + g]))
+            for i in range(0, len(values), g)]
+
+
+@pytest.mark.parametrize("g", (1, 2, 5, 10))
+def test_lanes_round_trip_at_every_width(g):
+    # Lanes of 1 to 18 bytes, so packing sign-extends past 8 bytes and
+    # drops bytes below it; a tail of N mod g is padded with zeros.
+    # Reading back takes one struct.unpack when every lane fits 8 bytes,
+    # else reads each lane, so both run on values up to the lane's edge.
+    rng = random.Random(g)
+    for w in range(1, 19):
+        edge = 1 << 8 * w - 1
+        for n in sorted({1, max(g - 1, 1), g, g + 1, 5 * g + 3}):
+            fits = min(edge, 1 << 63)
+            c = tuple(rng.choice((-fits, fits - 1, rng.randrange(-fits, fits)))
+                      for _ in range(n))
+            padded = c + (0,) * (-n % g)
+            positions = _lanes(c, g, w)
+            assert positions == _positions(padded, g, w)
+            assert _unlanes(tuple(positions), g, w) == padded
+            wide = tuple(rng.choice((-edge, edge - 1, rng.randrange(-edge, edge)))
+                         for _ in range(len(padded)))
+            assert _unlanes(tuple(_positions(wide, g, w)), g, w) == wide
+
+
+def test_lanes_refuse_a_value_wider_than_8_bytes():
+    assert _lanes((1, -(1 << 63)), 2, 9) == _positions((1, -(1 << 63)), 2, 9)
+    for value in (1 << 63, -(1 << 63) - 1):
+        assert _lanes((1, 0, value), 2, 9) is None
 
 
 def test_division_errors_with_offsets():
