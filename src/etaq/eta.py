@@ -251,10 +251,9 @@ def _lane_width(norm: int, units: int, n: int) -> int:
     return (norm.bit_length() + bits + 9) // 8
 
 
-def _divide_lanes(window: LaurentSeries, reduced: _Items, g: int) -> LaurentSeries | None:
+def _divide_lanes(window: LaurentSeries, reduced: _Items, g: int) -> LaurentSeries:
     """``window`` divided by theta(g p, g a)^|e| for each ((p, a), e) of
-    reduced, one residue class mod g per lane; None when a coefficient of
-    ``window`` does not fit 8 bytes.
+    reduced, one residue class mod g per lane.
 
     In the reduced variable each theta holds a factor (1 - q^k) at most
     once per unit of |e|, and theta(2m, m) its odd multiples of m twice,
@@ -263,10 +262,7 @@ def _divide_lanes(window: LaurentSeries, reduced: _Items, g: int) -> LaurentSeri
     n = -(-len(window.coeffs) // g)
     units = sum(abs(e) * (2 if p == 2 * a else 1) for (p, a), e in reduced)
     w = _lane_width(sum(map(abs, window.coeffs)), units, n)
-    packed = _lanes(window.coeffs, g, w)
-    if packed is None:
-        return None
-    quotient = _divide(LaurentSeries(0, packed), _division_plan(reduced, n))
+    quotient = _divide(LaurentSeries(0, _lanes(window.coeffs, g, w)), _division_plan(reduced, n))
     return LaurentSeries(0, _unlanes(quotient.coeffs, g, w)[:len(window.coeffs)])
 
 
@@ -305,12 +301,12 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     a negative factor expands its positive factors (1 when it has none),
     then divides that window by each divisor's sparse series: first, on
     ceil(order/g) packed positions, by those whose gcd(p, a) > 1 when
-    they share a g > 1 and the window's coefficients fit 8 bytes
-    (``_divide_lanes``), then by the rest at full length.  Otherwise
-    the factor with the smallest gcd(p, a), the first of equals, is
-    multiplied by the rest expanded as one quotient, one residue class
-    mod the rest's g at a time when that g is above 1 and at most the
-    order; a single factor is the product of its sparse series' powers.
+    they share a g > 1 (``_divide_lanes``), then by the rest at full
+    length.  Otherwise the factor with the smallest gcd(p, a), the first
+    of equals, is multiplied by the rest expanded as one quotient, one
+    residue class mod the rest's g at a time when that g is above 1 and
+    at most the order; a single factor is the product of its sparse
+    series' powers.
     """
     items = _regroup(items)
     divisors = [x for x in items if x[1] < 0]
@@ -318,8 +314,8 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
         plan = _division_plan(divisors, order)
         window = _expand(tuple(x for x in items if x[1] > 0), order)
         g, reduced = _reduce([x for x in divisors if math.gcd(*x[0]) > 1])
-        if g > 1 and (quotient := _divide_lanes(window, reduced, g)) is not None:
-            window = quotient
+        if g > 1:
+            window = _divide_lanes(window, reduced, g)
             plan = _division_plan([x for x in divisors if math.gcd(*x[0]) == 1], order)
         return _divide(window, plan)
     if len(items) > 1:

@@ -20,26 +20,24 @@ operands' own largest coefficient if that is bigger, a group that holds
 every integer of absolute value at most B never carries into its
 neighbour: the result is the exact Cauchy product.
 
-Short products run in binary.  When B < 2**(8w - 1) for a group of w in
-1..8 bytes, the smallest such w is taken, and if the packed operand has
-at most ``_BINARY_BYTES`` (8 KiB) bytes, ``struct`` packs each c +
-2**(8w - 1) into w bytes (at 3, 5, 6 or 7 bytes, into the next of 4 or
-8, whose surplus top bytes are then deleted), ``int.from_bytes`` reads
-the operand as one CPython int, CPython multiplies the two (Karatsuba),
-and one ``struct.unpack`` reads the low n groups back, with their sign
-bytes put back first where they were deleted.  Every other product
-runs in decimal: d is the smallest digit count with 2*B < 10**d, each c
-becomes the d-digit string of c + 10**d/2, the strings are concatenated
-(highest coefficient first) into one ``Decimal``, and libmpdec, whose
-multiply switches to a number-theoretic transform on long operands,
-multiplies them.  Wide groups (B >= 2**63) and long operands therefore
-take the decimal path; below the cut CPython's multiply and the cheaper
-packing win.  The decimal arithmetic runs under a private context with
-the largest precision and exponent range, trapping ``Inexact`` and
-``Rounded``, so a product that did not fit would raise instead of
-returning a wrong coefficient; the thread's ``decimal.getcontext()`` is
-never changed.  The cap ``_MAX_PACKED_DIGITS`` on n*d is checked before
-either radix is chosen.
+The radix is chosen by packed size alone.  With w the smallest byte
+count with B < 2**(8w - 1), a product whose packed operand has at most
+``_BINARY_BYTES`` (8 KiB) bytes runs in binary: ``_pack`` writes each c
+as a w-byte two's-complement group at C level, the bytes are read as one
+CPython int whose groups the bias flips to c + 2**(8w - 1), CPython
+multiplies the two (Karatsuba), and ``_unpack`` reads the low n groups
+back.  Every other product runs in decimal: d is the smallest digit
+count with 2*B < 10**d, each c becomes the d-digit string of c +
+10**d/2, the strings are concatenated (highest coefficient first) into
+one ``Decimal``, and libmpdec, whose multiply switches to a
+number-theoretic transform on long operands, multiplies them.  Long
+operands therefore take the decimal path; below the cut CPython's
+multiply and the cheaper packing win.  The decimal arithmetic runs under
+a private context with the largest precision and exponent range,
+trapping ``Inexact`` and ``Rounded``, so a product that did not fit
+would raise instead of returning a wrong coefficient; the thread's
+``decimal.getcontext()`` is never changed.  The cap
+``_MAX_PACKED_DIGITS`` on n*d is checked before either radix is chosen.
 
 Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
@@ -53,14 +51,13 @@ one output at a time.  The cost is the window length times the divisor's support
 sparse divisor such as a theta series needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.  A caller
 that divides by a series in q^g runs it on lanes: position i packs the
-g coefficients a[i*g + r] into one int, sum_r a[i*g + r] * 2**(8w*r)
-(``_lanes``), the recurrence runs unchanged on the ceil(N/g) positions
-with the divisor in q, and ``_unlanes`` reads the lanes back.  It is
-linear and exact, so only the true quotient coefficients must fit their
-lanes, which the caller proves (``eta._lane_width``).  Both stay at C
-level: ``struct`` and one ``int.from_bytes`` or ``to_bytes`` per
-position, then one ``struct.unpack`` when every lane fits 8 bytes, else
-one ``int.from_bytes`` per coefficient.
+g coefficients a[i*g + r] into one int, sum_r a[i*g + r] * 2**(8w*r).
+The positions are a product operand's packed bytes read in g*w-byte
+chunks (``_lanes``); the recurrence runs unchanged on the ceil(N/g)
+positions with the divisor in q, and ``_unlanes`` reads the lanes back
+through ``_unpack``.  It is linear and exact, so only the true quotient
+coefficients must fit their lanes, which the caller proves
+(``eta._lane_width``).
 
 The decimal path needs the C ``decimal`` module (``_decimal``, part of
 the standard library, so etaq still has no runtime dependency); the
@@ -274,11 +271,11 @@ class LaurentSeries(_Record):
             raise ProductTooLarge(
                 f"product of two {n}-term windows needs {d}-digit groups: "
                 f"{n * d} packed digits per operand, above the cap of {_MAX_PACKED_DIGITS}")
-        # The cap above holds for both radixes; short windows with groups of
-        # at most 8 bytes multiply as CPython ints, the rest through libmpdec.
-        # Either path packs a square's one tuple once.
-        w = _byte_width(bound)
-        if w and n * w <= _BINARY_BYTES:
+        # The cap above holds for both radixes; short windows multiply as
+        # CPython ints in the narrowest w-byte groups that hold +-bound, the
+        # rest through libmpdec.  Either path packs a square's one tuple once.
+        w = bound.bit_length() // 8 + 1
+        if n * w <= _BINARY_BYTES:
             coeffs = _binary_product(a, b, w)
         else:
             coeffs = _decimal_product(a, b, d)
@@ -381,12 +378,15 @@ _MAX_PACKED_DIGITS = 8_000_000
 # path's time at 32 kbit per operand, and at 64 kbit 0.45-0.77x with
 # 4-byte groups and 0.84-1.01x with 8-byte ones.  At 128 kbit 8-byte
 # groups took 1.35-1.8x, as libmpdec's number-theoretic transform takes
-# over; 2- and 4-byte groups broke even only near 192-256 kbit.
+# over; 2- and 4-byte groups broke even only near 192-256 kbit.  With 9-
+# to 32-byte groups binary took 0.26-0.66x at 32 and 128 terms, 0.50-1.05x
+# at 512 (4.5-7.5 KiB), and 0.69-1.27x at the cut, where libmpdec's time
+# alternates between about 1.1 and 1.9 ms with the digit count.
 _BINARY_BYTES = 8192
 
-# struct's signed format for a group of k bytes.  A group of w bytes is
-# packed at the smallest such k >= w, 1 << (w - 1).bit_length().
-_GROUP_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+# struct's signed format for a group of w <= 8 bytes, and its size k: the
+# smallest of 1, 2, 4 or 8 bytes that holds w.
+_GROUP_FORMAT = {w: ("bhiiqqqq"[w - 1], 1 << (w - 1).bit_length()) for w in range(1, 9)}
 
 # Maps a group's top byte to the byte that extends its sign.
 _SIGN_BYTES = bytes(0 if i < 0x80 else 0xFF for i in range(256))
@@ -405,52 +405,63 @@ def _digit_count(t: int) -> int:
     return d
 
 
-def _byte_width(bound: int) -> int:
-    """The smallest w in 1..8 with bound < 2**(8w - 1), or 0 if none."""
-    w = bound.bit_length() // 8 + 1
-    return w if w <= 8 else 0
-
-
 def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int, ...]:
     """The low n = len(a) coefficients of a * b, packed in w-byte groups.
 
     Every operand and product coefficient must be below 2**(8w - 1) in
-    absolute value.  struct packs c as a w-byte two's-complement group,
-    which is c + 2**(8w - 1) with its top bit flipped, so flipping the
-    top bit of every group turns the operand into sum((c_i + 2**(8w -
-    1)) * 2**(8w*i)); subtracting the bias leaves sum(c_i * 2**(8w*i)).
-    Adding the bias to the product makes each of its low n groups c_k +
-    2**(8w - 1), in (0, 2**8w), and the mask drops the higher groups,
-    which are a multiple of 2**(8nw) whatever their sign.  Flipping the
-    top bits back gives the groups in two's complement.  When struct
-    has no w-byte format, the groups are packed k bytes wide and their
-    top k - w bytes, copies of the sign, are deleted; reading back, each
-    group's top byte gives the k - w bytes that extend its sign.
+    absolute value.  A two's-complement group is c + 2**(8w - 1) with its
+    top bit flipped, so flipping every group's top bit in ``_pack``'s
+    bytes gives sum((c_i + 2**(8w - 1)) * 2**(8w*i)), and subtracting the
+    bias leaves sum(c_i * 2**(8w*i)).  Adding the bias to the product
+    makes each low group c_k + 2**(8w - 1), in (0, 2**8w); the mask drops
+    the higher groups, a multiple of 2**(8nw) whatever their sign, and
+    flipping the top bits back gives ``_unpack`` two's complement.
     """
     n = len(a)
-    k = 1 << (w - 1).bit_length()
-    fmt = f"<{n}{_GROUP_FORMAT[k]}"
     bias = _lane_bias(n, w)
-    x = (_packed(a, fmt, k, w) ^ bias) - bias
-    y = x if b is a else (_packed(b, fmt, k, w) ^ bias) - bias
-    low = (((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias).to_bytes(n * w, "little")
-    if k > w:
-        sign = low[w - 1::w].translate(_SIGN_BYTES)
-        raw = bytearray(n * k)
-        for lane in range(k):
-            raw[lane::k] = low[lane::w] if lane < w else sign
-        low = raw
-    return struct.unpack(fmt, low)
+    x = (int.from_bytes(_pack(a, w), "little") ^ bias) - bias
+    y = x if b is a else (int.from_bytes(_pack(b, w), "little") ^ bias) - bias
+    low = ((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias
+    return _unpack(low.to_bytes(n * w, "little"), w)
 
 
-def _packed(coeffs: tuple[int, ...], fmt: str, k: int, w: int) -> int:
-    """The w-byte two's-complement groups of coeffs as one int, lowest first."""
-    raw = struct.pack(fmt, *coeffs)
-    if k > w:
+def _pack(coeffs: tuple[int, ...], w: int) -> bytes:
+    """The w-byte two's-complement groups of coeffs, lowest first; every |c|
+    must be below 2**(8w - 1).  When every c fits 8 bytes, struct packs
+    them k = 1, 2, 4 or 8 bytes wide and ``_resized`` makes them w bytes;
+    otherwise each c takes one ``to_bytes``."""
+    char, k = _GROUP_FORMAT[min(w, 8)]
+    try:
+        raw = struct.pack(f"<{len(coeffs)}{char}", *coeffs)
+    except struct.error:  # a c wider than 8 bytes
+        return b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+    return _resized(raw, k, w)
+
+
+def _unpack(raw: bytes, w: int) -> tuple[int, ...]:
+    """Inverse of ``_pack``: one ``struct.unpack`` of the groups made k bytes
+    wide when every group fits 8 bytes, else one ``int.from_bytes`` each."""
+    if w > 8 and any(raw[j::w] != raw[7::w].translate(_SIGN_BYTES) for j in range(8, w)):
+        return tuple([int.from_bytes(raw[i:i + w], "little", signed=True)
+                      for i in range(0, len(raw), w)])
+    char, k = _GROUP_FORMAT[min(w, 8)]
+    return struct.unpack(f"<{len(raw) // w}{char}", _resized(raw, w, k))
+
+
+def _resized(raw: bytes, old: int, new: int) -> bytes:
+    """raw's old-byte two's-complement groups made new bytes wide: their top
+    bytes, copies of the sign, deleted, or the bytes that extend it added."""
+    if new < old:
         raw = bytearray(raw)
-        for j in range(k, w, -1):  # drop the top byte of each j-byte group
+        for j in range(old, new, -1):  # drop the top byte of each j-byte group
             del raw[j - 1::j]
-    return int.from_bytes(raw, "little")
+    elif new > old:
+        sign = raw[old - 1::old].translate(_SIGN_BYTES)
+        wide = bytearray(len(sign) * new)
+        for j in range(new):
+            wide[j::new] = raw[j::old] if j < old else sign
+        raw = wide
+    return raw
 
 
 def _lane_bias(g: int, w: int) -> int:
@@ -458,37 +469,22 @@ def _lane_bias(g: int, w: int) -> int:
     return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * g, "little")
 
 
-def _lanes(coeffs: tuple[int, ...], g: int, w: int) -> list[int] | None:
+def _lanes(coeffs: tuple[int, ...], g: int, w: int) -> list[int]:
     """Position i = sum_r c[i*g + r] * 2**(8w*r) for i < ceil(len(coeffs)/g),
-    c zero past coeffs and every |c| < 2**(8w - 1); None when a c does not
-    fit 8 bytes."""
-    n = -(-len(coeffs) // g)
-    try:
-        raw = struct.pack(f"<{n * g}q", *coeffs, *(0,) * (n * g - len(coeffs)))
-    except struct.error:
-        return None
-    sign = raw[7::8].translate(_SIGN_BYTES)
-    lanes = bytearray(n * g * w)
-    for j in range(w):
-        lanes[j::w] = raw[j::8] if j < 8 else sign
+    c zero past coeffs and every |c| < 2**(8w - 1): g groups of ``_pack``
+    read as one chunk, their top bits flipped, minus the per-lane bias."""
+    raw = _pack(coeffs, w) + bytes(-len(coeffs) % g * w)
     size, bias = g * w, _lane_bias(g, w)
-    return [(int.from_bytes(lanes[i:i + size], "little") ^ bias) - bias
-            for i in range(0, n * size, size)]
+    return [(int.from_bytes(raw[i:i + size], "little") ^ bias) - bias
+            for i in range(0, len(raw), size)]
 
 
 def _unlanes(positions: tuple[int, ...], g: int, w: int) -> tuple[int, ...]:
     """Inverse of ``_lanes``: every lane value, lowest first, each below
     2**(8w - 1) in absolute value."""
     bias = _lane_bias(g, w)
-    raw = b"".join([((x + bias) ^ bias).to_bytes(g * w, "little") for x in positions])
-    sign = raw[min(w, 8) - 1::w].translate(_SIGN_BYTES)
-    if all(raw[j::w] == sign for j in range(8, w)):  # every lane fits 8 bytes
-        low = bytearray(len(sign) * 8)
-        for j in range(8):
-            low[j::8] = raw[j::w] if j < w else sign
-        return struct.unpack(f"<{len(sign)}q", low)
-    return tuple([int.from_bytes(raw[i:i + w], "little", signed=True)
-                  for i in range(0, len(raw), w)])
+    return _unpack(b"".join([((x + bias) ^ bias).to_bytes(g * w, "little")
+                             for x in positions]), w)
 
 
 def _decimal_product(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:

@@ -554,14 +554,14 @@ _LANE_DIVISORS = (
 @pytest.mark.parametrize("g", (2, 4, 5, 10))
 def test_lane_division_equals_the_plain_recurrence(g):
     # Windows below, at and past g terms, and with a tail of N mod g padded;
-    # numerators of +-1, of mixed sign up to 2**62, and at both 8-byte
-    # edges.  The plain divisions run each full-length theta through
-    # series._quotient.
+    # numerators of +-1, of mixed sign up to 2**62 and up to 2**100, and
+    # at both 8-byte edges.  The plain divisions run each full-length
+    # theta through series._quotient.
     rng = random.Random(g)
     for reduced in _LANE_DIVISORS:
         divisors = [((g * p, g * a), e) for (p, a), e in reduced]
         for order in sorted({1, max(g - 1, 1), g, g + 1, 3 * g + 2, 97}):
-            for top in (1, 1 << 62, None):
+            for top in (1, 1 << 62, 1 << 100, None):
                 window = LaurentSeries(0, tuple(
                     rng.choice((-(1 << 63), (1 << 63) - 1)) if top is None
                     else rng.randint(-top, top) for _ in range(order)))
@@ -580,14 +580,14 @@ def test_lane_width_counts_theta_2m_m_twice():
         assert eta._divide_lanes(one, (((2, 1), -e),), 2) == plain
 
 
-def test_lane_division_leaves_a_numerator_wider_than_8_bytes_to_the_plain_one(monkeypatch):
-    window = LaurentSeries(0, (1, 0, 0, 1 << 63))
-    assert eta._divide_lanes(window, (((3, 1), -1),), 5) is None
-    # f1^30 has 76-bit coefficients at order 1999, so f5^-9 f10^-4 divide
-    # it at full length: four by cubes and one by theta(30, 10).
+def test_lane_division_takes_a_numerator_wider_than_8_bytes(monkeypatch):
+    # f1^30 has 76-bit coefficients at order 1999, and f5^-9 f10^-4 divide
+    # it on 400 packed positions: three times by f1^3, once by f2^3 and
+    # once by theta(6, 2).  While lanes stopped at 8 bytes, these were
+    # five divisions at full length.
     factors = {1: 30, 5: -9, 10: -4}
     assert max(map(abs, expand_quotient({1: 30}, 1999).coeffs)).bit_length() == 76
-    assert _cold_work(monkeypatch, factors, 1999)[1] == [1999] * 5
+    assert _cold_work(monkeypatch, factors, 1999)[1] == [400] * 5
 
 
 _LANE_QUOTIENTS = ((5, {1: 1, 5: -1, 10: -1}), (5, {1: 3, 5: -2, 10: -3}),

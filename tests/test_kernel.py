@@ -1,12 +1,11 @@
 """The Kronecker-substitution product in both radixes, and the
 slice-based add and compare.
 
-The product runs in binary (CPython ints, w-byte groups) when its width
-bound fits 8 bytes and its packed operand fits ``series._BINARY_BYTES``,
-and in decimal (libmpdec, d-digit groups) otherwise.  Each product case
-runs on both paths: with the cut monkeypatched to 0 every product is
-decimal, and with a cut above every test size every product whose bound
-fits 8 bytes is binary.  Further cases pin the boundaries between the
+The product runs in binary (CPython ints, w-byte groups) when its packed
+operand fits ``series._BINARY_BYTES``, and in decimal (libmpdec, d-digit
+groups) otherwise.  Each product case runs on both paths: with the cut
+monkeypatched to 0 every product is decimal, and with a cut above every
+test size every product is binary.  Further cases pin the boundaries between the
 paths: the sign bit of each byte width and the cut itself.  Every case
 is checked against a reference written here, one exponent at a time,
 with seeded random operands.  One test checks the product end to end
@@ -45,8 +44,7 @@ def schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 # The binary cut for each radix: 0 sends every product to decimal, and a
-# cut above every size in this file sends every product whose bound fits
-# 8-byte groups to binary.
+# cut above every size in this file sends every product to binary.
 CUTS = {"decimal": 0, "binary": 1 << 40}
 
 
@@ -89,9 +87,9 @@ def test_product_matches_schoolbook_on_random_windows(seed, monkeypatch, paths):
     for radix in on_both_radixes(monkeypatch):
         paths.clear()
         check_random_windows(random.Random(seed))
-        # 64- and 130-bit coefficients need groups wider than 8 bytes.
-        taken = {path for path, _, _ in paths}
-        assert taken == ({"decimal"} if radix == "decimal" else {"binary", "decimal"})
+        # 64- and 130-bit coefficients need groups wider than 8 bytes, which
+        # are binary groups too.
+        assert {path for path, _, _ in paths} == {radix}
 
 
 def check_random_windows(rng: random.Random) -> None:
@@ -197,14 +195,16 @@ def check_bound_reached(bound: int, rng: random.Random) -> None:
         assert a * a == schoolbook(a, a)
 
 
-@pytest.mark.parametrize("w", range(1, 9))
+@pytest.mark.parametrize("w", range(1, 17))
 @pytest.mark.parametrize("sign_bit", ("below", "at"))
 def test_product_at_a_byte_width_sign_bit(w, sign_bit, monkeypatch, paths):
     # B = 2**(8w - 1) - 1 is the largest bound a w-byte group holds next
-    # to its sign bit; B = 2**(8w - 1) takes the next width, and decimal
-    # groups after 8 bytes.  The product coefficients reach +-B.  While
-    # binary groups were 1, 2, 4 or 8 bytes wide, B = 2**(8w - 1) took
-    # 2w bytes; every width in 1..8 is now a group width.
+    # to its sign bit; B = 2**(8w - 1) takes the next width.  The product
+    # coefficients reach +-B.  Groups of 1..8 bytes read back through
+    # struct, and wider ones one int at a time once a coefficient passes
+    # 8 bytes.  While binary groups were 1, 2, 4 or 8 bytes wide, B =
+    # 2**(8w - 1) took 2w bytes; every width in 1..8 is now a group width,
+    # and while they stopped at 8 bytes, B = 2**63 went decimal.
     bound = (1 << 8 * w - 1) - (sign_bit == "below")
     for radix in on_both_radixes(monkeypatch):
         paths.clear()
@@ -214,12 +214,8 @@ def test_product_at_a_byte_width_sign_bit(w, sign_bit, monkeypatch, paths):
         taken = {(path, width) for path, _, width in paths[0::3] + paths[1::3]}
         if radix == "decimal":
             assert {path for path, _ in taken} == {"decimal"}
-        elif sign_bit == "below":
-            assert taken == {("binary", w)}
-        elif w < 8:
-            assert taken == {("binary", w + 1)}
         else:
-            assert {path for path, _ in taken} == {"decimal"}
+            assert taken == {("binary", w + (sign_bit == "at"))}
 
 
 def test_three_byte_groups_need_their_sign_extended(monkeypatch, paths):
@@ -227,7 +223,6 @@ def test_three_byte_groups_need_their_sign_extended(monkeypatch, paths):
     # negative coefficient of a 3-byte product comes back as c + 2**24.
     a = LaurentSeries(0, (1000, -1000, 3))
     b = LaurentSeries(0, (2000, 7, -5))
-    assert series._byte_width(2003 * 2000) == 3
     assert a * b == schoolbook(a, b)
     monkeypatch.setattr(series, "_SIGN_BYTES", bytes(256))
     wrong = a * b
@@ -236,17 +231,18 @@ def test_three_byte_groups_need_their_sign_extended(monkeypatch, paths):
     assert wrong != schoolbook(a, b)
 
 
-@pytest.mark.parametrize("w", (1, 8))
+@pytest.mark.parametrize("w", (1, 8, 16))
 @pytest.mark.parametrize("extra", (0, 1))
 def test_product_at_the_binary_cut(w, extra, paths):
     # n*w bytes equal to the cut stay binary; one more group (one more
-    # byte for w = 1) goes to decimal.  a has ||a||_1 = 3, so the bound is
-    # 3 max|b|, which takes exactly w bytes.  max|b| was 1 << 40 for w = 8
-    # while groups were 1, 2, 4 or 8 bytes wide; 3 << 40 now takes 6.
-    assert series._BINARY_BYTES % 8 == 0
+    # byte for w = 1) goes to decimal, at 16-byte groups too.  a has
+    # ||a||_1 = 3, so the bound is 3 max|b|, which takes exactly w bytes.
+    # max|b| was 1 << 40 for w = 8 while groups were 1, 2, 4 or 8 bytes
+    # wide; 3 << 40 now takes 6.
+    assert series._BINARY_BYTES % w == 0
     n = series._BINARY_BYTES // w + extra
     top = ((1 << 8 * w - 1) - 1) // 3
-    assert series._byte_width(3 * top) == w
+    assert (3 * top).bit_length() == 8 * w - 1
     rng = random.Random(n)
     a = LaurentSeries(1, (1, -1) + (0,) * (n - 3) + (1,))
     b = LaurentSeries(-2, (top,) + tuple(rng.randint(-top, top) for _ in range(n - 1)))
