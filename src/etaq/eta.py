@@ -52,12 +52,13 @@ by theta(3, 1), and 1/f1^3 is 1 divided by f1^3 once.  Positive factors
 are peeled off one at a time (``_expand_reduced``): the factor with the
 smallest gcd(p, a) is expanded alone, the rest as one quotient, which
 this rule reduces by the rest's own g, and only their product costs N
-terms.  When the rest's g > 1 and N >= g, that product is g products of
-about N/g terms: each residue class mod g of the head's window times the
-rest's reduced window is that class of the product, so the rest is never
-spread.  A single factor is theta raised to e, and f1^e for e >= 3 is
-(f1^3)^(e // 3) times theta(3, 1)^(e mod 3).  A cache entry is
-keyed by the quotient as requested, not as regrouped, so a hit
+terms.  That product is one product per residue class mod the rest's
+g: class r of the head's window times the rest's reduced window, on
+ceil(N/g) terms, is class r of the product, so the rest is never spread.
+With g = 1 that is one product of length N, and below order g each
+class holds one term.  A single factor is theta raised to e, and f1^e
+for e >= 3 is (f1^3)^(e // 3) times theta(3, 1)^(e mod 3).  A cache
+entry is keyed by the quotient as requested, not as regrouped, so a hit
 regroups nothing.
 
 ``_expand_quotient_cached`` is the only cache.  It keeps one entry per
@@ -304,9 +305,9 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
     they share a g > 1 (``_divide_lanes``), then by the rest at full
     length.  Otherwise the factor with the smallest gcd(p, a), the first
     of equals, is multiplied by the rest expanded as one quotient, one
-    residue class mod the rest's g at a time when that g is above 1 and
-    at most the order; a single factor is the product of its sparse
-    series' powers.
+    residue class mod the rest's g at a time: one product when g = 1, and
+    one-term products below order g.  A single factor is the product of
+    its sparse series' powers.
     """
     items = _regroup(items)
     divisors = [x for x in items if x[1] < 0]
@@ -323,15 +324,13 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
         # it first lets a later reduced factor with its key read a cached prefix.
         first = min(items, key=lambda x: math.gcd(*x[0]))
         head = _expand((first,), order)
-        rest = tuple(x for x in items if x != first)
-        g, reduced = _reduce(rest)
-        if not 1 < g <= order:
-            return head * _expand(rest, order)
-        # The rest is a series in q^g: each residue class of the head mod g
-        # times its reduced window is that class of the product.
+        # The rest is a series in q^g, g = 1 included: each residue class of
+        # the head mod g times the rest's reduced window is that class of the
+        # product, and below order g each class holds one term.
+        g, reduced = _reduce(tuple(x for x in items if x != first))
         window = _expand_quotient_cached(reduced, -(-order // g))
         c = [0] * order
-        for r in range(g):
+        for r in range(min(g, order)):
             c[r::g] = (LaurentSeries(0, head.coeffs[r::g]) * window).coeffs
         return LaurentSeries(0, tuple(c))
     [((p, a), e)] = items

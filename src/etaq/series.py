@@ -43,12 +43,12 @@ Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
 sum_{j>=1} b_j c_{k-j}) (Knuth, TAOCP Vol. 2, 4.7) on blocks of 64
 outputs.  The divisor terms that reach back past the current block are
-applied to it before it starts: its -1 terms and its wider terms in one
-C-level pass that sums their shifted slices, and its +1 terms in a
-second.  The wider terms are grouped by value, so each value's slices
-are summed first and scaled by -b_j once; only the terms below 64 run
-one output at a time.  The cost is the window length times the divisor's support, so a
-sparse divisor such as a theta series needs no wide product.
+kept by value and applied to it before it starts, in one C-level pass
+that sums their shifted slices: the -1 terms' slices as they are, and
+every other value's slices summed and scaled by -b_j once.  Only the
+terms below 64 run one output at a time.  The cost is the window length
+times the divisor's support, so a sparse divisor such as a theta series
+needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.  A caller
 that divides by a series in q^g runs it on lanes: position i packs the
 g coefficients a[i*g + r] into one int, sum_r a[i*g + r] * 2**(8w*r).
@@ -526,16 +526,16 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
     The recurrence c_k = b_0 * (a_k - sum_{j>=1} b_j c_{k-j}) runs on
     blocks of ``_BLOCK`` outputs.  A divisor term b_j with j >= _BLOCK
-    reaches a block only from outputs of earlier blocks, so all such
-    terms are applied before the block starts, as C-level passes over
-    shifted slices of c: one ``map(sum, zip(...))`` adds to it the
-    block's -1 terms and its wider terms, and a second sums its +1 terms
-    and subtracts them.  The wider terms are grouped by value b_j: a
-    group's slices are summed in one ``zip`` and the sum scaled by -b_j
-    in C, so theta(p, p/2)'s +-2 terms are two groups, while Jacobi's
-    cube, whose +-(2n+1) all differ, scales one slice per term.  A term
-    reaches the block when j is below the block's end, and one bisect on
-    the sorted exponents of each kind or group picks those terms.  Their
+    reaches a block only from outputs of earlier blocks, so these far
+    terms are applied before the block starts, in one C-level pass
+    ``map(sum, zip(...))`` over shifted slices of c.  They are kept in
+    one dict keyed by value: the -1 terms' slices join the ``zip`` as
+    they are, and every other value sums its slices in one ``zip`` (or
+    takes its one slice) and scales them by -b_j in C, so theta(p, p/2)'s
+    +-2 terms are two values and Jacobi's cube scales one slice per term.
+    The values are visited in order of their first exponent until one
+    does not reach the block (its j at or past the block's end), and one
+    bisect on a value's sorted exponents picks its terms that do.  Their
     slices start at most _BLOCK - 1 outputs before the block, so _BLOCK -
     1 zeros in front of c make every slice whole.  Only the terms below
     _BLOCK run one output at a time.  The work is len(a) times the
@@ -544,43 +544,38 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if b[0] == -1:  # a / b == (-a) / (-b), whose divisor leads with +1
         a, b = tuple(map(operator.neg, a)), tuple(map(operator.neg, b))
     n = len(a)
-    plus: list[int] = []
-    minus: list[int] = []
-    other: dict[int, list[int]] = {}
+    near_plus, near_minus, near_other = [], [], []
+    far: dict[int, list[int]] = {}
     for j in itertools.compress(range(1, n), b[1:]):
         x = b[j]
-        (plus if x == 1 else minus if x == -1 else other.setdefault(x, [])).append(j)
-    near_plus, far_plus = _split(plus)
-    near_minus, far_minus = _split(minus)
-    # Multiplying by -x in C, so that the far terms of value x join the -1
-    # pass: one slice each for a value with one far term, else their sum.
-    near_other, singles, groups = [], [], []
-    for x, exponents in other.items():
-        near, far = _split(exponents)
-        near_other += [(j, x) for j in near]
-        if len(far) == 1:
-            singles.append((far[0], (-x).__mul__))
-        elif far:
-            groups.append((far, (-x).__mul__))
-    singles.sort()  # by exponent; no two share one
-    far_other = [j for j, _ in singles]
+        if j >= _BLOCK:
+            far.setdefault(x, []).append(j)
+        elif x == 1:
+            near_plus.append(j)
+        elif x == -1:
+            near_minus.append(j)
+        else:
+            near_other.append((j, x))
+    # In order of first exponent (the dict's insertion order): each value's
+    # exponents, and an endless repeat of -x to scale by, or None for -1.
+    far_terms = [(exponents, None if x == -1 else itertools.repeat(-x))
+                 for x, exponents in far.items()]
     pad = _BLOCK - 1
     c = [0] * pad + list(a)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         lo, hi = start + pad, stop + pad
-        terms = far_minus[:bisect.bisect_left(far_minus, stop)]
-        scaled = [map(scale, c[lo - j:hi - j])
-                  for j, scale in singles[:bisect.bisect_left(far_other, stop)]]
-        for far, scale in groups:
-            reached = far[:bisect.bisect_left(far, stop)]
-            if reached:
-                scaled.append(map(scale, map(sum, zip(*[c[lo - j:hi - j] for j in reached]))))
-        block = map(sum, zip(c[lo:hi], *[c[lo - j:hi - j] for j in terms], *scaled))
-        terms = far_plus[:bisect.bisect_left(far_plus, stop)]
-        if terms:
-            block = map(operator.sub, block, map(sum, zip(*[c[lo - j:hi - j] for j in terms])))
-        c[lo:hi] = block
+        slices = [c[lo:hi]]
+        for exponents, scale in far_terms:
+            if exponents[0] >= stop:
+                break
+            reached = [c[lo - j:hi - j] for j in exponents[:bisect.bisect_left(exponents, stop)]]
+            if scale is None:
+                slices += reached
+            else:
+                summed = map(sum, zip(*reached)) if len(reached) > 1 else reached[0]
+                slices.append(map(operator.mul, scale, summed))
+        c[lo:hi] = map(sum, zip(*slices))
         for k in range(lo, hi):
             s = c[k]
             for j in near_plus:
@@ -591,12 +586,6 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                 s -= x * c[k - j]
             c[k] = s
     return tuple(c[pad:])
-
-
-def _split(exponents: list[int]) -> tuple[list[int], list[int]]:
-    """Sorted exponents below _BLOCK, and those at or above it."""
-    i = bisect.bisect_left(exponents, _BLOCK)
-    return exponents[:i], exponents[i:]
 
 
 def _digits(coeffs: tuple[int, ...], d: int) -> str:

@@ -487,7 +487,7 @@ def test_quotient_with_no_shared_gcd_is_multiplied_factor_by_factor(monkeypatch)
     # f1^2 at ceil(order / 7), not a full-length product), and f3^-1 is
     # one division by theta(9, 3).  The join is now seven products of 100
     # terms, one per residue class of f1 mod 7, so none is full-length;
-    # below order 7 it is one product by f7^2 spread.  theta(9, 3) is a
+    # below order 7 each class is a one-term product.  theta(9, 3) is a
     # series in q^3, so its division now runs on 234 packed positions.
     factors = {1: 1, 3: -1, 7: 2}
     assert _cold_work(monkeypatch, factors, 700) == ([100] * 8, [234])
@@ -501,15 +501,15 @@ _PEELS = ((2, {1: 1, 2: 2}), (4, {1: 1, 4: 3}), (5, {1: 2, 5: 1}), (10, {1: 1, 1
 
 @pytest.mark.parametrize("g, factors", _PEELS, ids=[str(g) for g, _ in _PEELS])
 def test_peel_off_multiplies_each_residue_class(g, factors, monkeypatch):
-    # From order g on, the head's g residue classes are multiplied one by
-    # one by the rest's reduced window; below g, the head by the rest.
+    # The head's residue classes mod g are multiplied one by one by the
+    # rest's reduced window; below order g each class is one term.
     products, _ = _counting(monkeypatch)
     try:
         for order in sorted({1, g - 1, g, g + 1, 2 * g + 1, 3 * g - 1, 97} - {0}):
             eta._expand_quotient_cached.cache_clear()
             products.clear()
             assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
-            lengths = [-(-(order - r) // g) for r in range(g)] if order >= g else [order]
+            lengths = [-(-(order - r) // g) for r in range(g)] if order >= g else [1] * order
             assert products[-len(lengths):] == lengths, order
     finally:
         eta._expand_quotient_cached.cache_clear()

@@ -165,7 +165,7 @@ def test_invert_matches_the_loop_on_dense_series():
 
 
 def test_division_window_and_product_with_offsets():
-    # Windows past 64 terms run the blockwise passes as well as the
+    # Windows past 64 terms run the blockwise pass as well as the
     # per-output terms, for divisor coefficients of +-1 and wider.
     rng = random.Random(409)
     for _ in range(60):
@@ -243,6 +243,44 @@ def test_grouped_division_matches_the_loop(n):
     for b in _grouped_divisors(n):
         a = LaurentSeries(-2, tuple(rng.randint(-99, 99) for _ in range(n)))
         assert a / b == _loop_divide(a, b)
+
+
+# Divisor values for the far terms, at q^64 and past; only -1 joins a
+# block's sum unscaled.
+_FAR_VALUES = (1, -1, 2, -2, 3, -3, 5, -7)
+
+
+def _sparse_divisors(rng, n):
+    """Unit-led sparse divisors on n terms, each with a few near terms:
+    values of ``_FAR_VALUES`` at random exponents, interleaved across block
+    edges; values that all differ; and runs, each value's far terms
+    starting after the previous value's last, with one far +1 term.  Each
+    comes led by +1 and, negated, by -1."""
+    def divisor(terms):
+        return LaurentSeries(0, (1,) + tuple(terms.get(j, 0) for j in range(1, n)))
+
+    near = {j: rng.choice(_FAR_VALUES) for j in rng.sample(range(1, min(n, 64)), 4)}
+    mixed = {j: rng.choice(_FAR_VALUES) for j in rng.sample(range(1, n), 30)}
+    distinct = {j: rng.choice((1, -1)) * (k + 2)
+                for k, j in enumerate(rng.sample(range(64, max(n, 80)), 16))}
+    runs = {}
+    bounds = sorted(rng.sample(range(65, max(n, 80)), 6))
+    for x, lo, hi in zip((2, -1, -3, 5, -7), [64] + bounds, bounds):
+        runs.update(dict.fromkeys(rng.sample(range(lo, hi), min(3, hi - lo)), x))
+    runs[rng.randrange(bounds[-1], max(n, bounds[-1] + 1))] = 1
+    out = [divisor({**near, **terms}) for terms in (mixed, distinct, runs)]
+    return out + [-b for b in out]
+
+
+@pytest.mark.parametrize("n", (63, 64, 65, 127, 128, 129, 700))
+def test_division_by_far_terms_of_every_value_matches_the_loop(n):
+    # The far terms are visited by value in order of their first exponent,
+    # and a block stops at the first value that does not reach it.
+    rng = random.Random(7 * n)
+    for b in _sparse_divisors(rng, n):
+        for a_offset, b_offset in ((0, 0), (-5, 3), (7, -2)):
+            a = LaurentSeries(a_offset, tuple(rng.randint(-99, 99) for _ in range(n)))
+            assert a / b.shift(b_offset) == _loop_divide(a, b.shift(b_offset))
 
 
 def _positions(values, g, w):
