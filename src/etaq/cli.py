@@ -105,10 +105,6 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _print_series(series) -> None:
-    print(series.dump())
-
-
 def _row(report: Report) -> str:
     row = f"[{_STATUS_WORD[report.status]}] {report.label}"
     if report.claim is not None:
@@ -136,13 +132,13 @@ def _print_reports(args: argparse.Namespace, reports: list[Report],
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    _print_series(expand_quotient(args.factors, args.order))
+    print(expand_quotient(args.factors, args.order).dump())
     return EXIT_OK
 
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
     series = expand_quotient(args.factors, args.order)
-    _print_series(series.extract(args.step, args.residue))
+    print(series.extract(args.step, args.residue).dump())
     return EXIT_OK
 
 

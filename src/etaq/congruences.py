@@ -14,9 +14,9 @@ divisible by a stated power of two, or vanishes outright.  Rows 1.1 and
 1.2 are the M and T* levels k, rows 1.3-1.6 the P* levels 4k, ..., 4k+3,
 and row 1.7 the odd half of the P* level 4k+3.
 
-Theorem 3.1 builds only the windows its verdicts read.  A dissection
-row expands its rhs only until it covers the lhs's window, and not at all
-when the progression has no exponent below the order.  The induction rows
+Theorem 3.1 builds only the windows its verdicts read: ``verify_dissection``
+covers the lhs's window with v_k . BASIS, or reads no rhs when the
+progression has no exponent below the order.  The induction rows
 come from three basis residuals: every level window v_k . BASIS is
 [-1, order - 1) and T(X) = extract(q^-2 X, 2, 0) is linear, so once T(B_i)
 equals (U e_i) . BASIS on that window for each basis element, every step
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import sequences
 from .eta import TARGET_ROWS, gen_target
-from .identities import Term, _covered, _series
+from .identities import Term, Value, _covered, _series
 from .sequences import BASIS, Vector, levels
 from .series import (
     FAIL,
@@ -105,32 +105,22 @@ def rhs_series(claim: DissectionClaim, order: int) -> LaurentSeries:
     return _series(_rhs_terms(levels(TARGET_FAMILY[claim.target], claim.k)[-1]), order)
 
 
-def _reachable_lhs(claim: DissectionClaim, order: int) -> LaurentSeries | None:
-    """``lhs_series``, or None when the progression has no exponent below the order."""
-    try:
-        return lhs_series(claim, order)
-    except EmptyWindow:
-        return None
-
-
-def verify_dissection(claim: DissectionClaim, order: int, rhs: LaurentSeries) -> Report:
-    """Compare the lhs with the given rhs window; the window halves at
+def verify_dissection(claim: DissectionClaim, order: int, rhs: Value) -> Report:
+    """Compare the lhs with the rhs, a window or v_k . BASIS as terms, which
+    is expanded only until it covers the lhs's window; the window halves at
     each level, so the required overlap scales as order / 2^(k+1).
 
     At k = 2 the report also states which of the two lead labelings
-    (swapping the two families with an H term) the series obeys.
-    A progression with no coefficient below the order is reported as
-    insufficient-precision.
+    (swapping the two families with an H term) the series obeys.  A
+    progression with no coefficient below the order is reported as
+    insufficient-precision, and no rhs is expanded.
     """
-    return _dissection_report(claim, order, _reachable_lhs(claim, order), rhs)
-
-
-def _dissection_report(claim: DissectionClaim, order: int, lhs: LaurentSeries | None,
-                       rhs: LaurentSeries | None) -> Report:
-    """``verify_dissection`` on a given lhs; rhs is read only when lhs is not None."""
     required = max(1, order >> (claim.k + 1))
-    if lhs is None:
+    try:
+        lhs = lhs_series(claim, order)
+    except EmptyWindow:
         return Report.scan(claim.label, claim.describe(), order, range(0), (), required)
+    rhs = _covered(rhs, order, lhs.prec)
     outcome = compare(lhs, rhs, min_overlap=required)
     note = None
     fam, pair = TARGET_FAMILY[claim.target], [f for f, v in sequences._LEVEL_ONE.items() if v[2]]
@@ -234,14 +224,14 @@ def verify_congruence(claim: CongruenceClaim, order: int,
     values = series._span(claim.residue - claim.step, order)[::claim.step] if reachable else ()
     # One C-level pass finds whether any value fails: one with a bit set
     # below 2^need, or any nonzero value (mask -1) for exact vanishing.  Only
-    # then is the first one looked for.
+    # then is the first one looked for, by the same mask.
     mask = -1 if need is None else (1 << max(need, 0)) - 1
     witnesses = ()
     if any(map(mask.__and__, values)):
         witnesses = ({"n": n, "exponent": claim.step * n + claim.residue,
                       "value": str(value), "v2": two_adic_valuation(value)}
                      for n, value in zip(reachable, values)
-                     if (value != 0 if need is None else two_adic_valuation(value) < need))
+                     if value & mask)
     return Report.scan(claim.label, claim.describe(), order, reachable, witnesses,
                        max(1, min_points))
 
@@ -320,8 +310,8 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
     1.2: the five P* families for k = 0..kmax; a row whose progression
          has no coefficient below the order is reported as skipped.
     3.1: the dissections for k = 1..kmax and induction steps k -> k+1
-         for k < kmax, one run of levels per family.  Each dissection's
-         rhs is expanded only as far as its lhs reaches; the induction
+         for k < kmax, one run of levels per family.  A dissection row
+         is ``verify_dissection`` of v_k . BASIS as terms; the induction
          rows come from the basis residuals T(B_i) - (U e_i) . BASIS when
          all three vanish, else from one full rhs window per level.
     """
@@ -346,9 +336,7 @@ def verify_theorem(theorem_id: str, order: int, kmax: int) -> list[Report]:
         dissections, inductions, previous = [], [], {}
         for claim in claims:
             terms = _rhs_terms(vs[claim.target][claim.k - 1])
-            lhs = _reachable_lhs(claim, order)
-            rhs = None if lhs is None else _covered(terms, order, lhs.prec)
-            dissections.append(_dissection_report(claim, order, lhs, rhs))
+            dissections.append(verify_dissection(claim, order, terms))
             if step is None:  # each step compares two full level windows
                 window = _series(terms, order)
                 if claim.k > 1:

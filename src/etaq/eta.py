@@ -30,9 +30,9 @@ quotient q^j A^j B^(J-j) (``expand_k`` is j = 1, J = 0), so its windows
 are cached as below and B's factors divide as sparse thetas.
 
 ``_expand`` applies one rule at every level.  Let g be the gcd of every
-period and every a of a quotient.  If g > 1 the quotient is a series in
-q^g: the quotient with (p/g, a/g) is expanded to order ceil(N/g) and
-spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
+period and every a of a quotient.  The quotient is a series in q^g, g = 1
+included: the quotient with (p/g, a/g) is expanded to order ceil(N/g)
+and spread by g.  So f_m^e costs f_1^e = theta(3, 1)^e on ceil(N/m) terms,
 f2^4 f10^4 costs one f1^4 f5^4 at half the order, and theta(10, 4) is
 theta(5, 2) at half length.  At g = 1, on a cache miss, the plain
 factors are first regrouped (``_regroup``): for each period m, smallest
@@ -167,15 +167,14 @@ def _spread(s: LaurentSeries, m: int, order: int) -> LaurentSeries:
 def _expand(items: _Items, order: int) -> LaurentSeries:
     """prod theta(p, a)^e over items on [0, order), by the gcd rule above.
 
-    A quotient with g > 1 is spread from its reduced window on every
-    call; only quotients with g = 1 go through the window cache.
+    The reduced quotient goes through the window cache and is spread by
+    g on every call, which returns it unchanged at g = 1: a quotient with
+    g > 1 is never stored.
     """
     if not items:
         return LaurentSeries.one(order)
     g, reduced = _reduce(items)
-    if g > 1:
-        return _spread(_expand_quotient_cached(reduced, -(-order // g)), g, order)
-    return _expand_quotient_cached(items, order)
+    return _spread(_expand_quotient_cached(reduced, -(-order // g)), g, order)
 
 
 def _reduce(items: _Items) -> tuple[int, _Items]:

@@ -140,6 +140,45 @@ def test_swapped_family_rhs_fails():
     assert compare(lhs, swapped, min_overlap=8).status == FAIL
 
 
+@pytest.mark.parametrize("order", (64, 500, 2000))
+def test_dissection_of_the_term_list_equals_that_of_the_window(order):
+    # v_k . BASIS as terms is covered to the lhs's window, so its report,
+    # k = 2 notes and insufficient rows included, is that of the full window.
+    reports = {}
+    for target, family in congruences.TARGET_FAMILY.items():
+        for k, v in enumerate(levels(family, 7), 1):
+            claim = DissectionClaim(target, k)
+            report = verify_dissection(claim, order, congruences._rhs_terms(v))
+            assert report.to_dict() == verify_dissection(claim, order, rhs_series(claim, order)).to_dict()
+            reports[target, k] = report
+    assert reports["M", 2].note and reports["TSTAR", 2].note
+    assert reports["PSTAR", 7].status == (INSUFFICIENT if order == 64 else PASS)
+
+
+def test_theorem_31_dissection_rows_come_from_verify_dissection(monkeypatch):
+    calls = []
+
+    def counted(claim, order, rhs):
+        calls.append(claim.label)
+        return verify_dissection(claim, order, rhs)
+
+    monkeypatch.setattr(congruences, "verify_dissection", counted)
+    reports = verify_theorem("3.1", 400, 8)
+    assert calls == [r.label for r in reports if r.label.startswith("dissection[")]
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("target", ["M", "TSTAR", "PSTAR"])
+def test_a_slip_in_the_level_two_terms_fails_at_the_lead(target):
+    # Negative control: v_2 with its q^-1 F coordinate one too large.
+    v = levels(congruences.TARGET_FAMILY[target], 2)[1]
+    report = verify_dissection(DissectionClaim(target, 2), 400,
+                               congruences._rhs_terms((v[0] + 1, *v[1:])))
+    assert report.status == FAIL
+    assert report.witness["exponent"] == -1
+    assert int(report.witness["rhs"]) == int(report.witness["lhs"]) + 1
+
+
 # The catalog's typed level-1 dissections and the target each one states.
 LEVEL_ONE = (("L22", "PSTAR"), ("EQ210", "M"), ("EQ211", "TSTAR"))
 
