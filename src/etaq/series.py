@@ -26,10 +26,11 @@ count with B < 2**(8w - 1), a product whose packed operand has at most
 as a w-byte two's-complement group at C level, the bytes are read as one
 CPython int whose groups the bias flips to c + 2**(8w - 1), CPython
 multiplies the two (Karatsuba), and ``_unpack`` reads the low n groups
-back.  Every other product runs in decimal: d is the smallest digit
-count with 2*B < 10**d, each c becomes the d-digit string of c +
-10**d/2, the strings are concatenated (highest coefficient first) into
-one ``Decimal``, and libmpdec, whose multiply switches to a
+back, with one struct format for the product's three codec calls.
+Every other product runs in decimal: d is the smallest digit count with
+2*B < 10**d, each c becomes the d-digit string of c + 10**d/2, the
+strings are concatenated (highest coefficient first) into one
+``Decimal``, and libmpdec, whose multiply switches to a
 number-theoretic transform on long operands, multiplies them.  Long
 operands therefore take the decimal path; below the cut CPython's
 multiply and the cheaper packing win.  The decimal arithmetic runs under
@@ -38,6 +39,12 @@ trapping ``Inexact`` and ``Rounded``, so a product that did not fit
 would raise instead of returning a wrong coefficient; the thread's
 ``decimal.getcontext()`` is never changed.  The cap
 ``_MAX_PACKED_DIGITS`` on n*d is checked before either radix is chosen.
+A product keeps its right operand's preparation, one entry deep
+(``_right_operand``): the cut tuple, its max and sum of |c|, and its
+packed int per group width.  A residue-class join multiplies g class
+windows by one window, so that window is read and packed once, not g
+times.  The entry is checked by identity and holds its tuples, so any
+other operand only misses.
 
 Division ``a / b`` needs the lowest nonzero coefficient of b to be +1 or
 -1, and runs the exact power-series recurrence c_k = b_0 * (a_k -
@@ -46,7 +53,9 @@ outputs.  The divisor terms that reach back past the current block are
 kept by value and applied to it before it starts, in one C-level pass
 that sums their shifted slices: the -1 terms' slices as they are, and
 every other value's slices summed and scaled by -b_j once.  Only the
-terms below 64 run one output at a time.  The cost is the window length
+terms below 64 run one output at a time, in one function made for the
+divisor's tuple of near terms (``_near_solver``, cached): one expression
+per output, with no loop over the terms.  The cost is the window length
 times the divisor's support, so a sparse divisor such as a theta series
 needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.  A caller
@@ -74,12 +83,13 @@ from __future__ import annotations
 
 import bisect
 import decimal
+import functools
 import itertools
 import math
 import operator
 import struct
 from decimal import Decimal
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 PASS = "pass"
 FAIL = "fail"
@@ -249,23 +259,29 @@ class LaurentSeries(_Record):
 
     def __mul__(self, other: int | LaurentSeries) -> LaurentSeries:
         if isinstance(other, int):
-            return LaurentSeries(self.offset, tuple(map(other.__mul__, self.coeffs)))
+            return LaurentSeries(self.offset,
+                                 tuple(map(operator.mul, itertools.repeat(other), self.coeffs)))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         # Truncated Cauchy product.  The unknown tail of each operand first
         # pollutes exponent prec_a + offset_b (resp. prec_b + offset_a), so
         # the result window has length min(len(a), len(b)).
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        # One abs pass per operand, read by its max and its sum; a square
-        # (self * self, as in _pow) passes one tuple twice and takes one.
-        abs_a = list(map(abs, a))
-        abs_b = abs_a if b is a else list(map(abs, b))
-        max_a, max_b = max(abs_a), max(abs_b)
+        a = self.coeffs[:n]
+        # The right operand is cut and read once for its max and sum, and a
+        # run of products by one window (a residue-class join) reuses that
+        # from ``_right_operand``; a square (self * self, as in _pow) passes
+        # one tuple twice and reads the left side from it too.
+        b, max_b, sum_b = _right_operand(other.coeffs, n)
+        if b is a:
+            max_a, sum_a = max_b, sum_b
+        else:
+            abs_a = list(map(abs, a))
+            max_a, sum_a = max(abs_a), sum(abs_a)
         # No coefficient of the product or of an operand exceeds the bound
         # (the operands' own coefficients count when one side is all zeros),
         # so a group that holds +-bound never carries, in either radix.
-        bound = max(min(sum(abs_a) * max_b, max_a * sum(abs_b)), max_a, max_b)
+        bound = max(min(sum_a * max_b, max_a * sum_b), max_a, max_b)
         d = _digit_count(2 * bound)
         if n * d > _MAX_PACKED_DIGITS:
             raise ProductTooLarge(
@@ -418,34 +434,71 @@ def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int
     flipping the top bits back gives ``_unpack`` two's complement.
     """
     n = len(a)
+    form = _group_format(n, w)  # one struct format for both operands and the result
     bias = _lane_bias(n, w)
-    x = (int.from_bytes(_pack(a, w), "little") ^ bias) - bias
-    y = x if b is a else (int.from_bytes(_pack(b, w), "little") ^ bias) - bias
+    x = (int.from_bytes(_pack(a, w, form), "little") ^ bias) - bias
+    if b is a:
+        y = x
+    else:
+        # The last right operand (``_right_operand``) keeps its packed int
+        # per group width, so a run of products by one window packs it once.
+        entry = _last_right
+        packed = entry[5] if b is entry[2] else {}
+        y = packed.get(w)
+        if y is None:
+            y = packed[w] = (int.from_bytes(_pack(b, w, form), "little") ^ bias) - bias
     low = ((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias
-    return _unpack(low.to_bytes(n * w, "little"), w)
+    return _unpack(low.to_bytes(n * w, "little"), w, form)
 
 
-def _pack(coeffs: tuple[int, ...], w: int) -> bytes:
+# The last right operand of a product, prepared: (source, n, cut, max|c|,
+# sum|c|, {w: packed int}) with cut = source[:n].  It holds both tuples,
+# so neither identity can pass to another tuple while it is kept, and an
+# entry for any other operand only misses.
+_last_right: tuple = (None, 0, None, 0, 0, {})
+
+
+def _right_operand(coeffs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int, int]:
+    """(coeffs[:n], max|c|, sum|c|), from ``_last_right`` when coeffs is its
+    source and n its length, else made and kept there."""
+    global _last_right
+    entry = _last_right
+    if entry[0] is not coeffs or entry[1] != n:
+        cut = coeffs[:n]
+        magnitudes = list(map(abs, cut))
+        entry = _last_right = (coeffs, n, cut, max(magnitudes), sum(magnitudes), {})
+    return entry[2:5]
+
+
+def _group_format(n: int, w: int) -> tuple[str, int]:
+    """struct's format for n groups of w bytes packed k = 1, 2, 4 or 8 bytes
+    wide, and k."""
+    char, k = _GROUP_FORMAT[min(w, 8)]
+    return f"<{n}{char}", k
+
+
+def _pack(coeffs: tuple[int, ...], w: int, form: tuple[str, int] | None = None) -> bytes:
     """The w-byte two's-complement groups of coeffs, lowest first; every |c|
     must be below 2**(8w - 1).  When every c fits 8 bytes, struct packs
     them k = 1, 2, 4 or 8 bytes wide and ``_resized`` makes them w bytes;
-    otherwise each c takes one ``to_bytes``."""
-    char, k = _GROUP_FORMAT[min(w, 8)]
+    otherwise each c takes one ``to_bytes``.  ``form`` is
+    ``_group_format(len(coeffs), w)``, made here when not given."""
+    fmt, k = form or _group_format(len(coeffs), w)
     try:
-        raw = struct.pack(f"<{len(coeffs)}{char}", *coeffs)
+        raw = struct.pack(fmt, *coeffs)
     except struct.error:  # a c wider than 8 bytes
         return b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
     return _resized(raw, k, w)
 
 
-def _unpack(raw: bytes, w: int) -> tuple[int, ...]:
+def _unpack(raw: bytes, w: int, form: tuple[str, int] | None = None) -> tuple[int, ...]:
     """Inverse of ``_pack``: one ``struct.unpack`` of the groups made k bytes
     wide when every group fits 8 bytes, else one ``int.from_bytes`` each."""
     if w > 8 and any(raw[j::w] != raw[7::w].translate(_SIGN_BYTES) for j in range(8, w)):
         return tuple([int.from_bytes(raw[i:i + w], "little", signed=True)
                       for i in range(0, len(raw), w)])
-    char, k = _GROUP_FORMAT[min(w, 8)]
-    return struct.unpack(f"<{len(raw) // w}{char}", _resized(raw, w, k))
+    fmt, k = form or _group_format(len(raw) // w, w)
+    return struct.unpack(fmt, _resized(raw, w, k))
 
 
 def _resized(raw: bytes, old: int, new: int) -> bytes:
@@ -538,24 +591,22 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     bisect on a value's sorted exponents picks its terms that do.  Their
     slices start at most _BLOCK - 1 outputs before the block, so _BLOCK -
     1 zeros in front of c make every slice whole.  Only the terms below
-    _BLOCK run one output at a time.  The work is len(a) times the
-    divisor's support.
+    _BLOCK run one output at a time, through ``_near_solver``'s function
+    for their tuple ((j, b_j), ...): one expression per output, made once
+    per distinct tuple, and no pass at all when the divisor has no such
+    term.  The work is len(a) times the divisor's support.
     """
     if b[0] == -1:  # a / b == (-a) / (-b), whose divisor leads with +1
         a, b = tuple(map(operator.neg, a)), tuple(map(operator.neg, b))
     n = len(a)
-    near_plus, near_minus, near_other = [], [], []
+    near = []
     far: dict[int, list[int]] = {}
     for j in itertools.compress(range(1, n), b[1:]):
-        x = b[j]
-        if j >= _BLOCK:
-            far.setdefault(x, []).append(j)
-        elif x == 1:
-            near_plus.append(j)
-        elif x == -1:
-            near_minus.append(j)
+        if j < _BLOCK:
+            near.append((j, b[j]))
         else:
-            near_other.append((j, x))
+            far.setdefault(b[j], []).append(j)
+    solve = _near_solver(tuple(near)) if near else None
     # In order of first exponent (the dict's insertion order): each value's
     # exponents, and an endless repeat of -x to scale by, or None for -1.
     far_terms = [(exponents, None if x == -1 else itertools.repeat(-x))
@@ -576,16 +627,33 @@ def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                 summed = map(sum, zip(*reached)) if len(reached) > 1 else reached[0]
                 slices.append(map(operator.mul, scale, summed))
         c[lo:hi] = map(sum, zip(*slices))
-        for k in range(lo, hi):
-            s = c[k]
-            for j in near_plus:
-                s -= c[k - j]
-            for j in near_minus:
-                s += c[k - j]
-            for j, x in near_other:
-                s -= x * c[k - j]
-            c[k] = s
+        if solve:
+            solve(c, lo, hi)
     return tuple(c[pad:])
+
+
+@functools.lru_cache
+def _near_solver(terms: tuple[tuple[int, int], ...]) -> Callable[[list[int], int, int], None]:
+    """A function solve(c, lo, hi) that runs c[k] -= sum b_j c[k - j] over
+    the terms (j, b_j), in order of k from lo to hi.
+
+    Its source is one expression per output, built from the exponents j
+    alone: a +-1 term is a plain ``- c[k - j]`` or ``+ c[k - j]``, and
+    every other b_j is a default argument, bound as a value and never
+    formatted, so no int <-> str limit or coefficient size touches it.
+    The cache keeps the functions of the 128 most recently used tuples
+    (``lru_cache``'s default bound); ``verify all`` makes six.
+    """
+    values = {f"x{i}": x for i, (_, x) in enumerate(terms) if x not in (1, -1)}
+    expression = "".join(
+        f" - c[k - {j}]" if x == 1 else f" + c[k - {j}]" if x == -1 else f" - x{i} * c[k - {j}]"
+        for i, (j, x) in enumerate(terms))
+    defaults = "".join(f", {name}={name}" for name in values)
+    namespace: dict[str, object] = {}
+    exec(f"def solve(c, lo, hi{defaults}):\n"
+         f"    for k in range(lo, hi):\n"
+         f"        c[k] = c[k]{expression}\n", values, namespace)
+    return namespace["solve"]
 
 
 def _digits(coeffs: tuple[int, ...], d: int) -> str:

@@ -10,9 +10,13 @@ paths: the sign bit of each byte width and the cut itself.  Every case
 is checked against a reference written here, one exponent at a time,
 with seeded random operands.  One test checks the product end to end
 against the oracle's Euler-series product, which shares no algorithm
-with the kernel, on both sides of the cut.  The kernel's tests also run
-in CI under ``python -X int_max_str_digits=640``, the lowest int <-> str
-limit CPython accepts.
+with the kernel, on both sides of the cut.  The products through the
+right-operand memo (``series._right_operand``) are checked the same way,
+with a planted entry as the negative control, and the division
+recurrence, whose near terms run through one function made per divisor
+(``series._near_solver``), against the plain recurrence.  The kernel's
+tests also run in CI under ``python -X int_max_str_digits=640``, the
+lowest int <-> str limit CPython accepts.
 """
 
 from __future__ import annotations
@@ -433,3 +437,175 @@ def test_compare_matches_per_exponent_reference():
         outcome = compare(a, b, min_overlap=min_overlap)
         assert (outcome.status, outcome.lo, outcome.hi, outcome.overlap,
                 outcome.witness) == reference_compare(a, b, min_overlap)
+
+
+def test_products_by_one_right_operand_match_schoolbook(monkeypatch, paths):
+    # A residue-class join: left windows of lengths n and n - 1 by one
+    # right window, repeated, so the memo is hit, missed by the cut length
+    # and hit again; squares of the right window and of a left one; and
+    # 100-bit coefficients, whose groups are wider than 8 bytes.
+    rng = random.Random(23)
+    for radix in on_both_radixes(monkeypatch):
+        for bits in (3, 40, 100):
+            paths.clear()
+            window = random_series(rng, 37, bits)
+            lefts = [random_series(rng, length, bits) for length in (37, 37, 36, 36, 37)]
+            for a in lefts + lefts[::-1]:
+                assert a * window == schoolbook(a, window)
+            assert window * window == schoolbook(window, window)
+            assert lefts[2] * lefts[2] == schoolbook(lefts[2], lefts[2])
+            assert window * window == schoolbook(window, window)
+            assert {path for path, _, _ in paths} == {radix}
+            if radix == "binary" and bits == 100:
+                assert min(width for _, _, width in paths) > 8
+
+
+def test_a_join_packs_its_right_operand_once_per_width(monkeypatch, paths):
+    packs = []
+
+    def pack(fmt, *values):
+        packs.append(len(values))
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(series, "struct", SimpleNamespace(
+        pack=pack, unpack=struct.unpack, Struct=struct.Struct, error=struct.error))
+    rng = random.Random(29)
+    window = random_series(rng, 50, 8)
+    lefts = [random_series(rng, 50, 8) for _ in range(5)]
+    for a in lefts:
+        assert a * window == schoolbook(a, window)
+    # One pack per left window and one for the right window: every product
+    # took the same group width.
+    assert len({width for _, _, width in paths}) == 1
+    assert len(packs) == 6
+    # A left window with a wider bound takes another width, packed once more.
+    wide = random_series(rng, 50, 30)
+    assert wide * window == schoolbook(wide, window)
+    assert len(packs) == 8
+
+
+def test_a_planted_entry_serves_only_its_own_tuple(monkeypatch, paths):
+    # Negative control: an entry holding a wrong packed int for one tuple.
+    # A product by an equal tuple that is another object must still be
+    # exact, so the entry was not served; the product by the planted tuple
+    # itself reads the wrong int, which shows the memo is on the path.
+    rng = random.Random(31)
+    a = random_series(rng, 40, 12)
+    planted = tuple(rng.randint(-999, 999) for _ in range(40))
+    twin = tuple(list(planted))
+    assert twin == planted and twin is not planted
+    exact = schoolbook(a, LaurentSeries(0, planted))
+    assert exact.offset == a.offset
+    assert a * LaurentSeries(0, twin) == exact
+    [(_, _, w)] = paths
+    magnitudes = list(map(abs, planted))
+    wrong = (planted[0] + 1,) + planted[1:]
+    x = sum(c << 8 * w * i for i, c in enumerate(wrong))
+
+    def plant():
+        monkeypatch.setattr(series, "_last_right", (
+            planted, 40, planted, max(magnitudes), sum(magnitudes), {w: x}))
+
+    plant()
+    assert series._binary_product(a.coeffs, twin, w) == exact.coeffs
+    assert a * LaurentSeries(0, twin) == exact
+    plant()
+    served = a * LaurentSeries(0, planted)
+    assert served == schoolbook(a, LaurentSeries(0, wrong))
+    assert served != exact
+    assert [width for _, _, width in paths] == [w] * 4
+
+
+def test_a_memo_hit_still_refuses_a_product_too_large():
+    # The same refusal, with the same message, on the miss that makes the
+    # entry and on the hit that reads it.
+    width = series._MAX_PACKED_DIGITS // MAX_ORDER + 1
+    x = math.isqrt(10 ** (width - 1) // 2) + 1  # 2 x^2 has `width` digits, one too many
+    window = LaurentSeries(0, (x,) + (0,) * (MAX_ORDER - 1))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(series.ProductTooLarge) as refusal:
+            window * window
+        messages.append(str(refusal.value))
+        assert series._last_right[0] is window.coeffs
+    assert messages[0] == messages[1]
+
+
+def plain_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """c_k = b_0 (a_k - sum_{j>=1} b_j c_{k-j}), one output and one divisor
+    term at a time: the reference for ``series._quotient``."""
+    terms = [(j, x) for j, x in enumerate(b) if j and x]
+    c: list[int] = []
+    for k, x_k in enumerate(a):
+        c.append(b[0] * (x_k - sum(x * c[k - j] for j, x in terms if j <= k)))
+    return tuple(c)
+
+
+def sparse_divisor(rng: random.Random, n: int, lead: int, near: tuple[int, ...],
+                   values: tuple[int, ...]) -> tuple[int, ...]:
+    """A divisor on n terms led by ``lead``: a seeded sample of the
+    exponents in ``near`` and up to 20 exponents past 64, with seeded
+    values."""
+    b = [0] * n
+    b[0] = lead
+    far = range(64, n)
+    for j in rng.sample(near, min(4, len(near))) + rng.sample(far, min(20, len(far))):
+        b[j] = rng.choice(values)
+    return tuple(b)
+
+
+@pytest.mark.parametrize("n", (1, 40, 64, 65, 200))
+def test_near_recurrence_matches_the_plain_recurrence(n):
+    # Seeded sparse divisors led by +1 and by -1, with +-1 near terms only,
+    # with other values, and with none; theta(2m, m)'s +-2 and Jacobi's
+    # cube's odd values; and a near value wider than 640 digits, past the
+    # lowest int <-> str limit, which no source text may hold.
+    rng = random.Random(n)
+    near = tuple(range(1, min(n, 64)))
+    wide = 10 ** 700 + 1
+    divisors = [eta._theta(4, 2, n).coeffs, eta._cube(1, n).coeffs, eta._cube(3, n).coeffs]
+    for lead in (1, -1):
+        divisors += [sparse_divisor(rng, n, lead, near, (1, -1)),
+                     sparse_divisor(rng, n, lead, near, (1, -1, 2, -3, 7)),
+                     sparse_divisor(rng, n, lead, near, (-wide, wide, 1)),
+                     sparse_divisor(rng, n, lead, (), (1, -1, 2))]
+    for b in divisors:
+        a = tuple(rng.randint(-99, 99) for _ in range(n))
+        assert series._quotient(a, b) == plain_quotient(a, b)
+
+
+def test_near_recurrence_on_lane_sized_numerators():
+    # Numerators of g*w-byte ints, as ``eta._divide_lanes`` passes them.
+    rng = random.Random(37)
+    g, w, n = 5, 9, 150
+    coeffs = tuple(rng.randint(-(1 << 40), 1 << 40) for _ in range(g * n))
+    a = tuple(series._lanes(coeffs, g, w))
+    assert max(map(abs, a)).bit_length() > 8 * w * (g - 1)
+    for b in (eta._theta(3, 1, n).coeffs, eta._theta(2, 1, n).coeffs, eta._cube(1, n).coeffs):
+        assert series._quotient(a, b) == plain_quotient(a, b)
+
+
+def test_a_divisor_with_no_near_term_makes_no_near_solver(monkeypatch):
+    def refuse(terms):
+        raise AssertionError(f"near solver made for {terms}")
+
+    monkeypatch.setattr(series, "_near_solver", refuse)
+    b = (1,) + (0,) * 69 + (-2,) + (0,) * 29
+    a = tuple(range(100))
+    assert series._quotient(a, b) == plain_quotient(a, b)
+    assert series._quotient(a, (-1,) + b[1:]) == plain_quotient(a, (-1,) + b[1:])
+
+
+def test_near_solver_cache_stays_within_its_bound():
+    bound = series._near_solver.cache_info().maxsize
+    patterns = [((j, x),) for j in range(1, 64) for x in (1, -1, 2)]
+    patterns += [((1, x), (5, -1)) for x in range(3, bound + 3)]
+    assert len(set(patterns)) > bound
+    for terms in patterns:
+        solve = series._near_solver(terms)
+    assert series._near_solver.cache_info().currsize <= bound
+    # The last one made still solves: c[k] -= x c[k - 1] - c[k - 5].
+    c = [1, 2, 3, 4, 5, 6, 7]
+    solve(c, 5, 7)
+    x = bound + 2
+    assert c[5:] == [6 - x * 5 + 1, 7 - x * (6 - x * 5 + 1) + 2]
