@@ -132,27 +132,23 @@ def _print_reports(args: argparse.Namespace, reports: list[Report],
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    print(expand_quotient(args.factors, args.order).dump())
-    return EXIT_OK
-
-
-def _cmd_dissect(args: argparse.Namespace) -> int:
+    """``expand``, and ``dissect``, which is expand plus one extract."""
     series = expand_quotient(args.factors, args.order)
-    print(series.extract(args.step, args.residue).dump())
+    if args.command == "dissect":
+        series = series.extract(args.step, args.residue)
+    print(series.dump())
     return EXIT_OK
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
-    values = sequences.sequence_values(args.family, args.kmax)
-    rows = [(k, value, two_adic_valuation(value)) for k, value in enumerate(values)]
+    rows = [{"k": k, "value": str(value), "v2": "inf" if value == 0 else two_adic_valuation(value)}
+            for k, value in enumerate(sequences.sequence_values(args.family, args.kmax))]
     if args.format == "json":
-        print(json.dumps([{"k": k, "value": str(value),
-                           "v2": "inf" if value == 0 else int(v)}
-                          for k, value, v in rows], indent=2))
+        print(json.dumps(rows, indent=2))
     else:
         print("k\tvalue\tv2")
-        for k, value, v in rows:
-            print(f"{k}\t{value}\t{'inf' if value == 0 else int(v)}")
+        for row in rows:
+            print(*row.values(), sep="\t")
     return EXIT_OK
 
 
@@ -202,7 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(f"--kmax must be <= {MAX_KMAX}, got {kmax}")
     handlers = {
         "expand": _cmd_expand,
-        "dissect": _cmd_dissect,
+        "dissect": _cmd_expand,
         "sequences": _cmd_sequences,
         "verify": _cmd_verify,
         "oracle": _cmd_oracle,

@@ -39,7 +39,6 @@ from .series import (
     LaurentSeries,
     Report,
     _Record,
-    _set,
     compare,
     two_adic_valuation,
     worst,
@@ -66,8 +65,7 @@ class DissectionClaim(_Record):
             raise ValueError(f"unknown target {target!r}")
         if k < 1:
             raise ValueError(f"dissection level must be >= 1, got {k}")
-        _set(self, "target", target)
-        _set(self, "k", k)
+        super().__init__(target, k)
 
     @property
     def step(self) -> int:
@@ -195,11 +193,7 @@ class CongruenceClaim(_Record):
             raise ValueError(f"unknown target {target!r}")
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
-        _set(self, "target", target)
-        _set(self, "step", step)
-        _set(self, "residue", residue)
-        _set(self, "required_valuation", required_valuation)
-        _set(self, "label", label)
+        super().__init__(target, step, residue, required_valuation, label)
 
     def describe(self) -> str:
         subject = f"{TARGET_ROWS[self.target].name}({self.step}n+{self.residue})"

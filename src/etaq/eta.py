@@ -45,8 +45,8 @@ takes e // 3 divisions by Jacobi's f_m^3 and e mod 3 by theta(3m, m):
 each division costs N times the series' support and no wide product.
 The divisors with gcd(p, a) > 1 (f5, f10^3, theta(10, 5), ...), when
 they share a g > 1, divide every residue class mod g at once: their
-reduced series divide ceil(N/g) positions that pack one class per lane
-(``_divide_lanes``).
+reduced series divide ceil(N/g) positions that pack one class per lane.
+One plan per quotient (``_division_plan``) decides this, and the cap.
 The target M = f2^5 f5^5 / (f1 f10) is f2^5 f5^3 theta(10, 5) divided
 by theta(3, 1), and 1/f1^3 is 1 divided by f1^3 once.  Positive factors
 are peeled off one at a time (``_expand_reduced``): the factor with the
@@ -105,6 +105,7 @@ TARGETS: dict[str, dict[int, int]] = {tag: row.quotient for tag, row in TARGET_R
 
 # Factors are ((p, a), e) for theta(p, a)^e.
 _Items = tuple[tuple[tuple[int, int], int], ...]
+_Plan = list[tuple[int, int, list[tuple[LaurentSeries, int]]]]
 
 
 def _validate_quotient(factors: Mapping[int, int]) -> None:
@@ -209,34 +210,7 @@ def _sparse_powers(p: int, a: int, e: int, order: int) -> list[tuple[LaurentSeri
     if p != 3 * a or abs(e) < 3:
         return [(_theta(p, a, order), abs(e))]
     cubes, rest = divmod(abs(e), 3)
-    powers = [(_cube(a, order), cubes)]
-    if rest:
-        powers.append((_theta(p, a, order), rest))
-    return powers
-
-
-def _division_plan(divisors: list[tuple[tuple[int, int], int]],
-                   order: int) -> list[tuple[LaurentSeries, int]]:
-    """(sparse series on [0, order), count) to divide by, for divisors ((p, a), e), e < 0.
-
-    Raises ``DivisionTooLarge`` before any division when the planned
-    work, the sum of count * order * the series' nonzero terms, passes the cap.
-    """
-    series = [x for (p, a), e in divisors for x in _sparse_powers(p, a, e, order)]
-    work = sum(count * order * (order - s.coeffs.count(0)) for s, count in series)
-    if work > _MAX_DIVISION_WORK:
-        raise DivisionTooLarge(
-            f"{sum(count for _, count in series)} divisions by sparse series on {order} terms "
-            f"need {work} term operations, above the cap of {_MAX_DIVISION_WORK}")
-    return series
-
-
-def _divide(window: LaurentSeries, plan: list[tuple[LaurentSeries, int]]) -> LaurentSeries:
-    """``window`` divided count times by each (series, count) of a plan."""
-    for divisor, count in plan:
-        for _ in range(count):
-            window = window / divisor
-    return window
+    return [(_cube(a, order), cubes)] + ([(_theta(p, a, order), rest)] if rest else [])
 
 
 def _lane_width(norm: int, units: int, n: int) -> int:
@@ -251,19 +225,47 @@ def _lane_width(norm: int, units: int, n: int) -> int:
     return (norm.bit_length() + bits + 9) // 8
 
 
-def _divide_lanes(window: LaurentSeries, reduced: _Items, g: int) -> LaurentSeries:
-    """``window`` divided by theta(g p, g a)^|e| for each ((p, a), e) of
-    reduced, one residue class mod g per lane.
+def _division_plan(divisors: list[tuple[tuple[int, int], int]], order: int) -> _Plan:
+    """Steps (g, units, [(sparse series, count), ...]) dividing a window on
+    [0, order) by the divisors ((p, a), e), e < 0.
 
-    In the reduced variable each theta holds a factor (1 - q^k) at most
-    once per unit of |e|, and theta(2m, m) its odd multiples of m twice,
-    so 1/D <= 1/(q; q)^units coefficientwise.
+    Those with gcd(p, a) > 1, when they share a g > 1, are one step on
+    lanes, their reduced series on ceil(order/g) terms; the rest are one
+    step at g = 1.  A reduced theta holds each factor (1 - q^k) at most
+    once per unit of |e|, theta(2m, m) its odd multiples of m twice, so
+    1/D <= 1/(q; q)^units.  ``DivisionTooLarge`` is raised before any
+    division when the work, count * order * nonzero terms summed, passes
+    the cap: a reduced series has as many below ceil(order/g) as its
+    spread by g has below order.
     """
-    n = -(-len(window.coeffs) // g)
-    units = sum(abs(e) * (2 if p == 2 * a else 1) for (p, a), e in reduced)
-    w = _lane_width(sum(map(abs, window.coeffs)), units, n)
-    quotient = _divide(LaurentSeries(0, _lanes(window.coeffs, g, w)), _division_plan(reduced, n))
-    return LaurentSeries(0, _unlanes(quotient.coeffs, g, w)[:len(window.coeffs)])
+    g, reduced = _reduce([x for x in divisors if math.gcd(*x[0]) > 1])
+    rest = [x for x in divisors if math.gcd(*x[0]) == 1]
+    steps = ((g, reduced), (1, rest)) if g > 1 else ((1, divisors),)
+    plan = [(g, sum(abs(e) * (2 if p == 2 * a else 1) for (p, a), e in items),
+             [x for (p, a), e in items for x in _sparse_powers(p, a, e, -(-order // g))])
+            for g, items in steps if items]
+    series = [x for _, _, step in plan for x in step]
+    work = sum(count * order * (len(s.coeffs) - s.coeffs.count(0)) for s, count in series)
+    if work > _MAX_DIVISION_WORK:
+        raise DivisionTooLarge(
+            f"{sum(count for _, count in series)} divisions by sparse series on {order} terms "
+            f"need {work} term operations, above the cap of {_MAX_DIVISION_WORK}")
+    return plan
+
+
+def _divide(window: LaurentSeries, plan: _Plan) -> LaurentSeries:
+    """``window`` divided by each step of a plan; at g > 1 it is packed one
+    residue class mod g per lane and divided as at g = 1."""
+    for g, units, series in plan:
+        if g > 1:
+            w = _lane_width(sum(map(abs, window.coeffs)), units, len(series[0][0].coeffs))
+            packed = _divide(LaurentSeries(0, _lanes(window.coeffs, g, w)), [(1, 0, series)])
+            window = LaurentSeries(0, _unlanes(packed.coeffs, g, w)[:len(window.coeffs)])
+        else:
+            for divisor, count in series:
+                for _ in range(count):
+                    window = window / divisor
+    return window
 
 
 # theta(4m, m) = f_m f_4m / f_2m and theta(2m, m) = f_m^2 / f_2m, with the
@@ -299,25 +301,20 @@ def _expand_reduced(items: _Items, order: int) -> LaurentSeries:
 
     The plain factors are first regrouped (``_regroup``).  A quotient with
     a negative factor expands its positive factors (1 when it has none),
-    then divides that window by each divisor's sparse series: first, on
-    ceil(order/g) packed positions, by those whose gcd(p, a) > 1 when
-    they share a g > 1 (``_divide_lanes``), then by the rest at full
-    length.  Otherwise the factor with the smallest gcd(p, a), the first
-    of equals, is multiplied by the rest expanded as one quotient, one
-    residue class mod the rest's g at a time: one product when g = 1, and
-    one-term products below order g.  A single factor is the product of
-    its sparse series' powers.
+    then divides that window as ``_division_plan`` plans: first, on
+    ceil(order/g) packed positions, by the divisors whose gcd(p, a) > 1
+    when they share a g > 1, then by the rest at full length.  Otherwise
+    the factor with the smallest gcd(p, a), the first of equals, is
+    multiplied by the rest expanded as one quotient, one residue class
+    mod the rest's g at a time: one product when g = 1, and one-term
+    products below order g.  A single factor is the product of its
+    sparse series' powers.
     """
     items = _regroup(items)
     divisors = [x for x in items if x[1] < 0]
     if divisors:
         plan = _division_plan(divisors, order)
-        window = _expand(tuple(x for x in items if x[1] > 0), order)
-        g, reduced = _reduce([x for x in divisors if math.gcd(*x[0]) > 1])
-        if g > 1:
-            window = _divide_lanes(window, reduced, g)
-            plan = _division_plan([x for x in divisors if math.gcd(*x[0]) == 1], order)
-        return _divide(window, plan)
+        return _divide(_expand(tuple(x for x in items if x[1] > 0), order), plan)
     if len(items) > 1:
         # The factor with the smallest gcd has the longest window, so expanding
         # it first lets a later reduced factor with its key read a cached prefix.

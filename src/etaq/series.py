@@ -139,13 +139,18 @@ class _Record:
     constructor order.
 
     It equals only a record of its own class with equal fields, hashes
-    as the tuple of its fields, and refuses assignment and ``del``; its
-    constructor sets the fields with ``object.__setattr__``.
+    as the tuple of its fields, and refuses assignment and ``del``.
+    ``__init__`` sets the fields, in order, from its arguments with
+    ``object.__setattr__``; a subclass validates and then calls it.
     ``__reduce__`` rebuilds it through the constructor, so ``copy`` and
     ``pickle`` work although ``__setattr__`` raises.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
 
     def __init_subclass__(cls) -> None:
         # The fields in one C call; with two or more names it returns a tuple.
@@ -690,11 +695,7 @@ class Comparison(_Record):
 
     def __init__(self, status: str, lo: int, hi: int, overlap: int,
                  witness: tuple[int, int, int] | None = None) -> None:
-        _set(self, "status", status)
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "overlap", overlap)
-        _set(self, "witness", witness)
+        super().__init__(status, lo, hi, overlap, witness)
 
 
 def compare(a: LaurentSeries, b: LaurentSeries, min_overlap: int) -> Comparison:
@@ -740,13 +741,7 @@ class Report(_Record):
     def __init__(self, label: str, status: str, claim: str | None = None,
                  order: int | None = None, checked: dict[str, int] | None = None,
                  witness: dict[str, object] | None = None, note: str | None = None) -> None:
-        _set(self, "label", label)
-        _set(self, "status", status)
-        _set(self, "claim", claim)
-        _set(self, "order", order)
-        _set(self, "checked", checked)
-        _set(self, "witness", witness)
-        _set(self, "note", note)
+        super().__init__(label, status, claim, order, checked, witness, note)
 
     @property
     def identity(self) -> str:

@@ -293,8 +293,7 @@ def test_oracle_rejects_small_order(capsys):
 
 
 def _replace_handlers(monkeypatch, handler):
-    for name in ("_cmd_expand", "_cmd_dissect", "_cmd_sequences", "_cmd_verify",
-                 "_cmd_oracle"):
+    for name in ("_cmd_expand", "_cmd_sequences", "_cmd_verify", "_cmd_oracle"):
         monkeypatch.setattr(cli, name, handler)
 
 

@@ -551,22 +551,49 @@ _LANE_DIVISORS = (
 )
 
 
+def _full_length_series(divisors, order):
+    """Each divisor's (sparse series, count) on ``order`` terms, rebuilt from
+    ``eta._theta`` and ``eta._cube``: a plain factor f_m = theta(3m, m) to
+    a power |e| >= 3 is |e| // 3 cubes and |e| mod 3 thetas, any other
+    divisor |e| thetas."""
+    series = []
+    for (p, a), e in divisors:
+        cubes = abs(e) // 3 if p == 3 * a else 0
+        series += [(eta._cube(a, order), cubes), (eta._theta(p, a, order), abs(e) - 3 * cubes)]
+    return [(s, count) for s, count in series if count]
+
+
+def _divide_directly(window, series):
+    """``window`` divided count times by each (series, count), no lanes."""
+    for divisor, count in series:
+        for _ in range(count):
+            window = window / divisor
+    return window
+
+
+def _work(series, order):
+    """count * order * nonzero terms, summed over (series, count) pairs."""
+    return sum(count * order * (len(s.coeffs) - s.coeffs.count(0)) for s, count in series)
+
+
 @pytest.mark.parametrize("g", (2, 4, 5, 10))
 def test_lane_division_equals_the_plain_recurrence(g):
     # Windows below, at and past g terms, and with a tail of N mod g padded;
     # numerators of +-1, of mixed sign up to 2**62 and up to 2**100, and
-    # at both 8-byte edges.  The plain divisions run each full-length
-    # theta through series._quotient.
+    # at both 8-byte edges.  The plan sends these divisors to one lane step;
+    # the plain divisions run each full-length theta through series._quotient.
     rng = random.Random(g)
     for reduced in _LANE_DIVISORS:
         divisors = [((g * p, g * a), e) for (p, a), e in reduced]
         for order in sorted({1, max(g - 1, 1), g, g + 1, 3 * g + 2, 97}):
+            plan = eta._division_plan(divisors, order)
+            assert [step[0] for step in plan] == [g]
             for top in (1, 1 << 62, 1 << 100, None):
                 window = LaurentSeries(0, tuple(
                     rng.choice((-(1 << 63), (1 << 63) - 1)) if top is None
                     else rng.randint(-top, top) for _ in range(order)))
-                plain = eta._divide(window, eta._division_plan(divisors, order))
-                assert eta._divide_lanes(window, reduced, g) == plain, (reduced, order)
+                plain = _divide_directly(window, _full_length_series(divisors, order))
+                assert eta._divide(window, plan) == plain, (reduced, order)
 
 
 def test_lane_width_counts_theta_2m_m_twice():
@@ -574,10 +601,12 @@ def test_lane_width_counts_theta_2m_m_twice():
     # 1000 positions, so theta(2m, m) counts two units per power.
     for e in (1, 3):
         one = LaurentSeries.one(2000)
-        plain = eta._divide(one, eta._division_plan([((4, 2), -e)], 2000))
+        plain = _divide_directly(one, _full_length_series([((4, 2), -e)], 2000))
         widest = max(map(abs, plain.coeffs)).bit_length()
         assert widest > 8 * eta._lane_width(1, e, 1000) - 1
-        assert eta._divide_lanes(one, (((2, 1), -e),), 2) == plain
+        plan = eta._division_plan([((4, 2), -e)], 2000)
+        assert [step[:2] for step in plan] == [(2, 2 * e)]
+        assert eta._divide(one, plan) == plain
 
 
 def test_lane_division_takes_a_numerator_wider_than_8_bytes(monkeypatch):
@@ -602,6 +631,42 @@ def test_lane_divisions_agree_with_the_oracle(g, factors):
         for order in (g - 1, g, g + 1, 97, 2003):
             eta._expand_quotient_cached.cache_clear()
             assert expand_quotient(factors, order) == direct_eta_product(factors, order), order
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+
+
+def _recording_plans(monkeypatch):
+    """Wrap ``eta._division_plan``; return the list of each call's
+    (divisors, order, plan)."""
+    real, plans = eta._division_plan, []
+
+    def recording(divisors, order):
+        plans.append((divisors, order, real(divisors, order)))
+        return plans[-1][2]
+
+    monkeypatch.setattr(eta, "_division_plan", recording)
+    return plans
+
+
+def test_divisors_with_gcds_that_share_no_g_divide_at_full_length(monkeypatch):
+    # f2^-1 f5^-1 divides by theta(6, 2) and theta(15, 5), whose gcds 2 and
+    # 5 share no g > 1.  f2 f6^-1 f20^-1 is a series in q^2, and its reduced
+    # divisors theta(9, 3) and theta(30, 10) share none either.  So each
+    # plan is one step at g = 1, two divisions at full length, no lanes.
+    # The cold expansion at order 2000 is checked against the oracle too.
+    plans = _recording_plans(monkeypatch)
+    try:
+        for factors, order, thetas in (({2: -1, 5: -1}, 2000, ((6, 2), (15, 5))),
+                                       ({2: 1, 6: -1, 20: -1}, 1000, ((9, 3), (30, 10)))):
+            plans.clear()
+            assert _cold_work(monkeypatch, factors, 2000)[1] == [order, order]
+            [(_, n, plan)] = plans
+            assert n == order
+            assert [(g, series) for g, _, series in plan] == [
+                (1, [(eta._theta(p, a, order), 1) for p, a in thetas])]
+            for n in (1, 2, 9, 10, 11, 97):
+                eta._expand_quotient_cached.cache_clear()
+                assert expand_quotient(factors, n) == direct_eta_product(factors, n), (factors, n)
     finally:
         eta._expand_quotient_cached.cache_clear()
 
@@ -652,21 +717,22 @@ def test_lanes_one_byte_too_narrow_go_wrong(factors, order, bits, outcome, monke
 
 
 class _Dividing(Exception):
-    """Raised in place of the divisions: their planned work passed the cap."""
+    """Raised in place of the divisions, with their plan: its work passed under the cap."""
 
 
 @pytest.fixture
 def plan_only(monkeypatch):
-    """Stop each expansion with a negative factor right after its division plan."""
-    plan = eta._division_plan
+    """Stop each expansion with a negative factor right after its division
+    plan; yield the list of each plan's (divisors, order)."""
+    plan, calls = eta._division_plan, []
 
     def planned(divisors, order):
-        plan(divisors, order)
-        raise _Dividing(order)
+        calls.append((divisors, order))
+        raise _Dividing(plan(divisors, order))
 
     monkeypatch.setattr(eta, "_division_plan", planned)
     eta._expand_quotient_cached.cache_clear()
-    yield
+    yield calls
     eta._expand_quotient_cached.cache_clear()
 
 
@@ -798,3 +864,51 @@ def test_no_catalog_quotient_does_more_work_than_with_plain_factors(monkeypatch,
             assert all(map(int.__le__, after, before[1:])), (factors, after, before)
     finally:
         eta._expand_quotient_cached.cache_clear()
+
+
+def _planned(plan, order):
+    """The division lengths a plan on [0, order) runs, ceil(order/g) for
+    each division of a step at g, and its work counted at full length."""
+    lengths = [-(-order // g) for g, _, series in plan for _, count in series for _ in range(count)]
+    return lengths, sum(_work(series, order) for _, _, series in plan)
+
+
+def test_each_plan_is_what_runs_and_what_the_cap_counts(monkeypatch):
+    # A cold expansion of each catalog quotient plans at most once, its
+    # divisions run at the planned lengths, and the plan's work, though
+    # lane steps hold reduced series on ceil(N/g) terms, is the full-length
+    # count of series rebuilt on N terms.
+    plans = _recording_plans(monkeypatch)
+    _, divisions = _counting(monkeypatch)
+    try:
+        for factors in _PLAIN_FACTOR_WORK:
+            for order in (16, 500, 2000):
+                eta._expand_quotient_cached.cache_clear()
+                plans.clear()
+                divisions.clear()
+                expand_quotient(dict(factors), order)
+                assert len(plans) <= 1, (factors, order)
+                lengths, work = _planned(plans[0][2], plans[0][1]) if plans else ([], 0)
+                assert [n for n, _ in divisions] == lengths, (factors, order)
+                if plans:
+                    divisors, n, _ = plans[0]
+                    assert work == _work(_full_length_series(divisors, n), n), (factors, order)
+    finally:
+        eta._expand_quotient_cached.cache_clear()
+
+
+@pytest.mark.parametrize("factors, order, refusal", _CAP_CASES,
+                         ids=[f"{order}-{refusal is not None}" for _, order, refusal in _CAP_CASES])
+def test_the_cap_counts_the_plan_at_full_length(factors, order, refusal, plan_only):
+    # Lane steps hold reduced series, yet the plan under the cap and the
+    # refusal above it count the work of the series rebuilt on N terms.
+    with pytest.raises((_Dividing, eta.DivisionTooLarge)) as exc:
+        expand_quotient(factors, order)
+    [(divisors, n)] = plan_only
+    work = _work(_full_length_series(divisors, n), n)
+    if refusal is None:
+        [plan] = exc.value.args
+        assert any(g > 1 for g, _, _ in plan)
+        assert _planned(plan, n)[1] == work
+    else:
+        assert f"need {work} term operations" in str(exc.value)

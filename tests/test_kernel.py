@@ -575,7 +575,7 @@ def test_near_recurrence_matches_the_plain_recurrence(n):
 
 
 def test_near_recurrence_on_lane_sized_numerators():
-    # Numerators of g*w-byte ints, as ``eta._divide_lanes`` passes them.
+    # Numerators of g*w-byte ints, as ``eta._divide`` passes them on lanes.
     rng = random.Random(37)
     g, w, n = 5, 9, 150
     coeffs = tuple(rng.randint(-(1 << 40), 1 << 40) for _ in range(g * n))
