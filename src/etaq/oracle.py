@@ -24,16 +24,20 @@ From them:
   series sum_n p(n) q^n = sum_{k>=0} q^(k^2) / (q;q)_k^2.
 * f1 = (q;q)_inf is Euler's sum with r = m = 1,
   sum_{k>=0} (-1)^k q^(k(k+1)/2) / (q;q)_k.
-* Eta products prod f_m^{e_m} are built from those two windows on the
-  window reduced by the gcd of the periods.  p spread by the smallest
-  period m0 with e < 0 is 1/f_m0.  Each other negative unit divides by
-  f_m = (q^m; q^m)_inf with Cauchy's sum, about (4/3) N^(3/2)/sqrt(m).
+* Eta products prod f_m^{e_m} are built from those two windows.  p on
+  the first ceil(N/m0) terms, m0 the smallest period with e < 0, is
+  1/f_m0 in q^m0.  The units then run largest period first, each on the
+  window reduced by h, the gcd of the periods applied so far, which is
+  spread only when h drops.  Each other negative unit divides by
+  f_m = (q^m; q^m)_inf with Cauchy's sum, about (4/3) N^(3/2)/(h sqrt(m)).
   Each positive unit adds one shifted copy of the product per nonzero
-  term of f1 spread by m (about 2 sqrt(2N/3m) of them), about
-  N^(3/2)/sqrt(m); the copies are summed one output block at a time.
+  term of f1 spread by m/h (about 2 sqrt(2N/3m) of them), about
+  N^(3/2)/(h sqrt(m)); the copies are summed one output block at a time.
 * k(q) = q prod_r (q^r; q^10)_inf^{a_r}, with a_r = +1 for r = 1, 2, 8, 9
-  and -1 for r = 3, 4, 6, 7: four Euler sums and four Cauchy sums, about
-  3 N^(3/2) term operations in all.
+  and -1 for r = 3, 4, 6, 7: four Euler sums and four Cauchy sums.  The
+  four with even r run first as (q^(r/2); q^5)_inf sums on ceil((N-1)/2)
+  terms, at half their full-window cost: about 2.2 N^(3/2) term
+  operations in all.
 
 In ``cross_check`` the Durfee sum is the oracle for 1/f1 (the EULER_P
 row and the inversion row) and for the p(mn+r) rows.  Euler's series
@@ -140,31 +144,42 @@ def _eta_product(factors: Mapping[int, int], order: int,
                  f1: Sequence[int], p: Sequence[int]) -> LaurentSeries:
     """prod f_m^{e_m} on [0, order) from windows of f1 and p = 1/f1.
 
-    On the window reduced by g, the gcd of the periods, each reduced
-    period m needs the first ceil(n/m) terms of f1 (if e_m > 0) or of p
-    (if e_m < 0), n = ceil(order/g).  The smallest negative period m0
-    starts the product as p spread by m0, which is 1/f_m0; every other
-    negative unit divides by f_m = (q^m; q^m)_inf with Cauchy's sum;
-    every positive unit multiplies by f1 spread by m with ``_times_f1``.
+    The smallest period m0 with e < 0 starts the product as the first
+    ceil(order/m0) terms of p, which is 1/f_m0 in q^m0; with no negative
+    unit it starts as 1, in q^m for the largest period m.  The units then
+    run largest period first, each on the window reduced by h, the gcd of
+    the periods applied so far: ceil(order/h) terms, with f_m as a unit of
+    period m/h.  The window is spread only when h drops, so a unit runs
+    on the shortest window that holds it.  Every other negative unit
+    divides by f_m = (q^m; q^m)_inf with Cauchy's sum; every positive unit
+    multiplies by f1 spread by m/h with ``_times_f1``.
     """
-    g = math.gcd(*factors) or 1
-    n = -(-order // g)
-    units = sorted((m // g, e) for m, e in factors.items())
-    negative = [(m, -e) for m, e in units if e < 0]
-    positive = [(m, e) for m, e in units if e > 0]
+    exponents = dict(factors)
+    negative = [m for m, e in factors.items() if e < 0]
     if negative:
-        m0, e0 = negative[0]
-        out = list(_spread(p, m0, n).coeffs)
-        negative[0] = (m0, e0 - 1)
+        h = min(negative)
+        out = list(p[:-(-order // h)])
+        exponents[h] += 1
     else:
-        out = [1] + [0] * (n - 1)
-    for m, e in negative:
+        h = max(factors, default=1)
+        out = [1] + [0] * (-(-order // h) - 1)
+    for m, e in sorted(exponents.items(), reverse=True):
+        if m % h and e:
+            g = math.gcd(h, m)
+            out = _widen(out, h // g, -(-order // g))
+            h = g
+        for _ in range(-e):
+            _over_pochhammer(out, m // h, m // h)
         for _ in range(e):
-            _over_pochhammer(out, m, m)
-    for m, e in positive:
-        for _ in range(e):
-            _times_f1(out, f1, m)
-    return _spread(out, g, order)
+            _times_f1(out, f1, m // h)
+    return _spread(out, h, order)
+
+
+def _widen(c: Sequence[int], s: int, n: int) -> list[int]:
+    """sum_i c[i] q^(s i) on n terms, for a window c of exactly ceil(n/s) terms."""
+    wide = [0] * n
+    wide[::s] = c
+    return wide
 
 
 # Output terms per block of _times_f1: each block sums its shifted slices
@@ -178,24 +193,24 @@ def _times_f1(c: list[int], f1: Sequence[int], m: int) -> None:
     """c *= f1(q^m) in place: one shifted copy of c per nonzero term of f1(q^m).
 
     Each nonzero term of f1 is +1 or -1 (Euler's pentagonal number
-    theorem), so term q^j adds or subtracts c shifted by j; q^0 is c
-    itself.  The copies are summed one output block [a, b) at a time: the
-    plus terms' slices, minus the minus terms', for the j < b of each sign
-    (a bisection of its sorted exponents).  The copy of c is padded with
-    _BLOCK - 1 zeros in front, so a term that starts inside the block
-    reads zeros below q^0.
+    theorem), so term q^j adds c shifted by j, or its negation; q^0 is c
+    itself.  The copies are summed one output block [a, b) at a time, in
+    one ``map(sum, zip(...))`` over the slices of the terms j < b (a
+    bisection of their sorted exponents): a plus term reads the copy of c,
+    a minus term the negated copy.  Both are padded with _BLOCK - 1 zeros
+    in front, so a term that starts inside the block reads zeros below q^0.
     """
     n = len(c)
-    nonzero = list(itertools.compress(range(-(-n // m)), f1))
-    plus, minus = ([m * i for i in nonzero if f1[i] * sign > 0] for sign in (1, -1))
     pad = _BLOCK - 1
     padded = [0] * pad + c
+    negated = list(map(operator.neg, padded))
+    terms = [(m * i, padded if f1[i] > 0 else negated)
+             for i in itertools.compress(range(-(-n // m)), f1)]
+    exponents = [j for j, _ in terms]
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         lo, hi = a + pad, b + pad
-        ups = map(sum, zip(*(padded[lo - j:hi - j] for j in plus[:bisect_left(plus, b)])))
-        downs = [padded[lo - j:hi - j] for j in minus[:bisect_left(minus, b)]]
-        c[a:b] = map(operator.sub, ups, map(sum, zip(*downs))) if downs else ups
+        c[a:b] = map(sum, zip(*(w[lo - j:hi - j] for j, w in terms[:bisect_left(exponents, b)])))
 
 
 def direct_eta_product(factors: Mapping[int, int], order: int) -> LaurentSeries:
@@ -233,13 +248,21 @@ def direct_k(order: int) -> LaurentSeries:
     """k(q) on [1, order): q prod_r (q^r; q^10)_inf^{a_r} with a_r = _K_EXPONENT[r].
 
     Euler's sum multiplies in each (q^r; q^10)_inf with a_r = 1, and
-    Cauchy's sum divides by each one with a_r = -1.
+    Cauchy's sum divides by each one with a_r = -1.  The four factors with
+    even r form a series in q^2, so they run first, as (q^(r/2); q^5)_inf
+    sums on the ceil((order - 1)/2) terms that hold them; that window is
+    then spread by 2 for the four factors with odd r.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 to hold any coefficient of k, got {order}")
-    c = [1] + [0] * (order - 2)
+    c = [1] + [0] * (order // 2 - 1)
     for r, a in _K_EXPONENT.items():
-        (_times_pochhammer if a > 0 else _over_pochhammer)(c, r, 10)
+        if r % 2 == 0:
+            (_times_pochhammer if a > 0 else _over_pochhammer)(c, r // 2, 5)
+    c = _widen(c, 2, order - 1)
+    for r, a in _K_EXPONENT.items():
+        if r % 2:
+            (_times_pochhammer if a > 0 else _over_pochhammer)(c, r, 10)
     return LaurentSeries(1, tuple(c))
 
 
@@ -271,9 +294,12 @@ def cross_check(order: int) -> list[Report]:
       row, as f1 spread by m;
     * ``_eta_product`` builds M, T* and P* from those two windows (one
       Cauchy sum per negative unit after the first, about
-      (4/3) N^(3/2)/sqrt(m), and N^(3/2)/sqrt(m) per positive one), and
+      (4/3) N^(3/2)/(h sqrt(m)), and N^(3/2)/(h sqrt(m)) per positive
+      one, h the gcd of the periods applied so far: P*'s four f5 units
+      run on ceil(N/5) terms and T*'s five f10 units on ceil(N/2)), and
       ``direct_k`` builds k(q) from four Euler and four Cauchy sums on
-      (q^r; q^10)_inf, about 3 N^(3/2).
+      (q^r; q^10)_inf, the four with even r on ceil((N-1)/2) terms, about
+      2.2 N^(3/2).
 
     Every division by (1 - q^d) is a running sum per residue class mod
     d, and each positive unit's shifted copies are block-summed, so the

@@ -263,6 +263,19 @@ def test_recurrence_with_periods_at_or_past_the_order(factors):
         assert coeffs == divisor_sum_eta_product(factors, order)
 
 
+@pytest.mark.parametrize("factors", (
+    {2: -1, 5: 2, 10: 3}, {4: 2, 20: -1, 40: 1}, {3: -1, 6: 2, 12: 1}, {4: 1, 6: -1, 9: 2},
+), ids=str)
+def test_recurrence_matches_literal_product_where_the_window_is_spread(factors):
+    # Quotients whose plan runs on reduced windows: h drops from 2 to 1,
+    # from 20 to 4, and from 6 to 3 to 1; {3: -1, 6: 2, 12: 1} stays at
+    # h = 3 until the final spread.  Every order from 1 to 120 crosses each
+    # boundary ceil(order/h) of each reduced window.
+    reference = literal_eta_product(factors, 120)
+    for order in range(1, 121):
+        assert list(direct_eta_product(factors, order).coeffs) == reference[:order], order
+
+
 def test_durfee_sum_matches_parts_accumulation_at_every_order():
     # Orders 1..200 cross every k^2 boundary up to 14^2.
     reference = parts_accumulation(200)
@@ -457,14 +470,74 @@ def test_cross_check_builds_each_oracle_sequence_once(monkeypatch):
         tuple(sorted(eta.TARGETS[tag].items())) for tag in ("M", "PSTAR", "TSTAR"))
 
 
+def _record_plan(monkeypatch):
+    """Patch the three unit passes to log (pass, len(c), m) before running."""
+    plan = []
+    for name in ("_times_f1", "_times_pochhammer", "_over_pochhammer"):
+        def recording(c, x, m, name=name, real=getattr(oracle, name)):
+            plan.append((name, len(c), m))
+            real(c, x, m)
+        monkeypatch.setattr(oracle, name, recording)
+    return plan
+
+
+def test_each_unit_runs_on_the_shortest_window_that_holds_it(monkeypatch):
+    # Units run largest period first on the window reduced by h, the gcd
+    # of the periods applied so far, with f_m as a unit of period m/h.
+    # P* = f1^4 f5^4 starts at h = 5; T* = f1^5 f2^-1 f5^-1 f10^5 starts
+    # from p on h = 2, its start f2^-1; M starts from p on h = 1.  k runs
+    # its even-r factors as (q^(r/2); q^5)_inf sums on half its window.
+    order = 2000
+    f1, p = oracle._f1(order), partition_counts(order)
+    plan = _record_plan(monkeypatch)
+    steps = {}
+    for tag in ("M", "PSTAR", "TSTAR"):
+        oracle._eta_product(eta.TARGETS[tag], order, f1, p)
+        steps[tag], plan[:] = plan[:], []
+    direct_k(order + 1)
+    times_f1, euler, cauchy = "_times_f1", "_times_pochhammer", "_over_pochhammer"
+    assert steps == {
+        "M": [(cauchy, 2000, 10)] + [(times_f1, 2000, 5)] * 5 + [(times_f1, 2000, 2)] * 5,
+        "PSTAR": [(times_f1, 400, 1)] * 4 + [(times_f1, 2000, 1)] * 4,
+        "TSTAR": [(times_f1, 1000, 5)] * 5 + [(cauchy, 2000, 5)] + [(times_f1, 2000, 1)] * 5,
+    }
+    assert plan == [(euler, 1000, 5)] * 2 + [(cauchy, 1000, 5)] * 2 + \
+        [(euler, 2000, 10)] * 2 + [(cauchy, 2000, 10)] * 2
+
+
+def test_cross_check_flags_a_dropped_coefficient_in_the_spread_when_h_drops(monkeypatch):
+    # Negative control for the spread between reduced windows: it loses
+    # the narrow window's q^1 term, which lands at q^h for the h it left.
+    # P* spreads from h = 5, T* from h = 2 and k from its even-r window in
+    # q^2 (at q^(1+2)); M starts at h = 1 and never spreads, and the f_m
+    # and partition rows read the sums' windows directly.
+    real = oracle._widen
+
+    def dropping(c, s, n):
+        c = list(c)
+        c[1] = 0
+        return real(c, s, n)
+
+    monkeypatch.setattr(oracle, "_widen", dropping)
+    flagged = [c for c in cross_check(60) if c.status != PASS]
+    assert all(c.status == FAIL for c in flagged)
+    assert {c.label: c.witness["exponent"] for c in flagged} == {
+        "PSTAR: quotient expander vs Euler-series product": 5,
+        "TSTAR: quotient expander vs Euler-series product": 2,
+        "k: theta quotient vs Euler and Cauchy series": 3,
+    }
+
+
 def test_cross_check_flags_a_division_defect_in_the_series_sums(monkeypatch):
     # Negative control for both series sums: skipping the division by
     # (1 - q^3) drops two factors from every Durfee term k >= 3 (first
     # seen at q^(9+3)) and one from every Euler term k >= 3 (at q^(6+3)).
-    # M, T* and P* are built from those two windows.  k(q)'s sums first
+    # M, T* and P* are built from those two windows.  k(q)'s odd-r sums
     # divide by (1 - q^3) in the n = 1 term q^3/((1 - q^10)(1 - q^3)) of
     # Cauchy's sum for 1/(q^3; q^10)_inf, whose q^(3+3) then goes missing:
-    # first seen at q^(1+3+3).  Its other sums divide by 10n and 10n - 10 + r.
+    # first seen at q^(1+3+3).  Its even-r sums run in q^2, where the one
+    # for 1/(q^6; q^10)_inf loses q^(2(3+3)), higher; the others divide by
+    # 10n and 10n - 10 + r, or 5n and 5n - 5 + r/2 in q^2.
     real = oracle._over_binomial
     monkeypatch.setattr(oracle, "_over_binomial",
                         lambda c, d: None if d == 3 else real(c, d))
@@ -536,11 +609,14 @@ def test_cross_check_flags_a_skipped_f1_term_in_the_sparse_pass(monkeypatch):
 
 def test_cross_check_flags_a_block_edge_defect_in_the_f1_pass(monkeypatch):
     # Negative control for the blocked f1 pass: from the second output
-    # block on, the bisection drops the last term of each sign that
-    # reaches the block.  In the block [256, 512) that loses f1(q^5)'s
-    # -q^(5*77) (M and P*) and f1(q^10)'s -q^(10*40) (T*); every other
-    # dropped term lies higher.  The first block, the f_m rows and the sums
-    # are untouched, so only the three products fail, at exponents >= 256.
+    # block on, the bisection drops the last term, of either sign, that
+    # reaches the block.  In the block [256, 512) of the full window that
+    # loses f1(q^2)'s -q^(2*247) (M) and f1's +q^495 (P* and T*, whose f1
+    # units run on the full window); M's f1(q^5) loses +q^(5*100), higher.
+    # P*'s f5 units run on ceil(513/5) = 103 terms, one block, and T*'s f10
+    # units on ceil(513/2) = 257, whose one dropped term lands at q^512.
+    # The first block, the f_m rows and the sums are untouched, so only the
+    # three products fail, at exponents >= 256.
     block = oracle._BLOCK
     assert block == 256
     real = oracle.bisect_left
@@ -550,11 +626,11 @@ def test_cross_check_flags_a_block_edge_defect_in_the_f1_pass(monkeypatch):
     assert all(c.status == FAIL for c in flagged)
     assert {c.label: c.witness for c in flagged} == {
         "M: quotient expander vs Euler-series product":
-            {"exponent": 385, "lhs": "-2158", "rhs": "-2153"},
+            {"exponent": 494, "lhs": "2950", "rhs": "2955"},
         "PSTAR: quotient expander vs Euler-series product":
-            {"exponent": 385, "lhs": "1432", "rhs": "1436"},
+            {"exponent": 495, "lhs": "6912", "rhs": "6908"},
         "TSTAR: quotient expander vs Euler-series product":
-            {"exponent": 400, "lhs": "8192", "rhs": "8197"},
+            {"exponent": 495, "lhs": "-2100", "rhs": "-2105"},
     }
 
 
@@ -564,8 +640,10 @@ def test_cross_check_flags_a_skipped_division_in_the_cauchy_sum_for_k(monkeypatc
     # s_2 = 3*2 + 10*2*1 = 26 over (1 - q^10)(1 - q^20)(1 - q^3)(1 - q^13).
     # Dropping it loses that term's q^(26+13), first seen at q^(1+26+13).
     # At order 60 no other sum divides by (1 - q^13): the Durfee and Euler
-    # sums stop at q^(7^2) and q^(10*11/2), and the Cauchy sums for M and
-    # T* divide by multiples of 10 and 5.
+    # sums stop at q^(7^2) and q^(10*11/2), the Cauchy sums for M and T*
+    # divide by multiples of 10 and 5, and k's even-r sum for
+    # 1/(q^6; q^10)_inf, run in q^2 as 1/(q^3; q^5)_inf, would divide by
+    # (1 - q^13) only in its n = 3 term, at q^(3*3 + 5*3*2) past its 30 terms.
     real = oracle._over_binomial
     monkeypatch.setattr(oracle, "_over_binomial",
                         lambda c, d: None if d == 13 else real(c, d))
