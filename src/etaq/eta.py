@@ -92,7 +92,7 @@ import sys
 from collections import OrderedDict, namedtuple
 from typing import Mapping
 
-from .series import EmptyWindow, LaurentSeries, SeriesError, _lanes, _unlanes
+from .series import EmptyWindow, LaurentSeries, SeriesError, _clear_memos, _lanes, _unlanes
 
 Target = namedtuple("Target", "quotient name family level_one", defaults=(None,) * 3)
 TARGET_ROWS: dict[str, Target] = {
@@ -213,16 +213,24 @@ def _sparse_powers(p: int, a: int, e: int, order: int) -> list[tuple[LaurentSeri
     return [(_cube(a, order), cubes)] + ([(_theta(p, a, order), rest)] if rest else [])
 
 
-def _lane_width(norm: int, units: int, n: int) -> int:
+def _lane_width(largest: int, units: int, n: int) -> int:
     """Bytes w with |c| < 2**(8w - 1) for every coefficient c of a / D on n
-    terms, where norm = sum |a| and 1/D <= 1/(q; q)^units coefficientwise.
+    terms, where largest = max |a| and 1/D <= 1/(q; q)^units coefficientwise.
 
-    |c_k| <= norm * p_units(k), and p_E(k) < exp(pi sqrt(2Ek/3)) for k >= 1
-    (from log P_E(x) <= E pi^2 x / (6(1 - x))); one bit more holds the
-    sign and one the float error.
+    With E = units and k = n - 1, |c_k| <= largest * sum_{j<=k} p_E(j).
+    Every p_E(j) >= 0, so that sum is at most x^-k P(x)^E for any 0 < x <
+    1, P the partition generating function.  At x = e^-t, Dedekind's eta
+    transformation gives log P(e^-t) = pi^2/(6t) + log(t/2pi)/2 - t/24 +
+    log P(e^(-4 pi^2/t)), and log P(y) <= y/(1 - y)^2.  t = min(1, pi
+    sqrt(E/6k)) nearly minimises kt + E log P(e^-t); one bit more holds
+    the sign and one the float error.
     """
-    bits = math.ceil(math.pi * math.sqrt(2 * units * (n - 1) / 3) / math.log(2))
-    return (norm.bit_length() + bits + 9) // 8
+    k = n - 1
+    t = min(1.0, math.pi * math.sqrt(units / (6 * k))) if k else 1.0
+    y = math.exp(-4 * math.pi ** 2 / t)
+    log_p = math.pi ** 2 / (6 * t) + math.log(t / (2 * math.pi)) / 2 - t / 24 + y / (1 - y) ** 2
+    bits = math.ceil((k * t + units * log_p) / math.log(2))
+    return (largest.bit_length() + bits + 9) // 8
 
 
 def _division_plan(divisors: list[tuple[tuple[int, int], int]], order: int) -> _Plan:
@@ -258,7 +266,7 @@ def _divide(window: LaurentSeries, plan: _Plan) -> LaurentSeries:
     residue class mod g per lane and divided as at g = 1."""
     for g, units, series in plan:
         if g > 1:
-            w = _lane_width(sum(map(abs, window.coeffs)), units, len(series[0][0].coeffs))
+            w = _lane_width(max(map(abs, window.coeffs)), units, len(series[0][0].coeffs))
             packed = _divide(LaurentSeries(0, _lanes(window.coeffs, g, w)), [(1, 0, series)])
             window = LaurentSeries(0, _unlanes(packed.coeffs, g, w)[:len(window.coeffs)])
         else:
@@ -362,10 +370,12 @@ class _WindowCache:
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        """Drop every window and zero the counters."""
+        """Drop every window and zero the counters, and empty the kernel's
+        memos: the product's right operand and the near solvers."""
         self._windows: OrderedDict[_Items, tuple[LaurentSeries, int]] = OrderedDict()
         self._bytes = 0
         self._hits = self._prefix_hits = self._misses = self._evictions = 0
+        _clear_memos()
 
     def info(self) -> dict[str, int]:
         return {"hits": self._hits, "prefix_hits": self._prefix_hits,

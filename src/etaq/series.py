@@ -24,9 +24,12 @@ The radix is chosen by packed size alone.  With w the smallest byte
 count with B < 2**(8w - 1), a product whose packed operand has at most
 ``_BINARY_BYTES`` (8 KiB) bytes runs in binary: ``_pack`` writes each c
 as a w-byte two's-complement group at C level, the bytes are read as one
-CPython int whose groups the bias flips to c + 2**(8w - 1), CPython
-multiplies the two (Karatsuba), and ``_unpack`` reads the low n groups
-back, with one struct format for the product's three codec calls.
+CPython int whose groups the bias flips to c + 2**(8w - 1), and
+``_unpack`` reads the low n groups of their product back, with one struct
+format for the product's three codec calls.  Only those n groups are
+computed: past ``_SHORT_BITS`` Mulders' short product (``_low_product``)
+splits the operands at 0.7 of the low half's bits, multiplies the low
+parts in full (Karatsuba) and only the low halves of the two cross terms.
 Every other product runs in decimal: d is the smallest digit count with
 2*B < 10**d, each c becomes the d-digit string of c + 10**d/2, the
 strings are concatenated (highest coefficient first) into one
@@ -61,12 +64,13 @@ needs no wide product.
 ``invert`` is 1 divided by the series, the same recurrence.  A caller
 that divides by a series in q^g runs it on lanes: position i packs the
 g coefficients a[i*g + r] into one int, sum_r a[i*g + r] * 2**(8w*r).
-The positions are a product operand's packed bytes read in g*w-byte
-chunks (``_lanes``); the recurrence runs unchanged on the ceil(N/g)
-positions with the divisor in q, and ``_unlanes`` reads the lanes back
-through ``_unpack``.  It is linear and exact, so only the true quotient
-coefficients must fit their lanes, which the caller proves
-(``eta._lane_width``).
+The positions are a product operand's packed bytes, each group's top bit
+flipped, split into g*w-byte chunks by ``struct.iter_unpack`` and read by
+a ``map`` of ``int.from_bytes`` (``_lanes``); the recurrence runs
+unchanged on the ceil(N/g) positions with the divisor in q, and
+``_unlanes`` reads the lanes back through ``_unpack``.  It is linear and
+exact, so only the true quotient coefficients must fit their lanes,
+which the caller proves (``eta._lane_width``).
 
 The decimal path needs the C ``decimal`` module (``_decimal``, part of
 the standard library, so etaq still has no runtime dependency); the
@@ -405,12 +409,23 @@ _MAX_PACKED_DIGITS = 8_000_000
 # alternates between about 1.1 and 1.9 ms with the digit count.
 _BINARY_BYTES = 8192
 
+# Bits of a binary product's low half at or below which ``_low_product``
+# multiplies in full.  On the 90 binary products of ``verify all --order
+# 2000 --kmax 8`` wider than 4 kbit (4.8-64 kbit), the short product took
+# a median 0.89x the full product's time with this cut, 0.89x at 4 kbit,
+# 0.90x at 12 kbit and 0.92x at 24 kbit (60 interleaved rounds, Python
+# 3.11.7, 2-vCPU VM).
+_SHORT_BITS = 8192
+
 # struct's signed format for a group of w <= 8 bytes, and its size k: the
 # smallest of 1, 2, 4 or 8 bytes that holds w.
 _GROUP_FORMAT = {w: ("bhiiqqqq"[w - 1], 1 << (w - 1).bit_length()) for w in range(1, 9)}
 
 # Maps a group's top byte to the byte that extends its sign.
 _SIGN_BYTES = bytes(0 if i < 0x80 else 0xFF for i in range(256))
+
+# Maps a byte to the same byte with its top bit flipped.
+_TOP_BIT = bytes(i ^ 0x80 for i in range(256))
 
 # The lowest int <-> str digit limit CPython accepts; no limit refuses a
 # conversion of this many digits or fewer.
@@ -452,15 +467,44 @@ def _binary_product(a: tuple[int, ...], b: tuple[int, ...], w: int) -> tuple[int
         y = packed.get(w)
         if y is None:
             y = packed[w] = (int.from_bytes(_pack(b, w, form), "little") ^ bias) - bias
-    low = ((x * y + bias) & ((1 << 8 * n * w) - 1)) ^ bias
+    bits = 8 * n * w
+    low = ((_low_product(x, y, bits) + bias) & ((1 << bits) - 1)) ^ bias
     return _unpack(low.to_bytes(n * w, "little"), w, form)
+
+
+def _low_product(x: int, y: int, bits: int) -> int:
+    """An int congruent to x * y mod 2**bits: Mulders' short product.
+
+    With k = 0.7 bits, x = x1 2**k + x0 and y = y1 2**k + y0 (x0, y0 in
+    [0, 2**k)), x*y = x0 y0 + 2**k (x0 y1 + x1 y0) mod 2**bits, as 2k >=
+    bits; the two cross terms are needed only mod 2**(bits - k), so they
+    are short products too.  The full product x0 y0 of 0.7-bit operands
+    and the two short ones cost about three quarters of x * y under
+    Karatsuba.  At or below ``_SHORT_BITS`` it is x * y.
+    """
+    if bits <= _SHORT_BITS:
+        return x * y
+    k = bits * 7 // 10
+    low, high = (1 << k) - 1, (1 << bits - k) - 1
+    x0, y0 = x & low, y & low
+    cross = (_low_product(x0 & high, y >> k & high, bits - k)
+             + _low_product(x >> k & high, y0 & high, bits - k))
+    return x0 * y0 + (cross << k)
 
 
 # The last right operand of a product, prepared: (source, n, cut, max|c|,
 # sum|c|, {w: packed int}) with cut = source[:n].  It holds both tuples,
 # so neither identity can pass to another tuple while it is kept, and an
 # entry for any other operand only misses.
-_last_right: tuple = (None, 0, None, 0, 0, {})
+_NO_OPERAND: tuple = (None, 0, None, 0, 0, {})
+_last_right = _NO_OPERAND
+
+
+def _clear_memos() -> None:
+    """Forget the last right operand and every near solver."""
+    global _last_right
+    _last_right = _NO_OPERAND
+    _near_solver.cache_clear()
 
 
 def _right_operand(coeffs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int, int]:
@@ -500,8 +544,8 @@ def _unpack(raw: bytes, w: int, form: tuple[str, int] | None = None) -> tuple[in
     """Inverse of ``_pack``: one ``struct.unpack`` of the groups made k bytes
     wide when every group fits 8 bytes, else one ``int.from_bytes`` each."""
     if w > 8 and any(raw[j::w] != raw[7::w].translate(_SIGN_BYTES) for j in range(8, w)):
-        return tuple([int.from_bytes(raw[i:i + w], "little", signed=True)
-                      for i in range(0, len(raw), w)])
+        return tuple([int.from_bytes(group, "little", signed=True)
+                      for group, in struct.iter_unpack(f"{w}s", raw)])
     fmt, k = form or _group_format(len(raw) // w, w)
     return struct.unpack(fmt, _resized(raw, w, k))
 
@@ -529,20 +573,29 @@ def _lane_bias(g: int, w: int) -> int:
 
 def _lanes(coeffs: tuple[int, ...], g: int, w: int) -> list[int]:
     """Position i = sum_r c[i*g + r] * 2**(8w*r) for i < ceil(len(coeffs)/g),
-    c zero past coeffs and every |c| < 2**(8w - 1): g groups of ``_pack``
-    read as one chunk, their top bits flipped, minus the per-lane bias."""
-    raw = _pack(coeffs, w) + bytes(-len(coeffs) % g * w)
-    size, bias = g * w, _lane_bias(g, w)
-    return [(int.from_bytes(raw[i:i + size], "little") ^ bias) - bias
-            for i in range(0, len(raw), size)]
+    c zero past coeffs and every |c| < 2**(8w - 1): ``_pack``'s groups with
+    their top bits flipped, read g*w bytes at a time, minus the per-lane
+    bias."""
+    raw = _flipped(_pack(coeffs, w) + bytes(-len(coeffs) % g * w), w)
+    chunks = itertools.chain.from_iterable(struct.iter_unpack(f"{g * w}s", raw))
+    return list(map(operator.sub, map(int.from_bytes, chunks, itertools.repeat("little")),
+                    itertools.repeat(_lane_bias(g, w))))
 
 
 def _unlanes(positions: tuple[int, ...], g: int, w: int) -> tuple[int, ...]:
     """Inverse of ``_lanes``: every lane value, lowest first, each below
     2**(8w - 1) in absolute value."""
-    bias = _lane_bias(g, w)
-    return _unpack(b"".join([((x + bias) ^ bias).to_bytes(g * w, "little")
-                             for x in positions]), w)
+    bias, size = _lane_bias(g, w), g * w
+    return _unpack(_flipped(b"".join([(x + bias).to_bytes(size, "little")
+                                      for x in positions]), w), w)
+
+
+def _flipped(raw: bytes, w: int) -> bytes:
+    """raw with the top bit of each w-byte group flipped: two's complement
+    c to c + 2**(8w - 1), and back."""
+    raw = bytearray(raw)
+    raw[w - 1::w] = raw[w - 1::w].translate(_TOP_BIT)
+    return bytes(raw)
 
 
 def _decimal_product(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import etaq.eta as eta
+import etaq.series as series
 import prop_support as props
 from etaq.eta import TARGETS, cache_info, expand_k, expand_quotient
 from etaq.oracle import direct_eta_product, direct_k
@@ -112,6 +113,18 @@ def test_cache_info_counts_each_kind_of_request():
     eta._expand_quotient_cached.cache_clear()
     assert cache_info() == dict.fromkeys(
         ("hits", "prefix_hits", "misses", "entries", "bytes", "evictions"), 0)
+
+
+def test_cache_clear_empties_every_store():
+    # The windows, the product's kept right operand and its packed ints,
+    # and the near solvers: after cache_clear() none holds anything.
+    expand_quotient({1: -3, 2: 5}, 300)
+    assert series._last_right[0] is not None
+    assert series._near_solver.cache_info().currsize > 0
+    eta._expand_quotient_cached.cache_clear()
+    assert cache_info()["entries"] == cache_info()["bytes"] == 0
+    assert series._last_right == (None, 0, None, 0, 0, {})
+    assert series._near_solver.cache_info().currsize == 0
 
 
 def test_cache_bytes_are_the_getsizeof_sum():

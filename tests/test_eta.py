@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 import re
 
@@ -672,15 +673,43 @@ def test_divisors_with_gcds_that_share_no_g_divide_at_full_length(monkeypatch):
 
 
 def test_lane_width_bounds_the_partitions_into_units_colours():
-    # The coefficients of 1/(q; q)^E from the oracle, for E = 1..6: every
-    # norm times each of the first n of them fits the width for n terms.
-    for units in range(1, 7):
-        counts = direct_eta_product({1: -units}, 600).coeffs
-        widest = 0
-        for n in range(1, 601):
-            widest = max(widest, counts[n - 1])
-            for norm in (1, 7, 1 << 40):
-                assert norm * widest < 1 << 8 * eta._lane_width(norm, units, n) - 1
+    # What the width proves, exactly: largest * sum_{j<n} p_E(j), with
+    # p_E(j) the coefficients of 1/(q; q)^E, fits the width for n terms,
+    # for E = 1..30, n = 1..800 and each largest.  1/(q; q)^E is E
+    # divisions by theta(3, 1) = (q; q), and the last equals the oracle's.
+    counts = LaurentSeries.one(800)
+    f1 = eta._theta(3, 1, 800)
+    for units in range(1, 31):
+        counts = counts / f1
+        for n, total in enumerate(itertools.accumulate(counts.coeffs), 1):
+            for largest in (1, 7, 1 << 40):
+                w = eta._lane_width(largest, units, n)
+                assert largest * total < 1 << 8 * w - 1, (units, n, largest)
+    assert counts == direct_eta_product({1: -30}, 800)
+
+
+@pytest.mark.parametrize("units, n", ((1, 799), (4, 800), (30, 795)))
+@pytest.mark.parametrize("top_class", ("ones", "zeros"))
+def test_a_lane_one_byte_narrower_than_the_width_reads_back_wrong(units, n, top_class,
+                                                                  monkeypatch):
+    # Negative control.  Ones on 2n terms divided by f2^E: one lane step in
+    # q^2 whose two lanes each divide ones by (q; q)^E, so the last lane
+    # value is sum_{j<n} p_E(j), the width's own bound at max|a| = 1.  At
+    # the width the lanes read back the plain division.  One byte narrower
+    # that value no longer fits: the top lane overflows its position, and
+    # with zeros in the top class the lower lane carries into it.
+    window = LaurentSeries(0, (1, 0 if top_class == "zeros" else 1) * n)
+    plan = eta._division_plan([((6, 2), -units)], 2 * n)
+    assert [step[:2] for step in plan] == [(2, units)]
+    plain = _divide_directly(window, _full_length_series([((6, 2), -units)], 2 * n))
+    assert eta._divide(window, plan) == plain
+    real = eta._lane_width
+    monkeypatch.setattr(eta, "_lane_width", lambda *args: real(*args) - 1)
+    if top_class == "ones":
+        with pytest.raises(OverflowError):
+            eta._divide(window, plan)
+    else:
+        assert eta._divide(window, plan) != plain
 
 
 @pytest.mark.parametrize("factors, order, bits, outcome", (

@@ -19,7 +19,7 @@ from etaq.identities import (
     verify_identity,
 )
 from etaq.oracle import direct_eta_product, direct_k
-from etaq.series import FAIL, PASS, LaurentSeries, Report, compare
+from etaq.series import FAIL, INSUFFICIENT, PASS, LaurentSeries, Report, compare
 
 ALL_IDS = (
     "EQ21", "EQ22", "EQ23", "EQ24", "EQ25", "EQ26", "EQ27", "EQ28", "EQ29",
@@ -118,6 +118,19 @@ def test_verify_identity_report_shape():
         "order": 64, "checked": {"from": 0, "to": 63, "points": 64},
         "witness": None, "note": None,
     }
+
+
+def test_an_identity_needs_half_its_order_in_common(monkeypatch):
+    # The overlap policy by value: f1 = extract(f3, 3, 0) is true, but at
+    # order 300 its extracted side holds 100 terms, below order // 2 = 150,
+    # so the verdict is insufficient-precision on those 100 points.
+    monkeypatch.setattr(identities, "CATALOG", {"F1": "f1 = extract(f3, 3, 0)"})
+    report = verify_identity("F1", 300)
+    assert (report.status, report.checked) == (
+        INSUFFICIENT, {"from": 0, "to": 99, "points": 100})
+    # The sides agree there: only the policy refuses them, and a quarter
+    # of the order would pass them.
+    assert compare(*identity_sides("F1", 300), min_overlap=300 // 4).status == PASS
 
 
 def test_identity_report_keeps_the_identity_name():

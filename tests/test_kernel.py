@@ -10,8 +10,11 @@ paths: the sign bit of each byte width and the cut itself.  Every case
 is checked against a reference written here, one exponent at a time,
 with seeded random operands.  One test checks the product end to end
 against the oracle's Euler-series product, which shares no algorithm
-with the kernel, on both sides of the cut.  The products through the
-right-operand memo (``series._right_operand``) are checked the same way,
+with the kernel, on both sides of the cut.  The low half of a binary
+product comes from Mulders' short product (``series._low_product``),
+checked against x * y mod 2**bits on both sides of its own cut.  The
+products through the right-operand memo (``series._right_operand``) are
+checked the same way,
 with a planted entry as the negative control, and the division
 recurrence, whose near terms run through one function made per divisor
 (``series._near_solver``), against the plain recurrence.  The kernel's
@@ -347,6 +350,21 @@ def test_packed_digit_cap_boundary(extra, refused, monkeypatch):
         window * window
 
 
+def test_packed_digit_cap_is_eight_million_digits(monkeypatch):
+    # The cap by value: two 20000-term windows whose bound needs 401-digit
+    # groups pack 8,020,000 digits each.  The refusal comes before packing,
+    # so a cap raised past that packs nothing here either.
+    monkeypatch.setattr(series, "_bias", lambda n, d: pytest.fail(f"packed {n * d} digits"))
+    x = math.isqrt(10 ** 400 // 2) + 1  # 2 x^2 has 401 digits
+    a = LaurentSeries(0, (x,) + (0,) * 19999)
+    b = LaurentSeries(0, (0, x) + (0,) * 19998)
+    with pytest.raises(series.ProductTooLarge) as refusal:
+        a * b
+    assert str(refusal.value) == (
+        "product of two 20000-term windows needs 401-digit groups: "
+        "8020000 packed digits per operand, above the cap of 8000000")
+
+
 def test_product_leaves_the_decimal_context_and_int_limit_alone(paths):
     context = decimal.getcontext()
     before = (context.prec, context.Emax, context.Emin, context.rounding,
@@ -387,6 +405,32 @@ def test_product_matches_literal_factor_products(paths):
     # A decimal group of at most 18 digits holds every bound below 10**18/2
     # < 2**63: that product fitted 8-byte groups and went decimal by its size.
     assert any(path == "decimal" and d <= 18 for path, _, d in paths)
+
+
+@pytest.mark.parametrize("bits", (1, 8, 100, series._SHORT_BITS, series._SHORT_BITS + 1,
+                                  3 * series._SHORT_BITS + 7, 12 * series._SHORT_BITS))
+def test_low_product_is_the_product_mod_a_power_of_two(bits):
+    # Seeded signed operands of either sign, below, at and past 2**bits,
+    # on both sides of the cut where the short product starts to split;
+    # 12 cuts wide, its cross terms split again.
+    rng = random.Random(bits)
+    mask = (1 << bits) - 1
+    for _ in range(12):
+        x, y = (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, bits + 40))
+                for _ in range(2))
+        assert series._low_product(x, y, bits) & mask == x * y & mask
+
+
+def test_binary_products_past_the_short_cut_match_schoolbook(monkeypatch, paths):
+    # 600 terms in 7- and 17-byte groups: 33.6 and 81.6 kbit per operand,
+    # past ``_SHORT_BITS``, so the low half comes from the short product,
+    # whose cross terms split once more at 81.6 kbit.
+    rng = random.Random(41)
+    monkeypatch.setattr(series, "_BINARY_BYTES", 1 << 40)
+    for bits in (20, 60):
+        a, b = random_series(rng, 600, bits), random_series(rng, 600, bits)
+        assert a * b == schoolbook(a, b)
+    assert [(n, w) for _, n, w in paths] == [(600, 7), (600, 17)]
 
 
 def reference_sum(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
